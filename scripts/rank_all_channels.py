@@ -8,8 +8,9 @@ schemes that have closed forms.
 
 import argparse
 
-from decoynoise.analysis import DEFAULT_SCHEMES, recommend
+from decoynoise.analysis import recommend
 from decoynoise.channels import FAMILIES, family_tag
+from decoynoise.fidelity import TABLE_SCHEMES
 from decoynoise.states import WState, scheme_label
 
 
@@ -20,7 +21,7 @@ def main():
     parser.add_argument("--include-w", action="store_true")
     args = parser.parse_args()
 
-    schemes = DEFAULT_SCHEMES + ((WState(),) if args.include_w else ())
+    schemes = TABLE_SCHEMES + ((WState(),) if args.include_w else ())
     for tag, family in FAMILIES.items():
         value = args.eta if tag in ("ad", "pd") else args.angle
         ranking = recommend(family(value), schemes)

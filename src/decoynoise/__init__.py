@@ -4,8 +4,8 @@ Simulates amplitude damping, phase damping, collective dephasing and
 collective rotation acting on the decoy states used for eavesdropping checks
 (single qubits in two mutually unbiased bases, Bell-pair copies, the four
 qubit cluster state and the W state), verifies the closed-form fidelity
-expressions against brute-force density-matrix evolution, and ranks the
-schemes per channel.
+expressions against a pure-state simulation kernel, and ranks the schemes per
+channel.
 """
 
 from .analysis import (

@@ -7,32 +7,18 @@ participate on equal footing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import NoiseModel, parameter_range
-from .fidelity import FidelityReport, grid_report, scheme_fidelity
-from .states import (
-    BB84Average,
-    BellPair,
-    Cluster,
-    DecoyScheme,
-    scheme_label,
-)
+from .fidelity import TABLE_SCHEMES, FidelityReport, grid_fidelity, grid_report, scheme_fidelity
+from .states import DecoyScheme, scheme_label
 
 # Fidelities closer than this are reported as a tie; well above simulation
 # noise (~1e-15) and well below any genuine fidelity gap between schemes.
 TIE_TOL = 1e-9
-
-DEFAULT_SCHEMES: tuple[DecoyScheme, ...] = (
-    BB84Average(),
-    BellPair("psi+"),
-    BellPair("psi-"),
-    BellPair("phi+"),
-    BellPair("phi-"),
-    Cluster(),
-)
 
 
 @dataclass(frozen=True)
@@ -49,8 +35,8 @@ class SweepSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.points < 2:
             raise ValueError(f"sweep needs at least 2 points, got {self.points}")
-        if not self.start < self.end:
-            raise ValueError(f"sweep needs start < end, got [{self.start}, {self.end}]")
+        if not -math.inf < self.start < self.end < math.inf:
+            raise ValueError(f"sweep needs finite start < end, got [{self.start}, {self.end}]")
 
 
 def sweep(spec: SweepSpec) -> list[FidelityReport]:
@@ -108,7 +94,7 @@ def is_decoherence_free(
         raise ValueError(f"need at least 8 samples, got {samples}")
     lo, hi = parameter_range(family)
     grid = np.linspace(lo, hi, samples)
-    return all(abs(scheme_fidelity(scheme, family(p)) - 1.0) < tol for p in grid)
+    return bool(np.all(np.abs(grid_fidelity(scheme, family, grid) - 1.0) < tol))
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,7 @@ def recommend(noise: NoiseModel, schemes: tuple[DecoyScheme, ...] | None = None)
     does not depend on the order schemes are passed in.
     """
     if schemes is None:
-        schemes = DEFAULT_SCHEMES
+        schemes = TABLE_SCHEMES
     scored = [(scheme, scheme_fidelity(scheme, noise)) for scheme in schemes]
     scored.sort(key=lambda pair: (-pair[1], scheme_label(pair[0])))
     groups: list[list[DecoyScheme]] = []

@@ -1,17 +1,9 @@
-"""The four noise channels and their action on n-qubit density matrices.
+"""The four noise channels, as per-qubit operator stacks and as density-matrix maps.
 
-Two channel mechanisms appear:
-
-* Kraus channels (amplitude damping, phase damping) act independently and
-  identically on every travel qubit:
-
-      rho -> sum over multi-indices (i1..in) of
-             (E_i1 x ... x E_in) rho (E_i1 x ... x E_in)^dag
-
-* Collective channels (dephasing, rotation) apply one and the same
-  single-qubit unitary to all qubits traveling simultaneously:
-
-      rho -> U^(x n) rho U^dag(x n)
+Every channel acts qubit by qubit. Kraus channels (amplitude damping, phase
+damping) apply the same set of single-qubit Kraus operators independently to
+every travel qubit; collective channels (dephasing, rotation) apply one and
+the same single-qubit unitary to all qubits traveling simultaneously.
 
 Amplitude damping models energy loss into a zero-temperature bath:
 
@@ -23,13 +15,16 @@ Phase damping destroys coherences without energy loss:
 
 Collective dephasing is the phase gate diag(1, exp(i phi)); collective
 rotation is the real rotation [[cos t, -sin t], [sin t, cos t]]. The angle
-parameters may be any real (they drift with time); eta is a decoherence
-probability and must lie in [0, 1].
+parameters may be any finite real (they drift with time); eta is a
+decoherence probability and must lie in [0, 1].
+
+operator_stack writes these operators down once, for a whole parameter grid;
+the single-point constructors and the density-matrix maps (apply_noise and the
+two below it, the tests' oracle for the kernel in `fidelity`) are built on it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,14 +33,12 @@ import numpy as np
 from .linalg import (
     ATOL,
     DensityMatrix,
-    _trusted_density,
+    conjugate_apply,
     dagger,
     is_unitary,
     tensor_power,
+    tensor_product,
 )
-
-_KET0_PROJ = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_KET1_PROJ = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,32 +70,11 @@ def _check_rate(eta: float) -> float:
     return eta
 
 
-def kraus_ad(eta: float) -> KrausChannel:
-    """Amplitude damping channel with decoherence rate eta in [0, 1]."""
-    eta = _check_rate(eta)
-    e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - eta)]], dtype=complex)
-    e1 = np.array([[0.0, math.sqrt(eta)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((e0, e1), "amplitude_damping")
-
-
-def kraus_pd(eta: float) -> KrausChannel:
-    """Phase damping channel with decoherence rate eta in [0, 1]."""
-    eta = _check_rate(eta)
-    e0 = math.sqrt(1.0 - eta) * np.eye(2, dtype=complex)
-    e1 = math.sqrt(eta) * _KET0_PROJ
-    e2 = math.sqrt(eta) * _KET1_PROJ
-    return KrausChannel((e0, e1, e2), "phase_damping")
-
-
-def unitary_cd(phi: float) -> np.ndarray:
-    """Collective dephasing phase gate diag(1, exp(i phi))."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * float(phi))]], dtype=complex)
-
-
-def unitary_cr(theta: float) -> np.ndarray:
-    """Collective rotation by angle theta in the real plane."""
-    c, s = math.cos(float(theta)), math.sin(float(theta))
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _check_angle(angle: float) -> float:
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"noise angle must be finite, got {angle}")
+    return angle
 
 
 @dataclass(frozen=True)
@@ -125,10 +97,16 @@ class PhaseDamping:
 class CollectiveDephasing:
     phi: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "phi", _check_angle(self.phi))
+
 
 @dataclass(frozen=True)
 class CollectiveRotation:
     theta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", _check_angle(self.theta))
 
 
 NoiseModel = AmplitudeDamping | PhaseDamping | CollectiveDephasing | CollectiveRotation
@@ -142,6 +120,9 @@ FAMILIES: dict[str, type] = {
 }
 
 _TAGS = {cls: tag for tag, cls in FAMILIES.items()}
+
+# Per-qubit operators of each family: Kraus operators, or one unitary.
+_OPERATOR_COUNTS = {AmplitudeDamping: 2, PhaseDamping: 3, CollectiveDephasing: 1, CollectiveRotation: 1}
 
 
 def family_tag(noise) -> str:
@@ -174,72 +155,79 @@ def parameter_range(family: type) -> tuple[float, float]:
     raise ValueError(f"unknown noise family {family!r}")
 
 
-# Cache of expanded n-qubit operators (multi-index Kraus stacks and n-fold
-# collective unitaries), keyed by operator bytes and qubit count. Entries are
-# small (<= 81 x 16 x 16) and the cache is cleared if it outgrows the limit.
-# Cached values are read-only and keyed by value, so concurrent use is safe;
-# a racing insert at worst recomputes an entry.
-_CACHE_LIMIT = 512
-_STACK_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray] | np.ndarray] = {}
+def operator_stack(family: type, grid) -> np.ndarray:
+    """The per-qubit operators of a noise family at every grid point.
 
-
-def _multi_qubit_operators(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All m^n tensor products of the channel's operators, stacked.
-
-    Returns the stack flattened to ((index, row), col) together with the
-    conjugate transposed stack flattened to ((index, col), row), the two
-    layouts the contraction in apply_kraus_channel consumes. Real operator
-    sets are stored as float64 so the contraction can run in real arithmetic.
+    Returns a complex array of shape (G, m, 2, 2): the m Kraus operators of a
+    damping channel, or the collective unitary as m = 1, for each of the G
+    parameter values. Rates outside [0, 1] and non-finite angles are rejected.
     """
-    key = ("kraus", n) + tuple(op.tobytes() for op in ch.operators)
-    cached = _STACK_CACHE.get(key)
-    if cached is not None:
-        return cached
-    single = np.stack(ch.operators)
-    stack = single
-    for _ in range(n - 1):
-        k, d = stack.shape[0], stack.shape[1]
-        m = single.shape[0]
-        stack = np.einsum("aij,bkl->abikjl", stack, single).reshape(k * m, d * 2, d * 2)
-    if np.all(stack.imag == 0.0):
-        stack = np.ascontiguousarray(stack.real)
-    count, dim = stack.shape[0], stack.shape[1]
-    left = stack.reshape(count * dim, dim)
-    right = np.ascontiguousarray(stack.conj().transpose(0, 2, 1).reshape(count * dim, dim))
-    entry = (left, right)
-    for arr in entry:
-        arr.setflags(write=False)
-    if len(_STACK_CACHE) >= _CACHE_LIMIT:
-        _STACK_CACHE.clear()
-    _STACK_CACHE[key] = entry
-    return entry
+    if family not in _TAGS:
+        raise ValueError(f"unknown noise family {family!r}")
+    p = np.asarray(grid, dtype=float).reshape(-1)
+    if family in (AmplitudeDamping, PhaseDamping):
+        # written so that NaN, which fails every comparison, is rejected too
+        valid = (0.0 <= p) & (p <= 1.0)
+        problem = "decoherence rate must lie in [0, 1]"
+    else:
+        valid = np.isfinite(p)
+        problem = "noise angle must be finite"
+    if not valid.all():
+        raise ValueError(f"{problem}, got {p[~valid][0]}")
+    ops = np.zeros((p.size, _OPERATOR_COUNTS[family], 2, 2), dtype=complex)
+    if family is AmplitudeDamping:
+        ops[:, 0, 0, 0] = 1.0
+        ops[:, 0, 1, 1] = np.sqrt(1.0 - p)
+        ops[:, 1, 0, 1] = np.sqrt(p)
+    elif family is PhaseDamping:
+        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = np.sqrt(1.0 - p)
+        ops[:, 1, 0, 0] = ops[:, 2, 1, 1] = np.sqrt(p)
+    elif family is CollectiveDephasing:
+        ops[:, 0, 0, 0] = 1.0
+        ops[:, 0, 1, 1] = np.exp(1j * p)
+    else:
+        sin = np.sin(p)
+        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = np.cos(p)
+        ops[:, 0, 0, 1], ops[:, 0, 1, 0] = -sin, sin
+    return ops
 
 
-def _kraus_contract(left: np.ndarray, right: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """sum_a E_a state E_a^dag with the stacked layouts of _multi_qubit_operators."""
-    dim = state.shape[0]
-    count = left.shape[0] // dim
-    tmp = (left @ state).reshape(count, dim, dim)
-    return tmp.transpose(1, 0, 2).reshape(dim, count * dim) @ right
+def kraus_ad(eta: float) -> KrausChannel:
+    """Amplitude damping channel with decoherence rate eta in [0, 1]."""
+    return KrausChannel(tuple(operator_stack(AmplitudeDamping, [eta])[0]), "amplitude_damping")
+
+
+def kraus_pd(eta: float) -> KrausChannel:
+    """Phase damping channel with decoherence rate eta in [0, 1]."""
+    return KrausChannel(tuple(operator_stack(PhaseDamping, [eta])[0]), "phase_damping")
+
+
+def unitary_cd(phi: float) -> np.ndarray:
+    """Collective dephasing phase gate diag(1, exp(i phi))."""
+    return operator_stack(CollectiveDephasing, [phi])[0, 0]
+
+
+def unitary_cr(theta: float) -> np.ndarray:
+    """Collective rotation by angle theta in the real plane."""
+    return operator_stack(CollectiveRotation, [theta])[0, 0]
 
 
 def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     """Apply the channel independently to each qubit of rho.
 
-    Explicit sum over all m^n operator multi-indices (at most 3^4 = 81 terms);
-    no superoperator matrix is materialized. For real operator sets the
-    contraction runs in real arithmetic, split over Re(rho) and Im(rho) by
-    linearity; this agrees with the complex path to machine rounding.
+    Plain density-matrix evolution, one qubit at a time: on qubit q each Kraus
+    operator E is embedded as I x E x I and the terms E rho E^dag are summed.
+    The result is validated as a density matrix.
     """
-    left, right = _multi_qubit_operators(ch, rho.n_qubits)
+    n = rho.n_qubits
     state = rho.matrix
-    if left.dtype == np.float64:
-        evolved = _kraus_contract(left, right, state.real.copy())
-        if np.any(state.imag != 0.0):
-            evolved = evolved + 1j * _kraus_contract(left, right, state.imag.copy())
-    else:
-        evolved = _kraus_contract(left, right, state)
-    return _trusted_density(np.asarray(evolved, dtype=complex))
+    for q in range(n):
+        embedded = [
+            tensor_product(tensor_product(np.eye(2**q), op), np.eye(2 ** (n - q - 1)))
+            for op in ch.operators
+        ]
+        state = sum(e @ state @ dagger(e) for e in embedded)
+    return DensityMatrix(state)
 
 
 def apply_collective(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
@@ -249,30 +237,16 @@ def apply_collective(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
         raise ValueError(f"collective noise needs a 2x2 unitary, got shape {u.shape}")
     if not is_unitary(u):
         raise ValueError("collective noise operator is not unitary within tolerance")
-    key = ("collective", rho.n_qubits, u.tobytes())
-    expanded = _STACK_CACHE.get(key)
-    if expanded is None:
-        expanded = tensor_power(u, rho.n_qubits)
-        expanded.setflags(write=False)
-        if len(_STACK_CACHE) >= _CACHE_LIMIT:
-            _STACK_CACHE.clear()
-        _STACK_CACHE[key] = expanded
-    evolved = expanded @ rho.matrix @ dagger(expanded)
-    return _trusted_density(evolved)
-
-
-@functools.lru_cache(maxsize=_CACHE_LIMIT)
-def _kraus_for(family: str, eta: float) -> KrausChannel:
-    return kraus_ad(eta) if family == "ad" else kraus_pd(eta)
+    return conjugate_apply(tensor_power(u, rho.n_qubits), rho)
 
 
 def apply_noise(rho: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
     """Send rho through the given noise model."""
     match noise:
         case AmplitudeDamping(eta=eta):
-            return apply_kraus_channel(rho, _kraus_for("ad", eta))
+            return apply_kraus_channel(rho, kraus_ad(eta))
         case PhaseDamping(eta=eta):
-            return apply_kraus_channel(rho, _kraus_for("pd", eta))
+            return apply_kraus_channel(rho, kraus_pd(eta))
         case CollectiveDephasing(phi=phi):
             return apply_collective(rho, unitary_cd(phi))
         case CollectiveRotation(theta=theta):

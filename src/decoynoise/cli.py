@@ -17,7 +17,7 @@ from contextlib import nullcontext
 
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
-from .fidelity import verify_table
+from .fidelity import TABLE_SCHEMES, verify_table
 from .states import WState, parse_scheme, scheme_label
 
 # A closed form drifting this far from simulation signals a regression.
@@ -149,7 +149,7 @@ def _cmd_sweep(args, writer) -> int:
 
 def _cmd_recommend(args, writer) -> int:
     noise = FAMILIES[args.noise](_noise_value(args))
-    schemes = analysis.DEFAULT_SCHEMES
+    schemes = TABLE_SCHEMES
     if args.include_w:
         schemes = schemes + (WState(),)
     ranking = analysis.recommend(noise, schemes)

@@ -5,9 +5,15 @@ prepared pure state with the channel output. For a pure reference this is the
 square of the conventional fidelity F_c(sigma, rho) = Tr sqrt(sqrt(sigma) rho
 sqrt(sigma)); both are provided.
 
-Every (scheme, channel family) combination with a known closed form can be
-cross-checked against brute-force density-matrix simulation via verify_table.
-The closed forms, keyed by the Bell labeling documented in `states`:
+Simulation is one kernel, pure_state_fidelity. Every channel acts qubit by
+qubit with operators E_a (Kraus operators, or one collective unitary), so a
+pure decoy state has F = sum over (a1..an) of |<psi| E_a1 x ... x E_an |psi>|^2,
+evaluated at every point of a parameter grid at once. The BB84 average over
+all 256 product strings is exactly (mean single-qubit fidelity over 0, 1, +, -)^4.
+
+Every (scheme, channel family) combination with a known closed form is
+cross-checked against simulation via verify_table. The closed forms, keyed by
+the Bell labeling documented in `states`:
 
     scheme      AD                              PD                  CD                  CR
     bb84 avg    (3+sqrt(1-e)-e)^4/256           (e-4)^4/256         (3+cos p)^4/256     cos^8 t
@@ -22,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -33,8 +38,9 @@ from .channels import (
     FAMILIES,
     NoiseModel,
     PhaseDamping,
-    apply_noise,
     family_tag,
+    operator_stack,
+    parameter_of,
     parameter_range,
 )
 from .linalg import ATOL, DensityMatrix, PureState
@@ -47,9 +53,11 @@ from .states import (
     SINGLE_LABELS,
     WState,
     make_decoy_state,
+    make_single,
 )
 
-# Schemes that have a closed-form fidelity for every channel family.
+# Schemes that have a closed-form fidelity for every channel family; also the
+# default set that analysis.recommend ranks.
 TABLE_SCHEMES: tuple[DecoyScheme, ...] = (
     BB84Average(),
     BellPair("psi+"),
@@ -58,6 +66,11 @@ TABLE_SCHEMES: tuple[DecoyScheme, ...] = (
     BellPair("phi-"),
     Cluster(),
 )
+
+# Grid points the kernel evaluates at once. Phase damping on four qubits ends
+# with 3^4 branch vectors of 16 amplitudes per point, about 60 KB with the
+# copies of the last step, so a block needs about 16 MB whatever the grid length.
+KERNEL_BLOCK = 256
 
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:
@@ -79,32 +92,57 @@ def conventional_fidelity(psi: PureState, rho: DensityMatrix) -> float:
     return math.sqrt(max(fidelity(psi, rho), 0.0))
 
 
+def pure_state_fidelity(psi: PureState, ops: np.ndarray) -> np.ndarray:
+    """F = sum_a |<psi| E_a1 x ... x E_an |psi>|^2 at each of G grid points.
+
+    ops has shape (G, m, 2, 2), from channels.operator_stack. Each step applies
+    all m operators to the leading qubit of every branch vector with one matmul
+    and rotates that qubit to the back, so n steps restore the qubit order.
+    """
+    n, amps = psi.n_qubits, psi.amplitudes
+    half = amps.size // 2
+    out = np.empty(len(ops))
+    for start in range(0, len(ops), KERNEL_BLOCK):
+        block = ops[start : start + KERNEL_BLOCK]
+        g, m = block.shape[:2]
+        stacked = block.reshape(g, 2 * m, 2)
+        # (grid point, leading qubit, other qubits and branches)
+        state = amps.reshape(1, 2, half)
+        for _ in range(n):
+            applied = (stacked @ state).reshape(g, m, 2, half, -1)
+            state = applied.transpose(0, 3, 2, 4, 1).reshape(g, 2, -1)
+        overlaps = amps.conj() @ state.reshape(g, amps.size, -1)
+        out[start : start + g] = (np.abs(overlaps) ** 2).sum(axis=-1)
+    return out
+
+
+def grid_fidelity(scheme: DecoyScheme, family: type, grid) -> np.ndarray:
+    """Simulated fidelity of one scheme at every point of a parameter grid."""
+    ops = operator_stack(family, grid)
+    if isinstance(scheme, BB84Average):
+        return (sum(pure_state_fidelity(make_single(label), ops) for label in SINGLE_LABELS) / 4.0) ** 4
+    return pure_state_fidelity(make_decoy_state(scheme), ops)
+
+
+def scheme_fidelity(scheme: DecoyScheme, noise: NoiseModel) -> float:
+    """Simulated fidelity for any scheme, including the BB84 average."""
+    return float(grid_fidelity(scheme, type(noise), [parameter_of(noise)])[0])
+
+
 def simulate_fidelity(scheme: DecoyScheme, noise: NoiseModel) -> float:
-    """Brute-force fidelity: build the decoy state, evolve it, compare."""
+    """Simulated fidelity of the decoy state of one scheme."""
     if isinstance(scheme, BB84Average):
         raise ValueError("BB84Average has no single state; use bb84_average_fidelity")
-    psi = make_decoy_state(scheme)
-    rho_k = apply_noise(psi.density(), noise)
-    return fidelity(psi, rho_k)
+    return scheme_fidelity(scheme, noise)
 
 
 def bb84_average_fidelity(noise: NoiseModel) -> float:
     """Mean fidelity over all 4^4 = 256 four-qubit product decoy strings.
 
-    Exhaustive enumeration, not sampling: exact and cheap at this size.
+    Exact: every string is a product state and every channel acts qubit by
+    qubit, so the average factorises into single-qubit fidelities.
     """
-    values = [
-        simulate_fidelity(BB84Product(labels), noise)
-        for labels in product(SINGLE_LABELS, repeat=4)
-    ]
-    return math.fsum(values) / len(values)
-
-
-def scheme_fidelity(scheme: DecoyScheme, noise: NoiseModel) -> float:
-    """Simulated fidelity for any scheme, including the BB84 average."""
-    if isinstance(scheme, BB84Average):
-        return bb84_average_fidelity(noise)
-    return simulate_fidelity(scheme, noise)
+    return scheme_fidelity(BB84Average(), noise)
 
 
 def closed_form(scheme: DecoyScheme, noise: NoiseModel) -> float:
@@ -181,7 +219,7 @@ class FidelityReport:
 
 def grid_report(scheme: DecoyScheme, family: type, grid) -> FidelityReport:
     """Simulate one scheme across a parameter grid, with closed forms when known."""
-    simulated = tuple(scheme_fidelity(scheme, family(p)) for p in grid)
+    simulated = tuple(grid_fidelity(scheme, family, grid).tolist())
     try:
         closed = tuple(closed_form(scheme, family(p)) for p in grid)
     except ValueError:
@@ -200,7 +238,7 @@ def grid_report(scheme: DecoyScheme, family: type, grid) -> FidelityReport:
 
 
 def verify_table(grid_size: int) -> list[FidelityReport]:
-    """Check every closed form against brute-force simulation on a uniform grid.
+    """Check every closed form against simulation on a uniform grid.
 
     One report per (scheme, channel family) combination; eta runs over [0, 1]
     and the collective angles over [0, 2 pi], endpoints included.

@@ -69,7 +69,7 @@ class PureState:
     """Normalized n-qubit amplitude vector, 1 <= n <= 4.
 
     Amplitudes are stored read-only, so instances are safe to share across
-    concurrent workers and to cache.
+    concurrent workers.
     """
 
     amplitudes: np.ndarray
@@ -88,12 +88,8 @@ class PureState:
         return self.amplitudes.size.bit_length() - 1
 
     def density(self) -> "DensityMatrix":
-        """Projector |psi><psi| as a density matrix (memoized per instance)."""
-        cached = self.__dict__.get("_density")
-        if cached is None:
-            cached = _trusted_density(np.outer(self.amplitudes, self.amplitudes.conj()))
-            object.__setattr__(self, "_density", cached)
-        return cached
+        """Projector |psi><psi| as a validated density matrix."""
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -125,18 +121,6 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-
-def _trusted_density(matrix: np.ndarray) -> DensityMatrix:
-    """Wrap a matrix that is known to satisfy the invariants, skipping checks.
-
-    Internal fast path for outputs of trace-preserving maps applied to valid
-    inputs, where Hermiticity, unit trace and positivity hold by construction.
-    """
-    matrix.setflags(write=False)
-    dm = object.__new__(DensityMatrix)
-    object.__setattr__(dm, "matrix", matrix)
-    return dm
 
 
 def conjugate_apply(u, rho: DensityMatrix) -> DensityMatrix:

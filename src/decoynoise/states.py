@@ -12,7 +12,6 @@ so do not "fix" the convention. In particular phi- is the singlet here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -129,7 +128,6 @@ class WState:
 DecoyScheme = BB84Product | BB84Average | BellPair | Cluster | WState
 
 
-@functools.lru_cache(maxsize=512)
 def make_decoy_state(scheme: DecoyScheme) -> PureState:
     """Build the decoy state a scheme sends through the channel.
 

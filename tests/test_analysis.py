@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoynoise.analysis import (
-    DEFAULT_SCHEMES,
     SweepSpec,
     find_crossover,
     is_decoherence_free,
@@ -21,7 +20,7 @@ from decoynoise.channels import (
     CollectiveRotation,
     PhaseDamping,
 )
-from decoynoise.fidelity import closed_form, scheme_fidelity
+from decoynoise.fidelity import TABLE_SCHEMES, closed_form, scheme_fidelity
 from decoynoise.states import BB84Average, BellPair, Cluster, WState, scheme_label
 
 
@@ -160,13 +159,13 @@ def test_recommend_high_ad_prefers_parallel_bells():
 
 
 def test_recommend_can_include_w_state():
-    ranking = recommend(CollectiveDephasing(1.1), DEFAULT_SCHEMES + (WState(),))
+    ranking = recommend(CollectiveDephasing(1.1), TABLE_SCHEMES + (WState(),))
     top = {scheme_label(s) for s in ranking.ties[0]}
     assert top == {"phi+", "phi-", "w"}
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.permutations(list(DEFAULT_SCHEMES)))
+@given(st.permutations(list(TABLE_SCHEMES)))
 def test_recommend_invariant_under_scheme_permutation(schemes):
     base = recommend(AmplitudeDamping(0.35))
     permuted = recommend(AmplitudeDamping(0.35), tuple(schemes))

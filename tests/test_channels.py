@@ -16,6 +16,7 @@ from decoynoise.channels import (
     apply_noise,
     kraus_ad,
     kraus_pd,
+    operator_stack,
     parameter_of,
     parameter_range,
     unitary_cd,
@@ -193,8 +194,29 @@ def test_noise_model_validation_and_helpers():
     assert lo == 0.0 and hi == pytest.approx(2 * np.pi)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameters_are_rejected(bad):
+    for model in (AmplitudeDamping, PhaseDamping):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            model(bad)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            operator_stack(model, [0.0, 0.5, bad])
+    for model in (CollectiveDephasing, CollectiveRotation):
+        with pytest.raises(ValueError, match="finite"):
+            model(bad)
+        with pytest.raises(ValueError, match="finite"):
+            operator_stack(model, [0.0, 0.5, bad])
+
+
+def test_operator_stack_shape_and_family():
+    for family, count in ((AmplitudeDamping, 2), (PhaseDamping, 3), (CollectiveDephasing, 1), (CollectiveRotation, 1)):
+        assert operator_stack(family, [0.0, 0.3, 1.0]).shape == (3, count, 2, 2)
+    with pytest.raises(ValueError, match="unknown noise family"):
+        operator_stack(KrausChannel, [0.5])
+
+
 def test_kraus_channel_after_dephasing_handles_complex_density():
-    # complex off-diagonal entries exercise the split real/imag path
+    # complex off-diagonal entries go through the Kraus sum intact
     rho = apply_collective(make_bell("psi+").density(), unitary_cd(0.6))
     assert np.any(rho.matrix.imag != 0)
     out = apply_kraus_channel(rho, kraus_ad(0.25))

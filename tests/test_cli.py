@@ -190,6 +190,22 @@ def test_sweep_matches_golden_file(tmp_path, golden, args):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["recommend", "--noise", "cd", "--phi", "inf"],
+        ["recommend", "--noise", "cr", "--theta", "nan"],
+        ["sweep", "--noise", "cd", "--from=-inf", "--to", "1"],
+    ],
+)
+def test_non_finite_parameters_fail_cleanly(args):
+    proc = subprocess.run([sys.executable, "-m", "decoynoise", *args], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "Warning" not in proc.stderr
+
+
 def test_module_entrypoint_keeps_streams_separate():
     proc = subprocess.run(
         [sys.executable, "-m", "decoynoise", "verify-table", "--grid", "3"],

@@ -17,11 +17,13 @@ from decoynoise.channels import (
     apply_noise,
 )
 from decoynoise.fidelity import (
+    KERNEL_BLOCK,
     TABLE_SCHEMES,
     bb84_average_fidelity,
     closed_form,
     conventional_fidelity,
     fidelity,
+    grid_fidelity,
     scheme_fidelity,
     simulate_fidelity,
     verify_table,
@@ -94,13 +96,40 @@ def test_bb84_average_endpoints():
 
 
 def test_bb84_average_is_mean_of_products():
-    noise = PhaseDamping(0.37)
-    values = [
-        simulate_fidelity(BB84Product(labels), noise)
-        for labels in product(SINGLE_LABELS, repeat=4)
-    ]
-    assert len(values) == 256
-    assert bb84_average_fidelity(noise) == pytest.approx(math.fsum(values) / 256, abs=1e-15)
+    # oracle: all 256 strings enumerated, each through density-matrix evolution
+    for noise in (AmplitudeDamping(0.61), PhaseDamping(0.37), CollectiveDephasing(2.3), CollectiveRotation(0.4)):
+        values = []
+        for labels in product(SINGLE_LABELS, repeat=4):
+            psi = make_decoy_state(BB84Product(labels))
+            values.append(fidelity(psi, apply_noise(psi.density(), noise)))
+        assert len(values) == 256
+        assert bb84_average_fidelity(noise) == pytest.approx(math.fsum(values) / 256, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([BellPair(lab) for lab in ("psi+", "psi-", "phi+", "phi-")] + [Cluster(), WState()]),
+        st.builds(BB84Product, st.tuples(*[st.sampled_from(SINGLE_LABELS)] * 4)),
+    ),
+    st.sampled_from(sorted(FAMILIES)),
+    st.floats(0.0, 1.0),
+)
+def test_kernel_matches_density_matrix_evolution(scheme, family, frac):
+    # damping rates over [0, 1], angles over [-20, 20]
+    noise = FAMILIES[family](frac if family in ("ad", "pd") else 40.0 * (frac - 0.5))
+    psi = make_decoy_state(scheme)
+    expected = fidelity(psi, apply_noise(psi.density(), noise))
+    assert abs(simulate_fidelity(scheme, noise) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("family", list(FAMILIES.values()))
+@pytest.mark.parametrize("scheme", [BB84Average(), Cluster(), WState()])
+def test_grid_longer_than_a_block_matches_single_points(scheme, family):
+    grid = np.linspace(0.0, 1.0, 2 * KERNEL_BLOCK + 7)
+    together = grid_fidelity(scheme, family, grid)
+    alone = [grid_fidelity(scheme, family, [p])[0] for p in grid]
+    np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-15)
 
 
 def test_closed_form_spot_values():

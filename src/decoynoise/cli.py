@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import sys
-from contextlib import nullcontext
 
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
@@ -22,6 +23,17 @@ from .states import WState, parse_scheme, scheme_label
 
 # A closed form drifting this far from simulation signals a regression.
 REGRESSION_TOL = 1e-9
+
+# Largest accepted sizes, so that a command peaks at a few hundred MB instead
+# of failing with a MemoryError. Peak RSS follows the number of fidelities a
+# command keeps, about 250 MB per 10**6: verify-table keeps 24 per grid point
+# (300 MB at --grid 10**5), a sweep one per grid point and scheme (with --out,
+# 249 MB for one scheme at --grid 10**6 and 237 MB for seven at 142857). An
+# intercept-resend Monte Carlo run holds several arrays of one entry per
+# trial (about 440 MB at 10**7 trials).
+MAX_TABLE_GRID = 10**5
+MAX_SWEEP_VALUES = 10**6
+MAX_TRIALS = 10**7
 
 SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
 
@@ -113,6 +125,8 @@ def _noise_value(args) -> float:
 def _cmd_verify_table(args, writer) -> int:
     if args.grid < 2:
         raise CliError("grid must be >= 2")
+    if args.grid > MAX_TABLE_GRID:
+        raise CliError(f"grid must be <= {MAX_TABLE_GRID}")
     reports = verify_table(args.grid)
     writer.writerow(["scheme", "noise", "max_abs_deviation"])
     worst = 0.0
@@ -126,12 +140,15 @@ def _cmd_verify_table(args, writer) -> int:
 def _cmd_sweep(args, writer) -> int:
     if args.grid < 2:
         raise CliError("grid must be >= 2")
+    schemes = _parse_schemes(args.schemes)
+    if args.grid * len(schemes) > MAX_SWEEP_VALUES:
+        raise CliError(f"grid times number of schemes must be <= {MAX_SWEEP_VALUES}")
     family = FAMILIES[args.noise]
     default_lo, default_hi = parameter_range(family)
     start = default_lo if args.start is None else args.start
     end = default_hi if args.end is None else args.end
     spec = analysis.SweepSpec(
-        schemes=_parse_schemes(args.schemes),
+        schemes=schemes,
         family=family,
         start=start,
         end=end,
@@ -179,6 +196,8 @@ def _cmd_crossover(args, writer) -> int:
 def _cmd_eve_sim(args, writer) -> int:
     if args.method == "mc" and args.seed is None:
         raise CliError("--seed is required for --method mc")
+    if args.method == "mc" and args.trials > MAX_TRIALS:
+        raise CliError(f"trials must be <= {MAX_TRIALS}")
     kwargs = {"method": args.method}
     if args.method == "mc":
         kwargs.update(trials=args.trials, seed=args.seed)
@@ -203,21 +222,40 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built on first use rather than at import, and reused: parse_args starts
+    # every parse from a fresh Namespace, so no state passes between commands.
+    return build_parser()
+
+
+def _run_to_file(args, path: str) -> int:
+    """Run the command into a buffer, written to path only on exit 0 or 2.
+
+    A failed command leaves path as it was. path is opened for writing like
+    any file, so a symlink, a device or a FIFO is written through.
+    """
+    buffer = io.StringIO()
+    code = _COMMANDS[args.command](args, csv.writer(buffer, lineterminator="\n"))
+    if code in (0, 2):
+        with open(path, "w", newline="") as stream:
+            stream.write(buffer.getvalue())
+    return code
+
+
 def run(argv: list[str]) -> int:
     """Parse argv and execute one command; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         out_path = getattr(args, "out", None)
-        sink = open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
-        with sink as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            return _COMMANDS[args.command](args, writer)
-    except (CliError, ValueError) as exc:
+        if out_path:
+            return _run_to_file(args, out_path)
+        return _COMMANDS[args.command](args, csv.writer(sys.stdout, lineterminator="\n"))
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -219,9 +219,16 @@ def wrong_pair_bell_attack(
     _require_seeded_mc(trials, seed)
     rng = np.random.default_rng(seed)
     flat = joint.reshape(16)
-    # guard against rounding when feeding probabilities to the sampler
-    draws = rng.choice(16, size=trials, p=flat / flat.sum())
-    counts = np.bincount(draws, minlength=16)
+    # Inverse-CDF sampling on the uniforms and CDF of Generator.choice(16, p=...),
+    # counted per outcome instead of drawn one by one: outcome k is drawn by
+    # the uniforms u with cdf[k-1] <= u < cdf[k], and cdf[15] is exactly 1.
+    # Zero-probability outcomes repeat an edge, which is counted once.
+    cdf = (flat / flat.sum()).cumsum()
+    cdf /= cdf[-1]
+    uniforms = rng.random(trials)
+    edges, edge_of = np.unique(cdf, return_inverse=True)
+    at_or_above = np.array([np.count_nonzero(uniforms >= edge) for edge in edges])
+    counts = -np.diff(at_or_above[edge_of], prepend=trials)
     dist = {
         f"{a};{b}": counts[4 * i + j] / trials
         for i, a in enumerate(BELL_LABELS)

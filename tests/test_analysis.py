@@ -1,5 +1,6 @@
 """Sweeps, crossover root finding, decoherence-free detection and ranking."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,9 @@ from decoynoise.channels import (
     CollectiveDephasing,
     CollectiveRotation,
     PhaseDamping,
+    parameter_range,
 )
-from decoynoise.fidelity import TABLE_SCHEMES, closed_form, scheme_fidelity
+from decoynoise.fidelity import TABLE_SCHEMES, closed_form, grid_fidelity, scheme_fidelity
 from decoynoise.states import BB84Average, BellPair, Cluster, WState, scheme_label
 
 
@@ -89,6 +91,112 @@ def test_crossover_requires_sign_change():
 def test_crossover_rejects_empty_interval():
     with pytest.raises(ValueError, match="lo < hi"):
         find_crossover(BB84Average(), Cluster(), AmplitudeDamping, 0.9, 0.3)
+
+
+def scalar_crossover(a, b, family, lo, hi, tol=1e-9):
+    """Reference: bisection one scheme_fidelity call at a time, as find_crossover was.
+
+    Hangs when tol is below the float spacing of the bracket, so callers keep
+    tol well above it.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+
+    def gap(p: float) -> float:
+        return scheme_fidelity(a, family(p)) - scheme_fidelity(b, family(p))
+
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
+        raise ValueError(f"no crossover in interval [{lo}, {hi}]")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        gap_mid = gap(mid)
+        if gap_mid == 0.0:
+            return mid
+        if (gap_mid < 0.0) == (gap_lo < 0.0):
+            lo, gap_lo = mid, gap_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _crossing_cells():
+    """{(family, kind): [(a, b, left, right)]}: cells of a 401-point scan where F_a - F_b changes sign.
+
+    kind is "bb84" when either scheme is the BB84 average, else "cheap". Some
+    cells are sign changes of rounding noise where two curves touch (at 0 and
+    pi for the collective angles); both bisections must agree on those too.
+    """
+    cells = {}
+    for family in (AmplitudeDamping, PhaseDamping, CollectiveDephasing, CollectiveRotation):
+        grid = np.linspace(*parameter_range(family), 401)
+        fids = {s: grid_fidelity(s, family, grid) for s in TABLE_SCHEMES + (WState(),)}
+        for a, b in itertools.combinations(fids, 2):
+            gap = fids[a] - fids[b]
+            if np.abs(gap).max() < 1e-9:
+                continue  # the pair is tied: every sign change is rounding noise
+            kind = "bb84" if BB84Average() in (a, b) else "cheap"
+            for i in np.nonzero(gap[:-1] * gap[1:] < 0.0)[0]:
+                cells.setdefault((family, kind), []).append((a, b, grid[i], grid[i + 1]))
+    return cells
+
+
+CROSSING_CELLS = _crossing_cells()
+
+
+def _outcome(finder, *args):
+    try:
+        return float(finder(*args)).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_scan_finds_crossings_on_every_family():
+    families = (AmplitudeDamping, PhaseDamping, CollectiveDephasing, CollectiveRotation)
+    assert all((family, "bb84") in CROSSING_CELLS for family in families)
+    assert all((family, "cheap") in CROSSING_CELLS for family in (AmplitudeDamping, CollectiveRotation))
+
+
+@pytest.mark.parametrize("family,kind", sorted(CROSSING_CELLS, key=lambda key: (key[0].__name__, key[1])))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_bisection_returns_the_scalar_loops_root(family, kind, data):
+    a, b, left, right = data.draw(st.sampled_from(CROSSING_CELLS[family, kind]))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    range_lo, range_hi = parameter_range(family)
+    width = (right - left) * data.draw(st.floats(1.0, 40.0))
+    lo = max(range_lo, left - (width - (right - left)) * data.draw(st.floats(0.0, 1.0)))
+    hi = min(range_hi, lo + width)
+    # from 0.3 x the bracket down to 1e-10 x, always far above its float spacing
+    tol = (hi - lo) * 10.0 ** -data.draw(st.floats(0.5, 10.0))
+    expected = _outcome(scalar_crossover, a, b, family, lo, hi, tol)
+    assert _outcome(find_crossover, a, b, family, lo, hi, tol) == expected
+
+
+def test_crossover_with_zero_tol_stops_at_neighbouring_floats():
+    lo, hi = 0.8, 1.1
+    root = find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, lo, hi, tol=0.0)
+    assert lo < root < hi
+    assert root == pytest.approx(math.acos(1 / math.sqrt(3)), abs=1e-15)
+    # a tolerance below the float spacing stops the same way
+    tiny = find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, lo, hi, tol=1e-300)
+    assert tiny == root
+
+
+def test_crossover_rejects_brackets_whose_midpoints_could_overflow():
+    # 0.5 and 1.02e308 bracket a crossing, but halving [7.7e307, 1.02e308]
+    # would overflow to inf
+    with pytest.raises(ValueError, match=r"2\*\*1023"):
+        find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, 0.5, 1.02e308)
+    with pytest.raises(ValueError, match=r"2\*\*1023"):
+        find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, 0.5, math.inf)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+def test_crossover_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, 0.8, 1.1, tol=tol)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """CLI behavior: CSV schemas, exit codes, determinism, stream separation."""
 
 import importlib
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from decoynoise.channels import AmplitudeDamping
-from decoynoise.cli import REGRESSION_TOL, SWEEP_HEADER, run
+from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
 from decoynoise.states import Cluster
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
@@ -164,6 +166,121 @@ def test_eve_sim_mc_deterministic(capsys):
     assert run(args) == 0
     second, _ = capsys.readouterr()
     assert first == second
+
+
+def test_failed_command_leaves_no_out_file(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert run(["sweep", "--noise", "ad", "--from", "-0.5", "--to", "1", "--out", str(out)]) == 1
+    assert "decoherence rate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_command_leaves_existing_out_file_untouched(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    out.write_bytes(b"earlier output\n")
+    assert run(["sweep", "--noise", "ad", "--from", "-0.5", "--to", "1", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"earlier output\n"
+
+
+def test_verify_table_regression_still_writes_out_file(monkeypatch, tmp_path, capsys):
+    true_form = fidelity_mod.closed_form
+    monkeypatch.setattr("decoynoise.fidelity.closed_form", lambda s, n: true_form(s, n) + 1e-6)
+    out = tmp_path / "table.csv"
+    assert run(["verify-table", "--grid", "3", "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == [out]
+    assert len(out.read_text().splitlines()) == 1 + 24
+
+
+def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
+    code = run(["eve-sim", "--attack", "intercept", "--out", str(tmp_path / "missing" / "f.csv")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("earlier output\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run(["eve-sim", "--attack", "intercept", "--out", str(link)]) == 0
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink()
+    assert target.read_text().startswith("kind,label,value\n")
+
+
+def test_out_rewrites_an_existing_file_in_place(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    out.write_text("earlier output\n")
+    out.chmod(0o640)
+    (tmp_path / "hard-link.csv").hardlink_to(out)
+    before = out.stat()
+    assert run(["eve-sim", "--attack", "intercept", "--out", str(out)]) == 0
+    capsys.readouterr()
+    after = out.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    assert (tmp_path / "hard-link.csv").read_text().startswith("kind,label,value\n")
+
+
+def test_out_to_the_null_device(capsys):
+    mode = os.stat(os.devnull).st_mode
+    assert run(["eve-sim", "--attack", "intercept", "--out", os.devnull]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == ""
+    assert os.stat(os.devnull).st_mode == mode and stat.S_ISCHR(mode)
+
+
+SWEEP_LIMIT = f"grid times number of schemes must be <= {MAX_SWEEP_VALUES}"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["sweep", "--noise", "ad", "--grid", str(10**12)], SWEEP_LIMIT),
+        (["sweep", "--noise", "ad", "--schemes", "w", "--grid", str(MAX_SWEEP_VALUES + 1)], SWEEP_LIMIT),
+        (["sweep", "--noise", "ad", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w",
+          "--grid", str(MAX_SWEEP_VALUES // 7 + 1)], SWEEP_LIMIT),
+        (["verify-table", "--grid", str(10**12)], f"grid must be <= {MAX_TABLE_GRID}"),
+        (["verify-table", "--grid", str(MAX_TABLE_GRID + 1)], f"grid must be <= {MAX_TABLE_GRID}"),
+        (["eve-sim", "--attack", "intercept", "--method", "mc", "--seed", "1", "--trials", str(10**12)],
+         f"trials must be <= {MAX_TRIALS}"),
+        (["eve-sim", "--attack", "wrong-pair", "--method", "mc", "--seed", "1", "--trials", str(MAX_TRIALS + 1)],
+         f"trials must be <= {MAX_TRIALS}"),
+    ],
+)
+def test_oversized_grid_and_trials_are_rejected_before_any_work(args, message, capsys):
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys):
+    def with_w(path):
+        return ["recommend", "--noise", "cd", "--phi", "1.1", "--include-w", "--out", str(path)]
+
+    plain = ["recommend", "--noise", "cd", "--phi", "1.1"]
+    # each command's output when it runs alone, in a fresh process
+    alone = tmp_path / "alone.csv"
+    subprocess.run([sys.executable, "-m", "decoynoise", *with_w(alone)], check=True)
+    expected_plain = subprocess.run([sys.executable, "-m", "decoynoise", *plain],
+                                    capture_output=True, text=True, check=True).stdout
+    assert b"w," in alone.read_bytes() and "w," not in expected_plain
+
+    out = tmp_path / "ranked.csv"
+    assert run(with_w(out)) == 0
+    assert out.read_bytes() == alone.read_bytes()
+    out.unlink()
+    capsys.readouterr()
+    assert run(plain) == 0
+    assert capsys.readouterr().out == expected_plain
+    assert not out.exists()
+    assert run(with_w(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == alone.read_bytes()
 
 
 def test_missing_command_is_bad_usage(capsys):

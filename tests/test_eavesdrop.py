@@ -160,6 +160,27 @@ def test_wrong_pair_monte_carlo():
     assert again == mc
 
 
+@pytest.mark.parametrize("eve_pair", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("bell", BELL_LABELS)
+def test_wrong_pair_mc_counts_match_generator_choice(bell, eve_pair):
+    # reference: draw each trial with Generator.choice, as the sampler once did
+    for eve_outcome in (None,) + BELL_LABELS:
+        try:
+            exact = wrong_pair_bell_attack(bell, eve_pair, eve_outcome=eve_outcome)
+        except ValueError:
+            assert eve_outcome is not None  # zero-probability Eve outcome
+            continue
+        flat = np.array(list(exact.outcome_distribution.values()))
+        for seed in (0, 7, 2024):
+            for trials in (1, 17, 20000):
+                draws = np.random.default_rng(seed).choice(16, size=trials, p=flat / flat.sum())
+                counts = np.bincount(draws, minlength=16)
+                mc = wrong_pair_bell_attack(bell, eve_pair, "mc", trials, seed, eve_outcome)
+                assert list(mc.outcome_distribution.values()) == list(counts / trials)
+                prep = 5 * BELL_LABELS.index(bell)
+                assert mc.detection_probability == 1.0 - counts[prep] / trials
+
+
 def test_wrong_pair_rejects_bad_input():
     with pytest.raises(ValueError, match="eve_pair"):
         wrong_pair_bell_attack("psi+", (1, 3))

@@ -41,7 +41,8 @@ class SweepSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.points < 2:
             raise ValueError(f"sweep needs at least 2 points, got {self.points}")
-        if not -math.inf < self.start < self.end < math.inf:
+        # end - start must be finite too, or linspace overflows into NaN
+        if not (self.start < self.end and math.isfinite(self.end - self.start)):
             raise ValueError(f"sweep needs finite start < end, got [{self.start}, {self.end}]")
 
 
@@ -131,7 +132,8 @@ class Ranking:
     """Schemes ordered by fidelity under one noise model, best first.
 
     ties partitions the ordered schemes into groups whose fidelities agree
-    to within TIE_TOL; a group of one is simply untied.
+    to within TIE_TOL, each ordered by scheme label; a group of one is simply
+    untied.
     """
 
     noise: NoiseModel
@@ -164,5 +166,5 @@ def recommend(noise: NoiseModel, schemes: tuple[DecoyScheme, ...] | None = None)
     return Ranking(
         noise=noise,
         ordered=tuple(scored),
-        ties=tuple(tuple(group) for group in groups),
+        ties=tuple(tuple(sorted(group, key=scheme_label)) for group in groups),
     )

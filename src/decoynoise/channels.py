@@ -26,7 +26,7 @@ two below it, the tests' oracle for the kernel in `fidelity`) are built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,50 +63,33 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
 
-def _check_rate(eta: float) -> float:
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"decoherence rate must lie in [0, 1], got {eta}")
-    return eta
-
-
-def _check_angle(angle: float) -> float:
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"noise angle must be finite, got {angle}")
-    return angle
-
-
-@dataclass(frozen=True)
-class AmplitudeDamping:
-    eta: float
+class _OneParameter:
+    """A noise model of one parameter, checked by parameter_grid at construction."""
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", _check_rate(self.eta))
+        (field,) = fields(self)
+        (value,) = parameter_grid(type(self), [getattr(self, field.name)])
+        object.__setattr__(self, field.name, float(value))
 
 
 @dataclass(frozen=True)
-class PhaseDamping:
+class AmplitudeDamping(_OneParameter):
     eta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta", _check_rate(self.eta))
+
+@dataclass(frozen=True)
+class PhaseDamping(_OneParameter):
+    eta: float
 
 
 @dataclass(frozen=True)
-class CollectiveDephasing:
+class CollectiveDephasing(_OneParameter):
     phi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _check_angle(self.phi))
-
 
 @dataclass(frozen=True)
-class CollectiveRotation:
+class CollectiveRotation(_OneParameter):
     theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _check_angle(self.theta))
 
 
 NoiseModel = AmplitudeDamping | PhaseDamping | CollectiveDephasing | CollectiveRotation
@@ -155,12 +138,10 @@ def parameter_range(family: type) -> tuple[float, float]:
     raise ValueError(f"unknown noise family {family!r}")
 
 
-def operator_stack(family: type, grid) -> np.ndarray:
-    """The per-qubit operators of a noise family at every grid point.
+def parameter_grid(family: type, grid) -> np.ndarray:
+    """A noise family's parameters as a flat float array.
 
-    Returns a complex array of shape (G, m, 2, 2): the m Kraus operators of a
-    damping channel, or the collective unitary as m = 1, for each of the G
-    parameter values. Rates outside [0, 1] and non-finite angles are rejected.
+    Rates outside [0, 1] and non-finite angles are rejected.
     """
     if family not in _TAGS:
         raise ValueError(f"unknown noise family {family!r}")
@@ -174,6 +155,17 @@ def operator_stack(family: type, grid) -> np.ndarray:
         problem = "noise angle must be finite"
     if not valid.all():
         raise ValueError(f"{problem}, got {p[~valid][0]}")
+    return p
+
+
+def operator_stack(family: type, grid) -> np.ndarray:
+    """The per-qubit operators of a noise family at every grid point.
+
+    Returns a complex array of shape (G, m, 2, 2): the m Kraus operators of a
+    damping channel, or the collective unitary as m = 1, for each of the G
+    parameter values of parameter_grid.
+    """
+    p = parameter_grid(family, grid)
     ops = np.zeros((p.size, _OPERATOR_COUNTS[family], 2, 2), dtype=complex)
     if family is AmplitudeDamping:
         ops[:, 0, 0, 0] = 1.0

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import sys
 
 from . import analysis, eavesdrop
@@ -25,15 +26,20 @@ from .states import WState, parse_scheme, scheme_label
 REGRESSION_TOL = 1e-9
 
 # Largest accepted sizes, so that a command peaks at a few hundred MB instead
-# of failing with a MemoryError. Peak RSS follows the number of fidelities a
-# command keeps, about 250 MB per 10**6: verify-table keeps 24 per grid point
-# (300 MB at --grid 10**5), a sweep one per grid point and scheme (with --out,
-# 249 MB for one scheme at --grid 10**6 and 237 MB for seven at 142857). An
-# intercept-resend Monte Carlo run holds several arrays of one entry per
-# trial (about 440 MB at 10**7 trials).
+# of failing with a MemoryError. Peak RSS is about 240 MB per 10**6 sweep
+# values: one scheme under pd at --grid 10**6 peaks at 244 MB, mostly its
+# operator stack of 12 complex numbers per point; seven schemes at 142857
+# peak at 104 MB, or 240 MB with --out, which holds the CSV text until the
+# command succeeds. verify-table keeps 24 fidelities per grid point, 92 MB at
+# --grid 10**5. An intercept-resend Monte Carlo run holds several arrays of
+# one entry per trial (about 440 MB at 10**7 trials).
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7
+
+# Sweep rows formatted per writerows call, so that only one block of a report
+# is held as Python floats and strings at a time.
+CSV_ROWS = 2**16
 
 SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
 
@@ -129,12 +135,16 @@ def _cmd_verify_table(args, writer) -> int:
         raise CliError(f"grid must be <= {MAX_TABLE_GRID}")
     reports = verify_table(args.grid)
     writer.writerow(["scheme", "noise", "max_abs_deviation"])
-    worst = 0.0
     for report in reports:
         writer.writerow([scheme_label(report.scheme), report.noise, _fmt(report.max_abs_deviation)])
-        worst = max(worst, report.max_abs_deviation)
-    print(f"{len(reports)} cells checked, worst deviation {worst:.3e}", file=sys.stderr)
-    return 2 if worst >= REGRESSION_TOL else 0
+    worst = max(reports, key=lambda report: report.max_abs_deviation)
+    at = worst.grid[abs(worst.simulated - worst.closed_form).argmax()]
+    print(
+        f"{len(reports)} cells checked, worst deviation {worst.max_abs_deviation:.3e} at "
+        f"{scheme_label(worst.scheme)} {worst.noise} {_PARAM_FLAGS[worst.noise]}={_fmt(at)}",
+        file=sys.stderr,
+    )
+    return 2 if worst.max_abs_deviation >= REGRESSION_TOL else 0
 
 
 def _cmd_sweep(args, writer) -> int:
@@ -144,23 +154,20 @@ def _cmd_sweep(args, writer) -> int:
     if args.grid * len(schemes) > MAX_SWEEP_VALUES:
         raise CliError(f"grid times number of schemes must be <= {MAX_SWEEP_VALUES}")
     family = FAMILIES[args.noise]
-    default_lo, default_hi = parameter_range(family)
-    start = default_lo if args.start is None else args.start
-    end = default_hi if args.end is None else args.end
-    spec = analysis.SweepSpec(
-        schemes=schemes,
-        family=family,
-        start=start,
-        end=end,
-        points=args.grid,
-    )
+    lo, hi = parameter_range(family)
+    start = lo if args.start is None else args.start
+    end = hi if args.end is None else args.end
+    reports = analysis.sweep(analysis.SweepSpec(schemes, family, start, end, args.grid))
     writer.writerow(SWEEP_HEADER)
-    for report in analysis.sweep(spec):
-        label = scheme_label(report.scheme)
-        for i, param in enumerate(report.grid):
-            closed = "" if report.closed_form is None else _fmt(report.closed_form[i])
-            err = "" if report.closed_form is None else _fmt(abs(report.simulated[i] - report.closed_form[i]))
-            writer.writerow([label, report.noise, _fmt(param), _fmt(report.simulated[i]), closed, err])
+    for report in reports:
+        lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
+        columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
+        if report.closed_form is not None:
+            columns += [report.closed_form, abs(report.simulated - report.closed_form)]
+            tail = []
+        for start in range(0, len(report.grid), CSV_ROWS):
+            text = [map(repr, column[start : start + CSV_ROWS].tolist()) for column in columns]
+            writer.writerows(zip(*lead, *text, *tail))
     return 0
 
 

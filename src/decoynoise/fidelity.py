@@ -11,9 +11,10 @@ pure decoy state has F = sum over (a1..an) of |<psi| E_a1 x ... x E_an |psi>|^2,
 evaluated at every point of a parameter grid at once. The BB84 average over
 all 256 product strings is exactly (mean single-qubit fidelity over 0, 1, +, -)^4.
 
-Every (scheme, channel family) combination with a known closed form is
-cross-checked against simulation via verify_table. The closed forms, keyed by
-the Bell labeling documented in `states`:
+closed_form_grid evaluates the known closed forms over a whole grid, and
+verify_table checks each (scheme, channel family) combination that has one
+against simulation. The closed forms, keyed by the Bell labeling documented
+in `states`:
 
     scheme      AD                              PD                  CD                  CR
     bb84 avg    (3+sqrt(1-e)-e)^4/256           (e-4)^4/256         (3+cos p)^4/256     cos^8 t
@@ -32,14 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    AmplitudeDamping,
-    CollectiveDephasing,
-    CollectiveRotation,
     FAMILIES,
     NoiseModel,
-    PhaseDamping,
     family_tag,
     operator_stack,
+    parameter_grid,
     parameter_of,
     parameter_range,
 )
@@ -145,95 +143,95 @@ def bb84_average_fidelity(noise: NoiseModel) -> float:
     return scheme_fidelity(BB84Average(), noise)
 
 
+def closed_form_grid(scheme: DecoyScheme, family: type, grid) -> np.ndarray | None:
+    """The known closed-form fidelity of a scheme at every point of a grid.
+
+    None for the schemes without one: the W state and individual BB84
+    product strings, which are covered by simulation only.
+    """
+    x = parameter_grid(family, grid)
+    match scheme, family_tag(family):
+        case BB84Average(), "ad":
+            return (3.0 + np.sqrt(1.0 - x) - x) ** 4 / 256.0
+        case BB84Average(), "pd":
+            return (x - 4.0) ** 4 / 256.0
+        case BB84Average(), "cd":
+            return (3.0 + np.cos(x)) ** 4 / 256.0
+        case BB84Average() | Cluster(), "cr":
+            return np.cos(x) ** 8
+        case (BellPair(label="psi+" | "psi-"), "ad") | (BellPair() | Cluster(), "pd"):
+            return (2.0 - 2.0 * x + x * x) ** 2 / 4.0
+        case BellPair(label="phi+" | "phi-"), "ad":
+            return (1.0 - x) ** 2
+        case BellPair(label="psi+" | "psi-") | Cluster(), "cd":
+            return np.cos(x) ** 4
+        case (BellPair(label="phi+" | "phi-"), "cd") | (BellPair(label="psi+" | "phi-"), "cr"):
+            return np.ones_like(x)
+        case BellPair(label="psi-" | "phi+"), "cr":
+            return np.cos(2.0 * x) ** 4
+        case Cluster(), "ad":
+            return (4.0 - 8.0 * x + 6.0 * x**2 - 2.0 * x**3 + x**4) / 4.0
+        case WState() | BB84Product(), _:
+            return None
+    raise ValueError(f"no closed form for scheme {scheme!r}")
+
+
 def closed_form(scheme: DecoyScheme, noise: NoiseModel) -> float:
     """Evaluate the known closed-form fidelity for a (scheme, noise) pair.
 
     Individual BB84 product strings and the W state have no closed form and
     are rejected; they are covered by simulation only.
     """
-    match scheme, noise:
-        case BB84Average(), AmplitudeDamping(eta=e):
-            return (3.0 + math.sqrt(1.0 - e) - e) ** 4 / 256.0
-        case BB84Average(), PhaseDamping(eta=e):
-            return (e - 4.0) ** 4 / 256.0
-        case BB84Average(), CollectiveDephasing(phi=p):
-            return (3.0 + math.cos(p)) ** 4 / 256.0
-        case BB84Average(), CollectiveRotation(theta=t):
-            return math.cos(t) ** 8
-
-        case BellPair(label=("psi+" | "psi-")), AmplitudeDamping(eta=e):
-            return (2.0 - 2.0 * e + e * e) ** 2 / 4.0
-        case BellPair(label=("phi+" | "phi-")), AmplitudeDamping(eta=e):
-            return (1.0 - e) ** 2
-        case BellPair(), PhaseDamping(eta=e):
-            return (2.0 - 2.0 * e + e * e) ** 2 / 4.0
-        case BellPair(label=("psi+" | "psi-")), CollectiveDephasing(phi=p):
-            return math.cos(p) ** 4
-        case BellPair(label=("phi+" | "phi-")), CollectiveDephasing():
-            return 1.0
-        case BellPair(label=("psi+" | "phi-")), CollectiveRotation():
-            return 1.0
-        case BellPair(label=("psi-" | "phi+")), CollectiveRotation(theta=t):
-            return math.cos(2.0 * t) ** 4
-
-        case Cluster(), AmplitudeDamping(eta=e):
-            return (4.0 - 8.0 * e + 6.0 * e**2 - 2.0 * e**3 + e**4) / 4.0
-        case Cluster(), PhaseDamping(eta=e):
-            return (2.0 - 2.0 * e + e * e) ** 2 / 4.0
-        case Cluster(), CollectiveDephasing(phi=p):
-            return math.cos(p) ** 4
-        case Cluster(), CollectiveRotation(theta=t):
-            return math.cos(t) ** 8
-
-        case WState(), _:
-            raise ValueError("the W state has no closed-form fidelity expression")
-        case BB84Product(), _:
-            raise ValueError("individual BB84 product strings have no closed form; only the average does")
-    raise ValueError(f"no closed form for scheme {scheme!r} under noise {noise!r}")
+    closed = closed_form_grid(scheme, type(noise), [parameter_of(noise)])
+    if closed is None and isinstance(scheme, WState):
+        raise ValueError("the W state has no closed-form fidelity expression")
+    if closed is None:
+        raise ValueError("individual BB84 product strings have no closed form; only the average does")
+    return float(closed[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityReport:
     """Simulated-vs-closed-form fidelities for one scheme over a parameter grid.
 
+    grid, simulated and closed_form are stored as read-only float arrays.
     closed_form and max_abs_deviation are None for schemes without a known
     expression (the W state).
     """
 
     scheme: DecoyScheme
     noise: str
-    grid: tuple[float, ...]
-    simulated: tuple[float, ...]
-    closed_form: tuple[float, ...] | None
+    grid: np.ndarray
+    simulated: np.ndarray
+    closed_form: np.ndarray | None
     max_abs_deviation: float | None
 
     def __post_init__(self):
-        for f in self.simulated:
-            if not -ATOL <= f <= 1.0 + ATOL:
-                raise ValueError(f"simulated fidelity {f} outside [0, 1]")
-        if self.closed_form is not None:
-            dev = max(abs(s - c) for s, c in zip(self.simulated, self.closed_form, strict=True))
-            if self.max_abs_deviation != dev:
-                raise ValueError("max_abs_deviation does not match the stored grids")
+        for name in ("grid", "simulated", "closed_form"):
+            if getattr(self, name) is not None:
+                values = np.array(getattr(self, name), dtype=float)
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
+        outside = ~((-ATOL <= self.simulated) & (self.simulated <= 1.0 + ATOL))
+        if outside.any():
+            raise ValueError(f"simulated fidelity {self.simulated[outside][0]} outside [0, 1]")
+        if len({a.shape for a in (self.grid, self.simulated, self.closed_form) if a is not None}) != 1:
+            raise ValueError("grid, simulated and closed_form differ in length")
+        if self.closed_form is not None and self.max_abs_deviation != np.max(np.abs(self.simulated - self.closed_form)):
+            raise ValueError("max_abs_deviation does not match the stored grids")
 
 
 def grid_report(scheme: DecoyScheme, family: type, grid) -> FidelityReport:
     """Simulate one scheme across a parameter grid, with closed forms when known."""
-    simulated = tuple(grid_fidelity(scheme, family, grid).tolist())
-    try:
-        closed = tuple(closed_form(scheme, family(p)) for p in grid)
-    except ValueError:
-        closed = None
-    deviation = None
-    if closed is not None:
-        deviation = max(abs(s - c) for s, c in zip(simulated, closed))
+    simulated = grid_fidelity(scheme, family, grid)
+    closed = closed_form_grid(scheme, family, grid)
     return FidelityReport(
         scheme=scheme,
         noise=family_tag(family),
-        grid=tuple(float(p) for p in grid),
+        grid=grid,
         simulated=simulated,
         closed_form=closed,
-        max_abs_deviation=deviation,
+        max_abs_deviation=None if closed is None else float(np.max(np.abs(simulated - closed))),
     )
 
 

@@ -157,15 +157,15 @@ def test_criterion_9_cli_determinism_and_mutation(tmp_path, capsys, monkeypatch)
 
     assert run(["verify-table", "--grid", "5"]) == 0
 
-    true_form = fidelity_mod.closed_form
+    true_form = fidelity_mod.closed_form_grid
 
-    def skewed(scheme, noise):
-        value = true_form(scheme, noise)
-        if isinstance(scheme, BB84Average) and isinstance(noise, PhaseDamping):
+    def skewed(scheme, family, grid):
+        value = true_form(scheme, family, grid)
+        if isinstance(scheme, BB84Average) and family is PhaseDamping:
             value += 1e-6
         return value
 
-    monkeypatch.setattr(fidelity_mod, "closed_form", skewed)
+    monkeypatch.setattr(fidelity_mod, "closed_form_grid", skewed)
     assert run(["verify-table", "--grid", "5"]) == 2
     monkeypatch.undo()
     capsys.readouterr()

@@ -44,7 +44,7 @@ def test_sweep_ad_ordering_between_entangled_schemes():
 def test_sweep_reports_closed_forms_and_grid():
     spec = SweepSpec((BellPair("psi+"), WState()), CollectiveDephasing, 0.0, np.pi, 5)
     reports = sweep(spec)
-    assert reports[0].grid == (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
+    assert reports[0].grid.tolist() == [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]
     assert reports[0].closed_form is not None
     assert reports[0].simulated[2] == pytest.approx(0.0, abs=1e-12)  # cos^4 at pi/2
     assert reports[1].closed_form is None and reports[1].max_abs_deviation is None

@@ -1,16 +1,25 @@
 """CLI behavior: CSV schemas, exit codes, determinism, stream separation."""
 
+import contextlib
+import csv
 import importlib
+import io
 import os
+import re
 import stat
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decoynoise.channels import AmplitudeDamping
+from decoynoise.channels import FAMILIES, AmplitudeDamping, parameter_range
 from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
-from decoynoise.states import Cluster
+from decoynoise.fidelity import grid_report
+from decoynoise.states import Cluster, parse_scheme
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
@@ -22,21 +31,31 @@ def test_verify_table_passes_and_reports_every_cell(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "scheme,noise,max_abs_deviation"
     assert len(lines) == 1 + 24
-    assert "worst deviation" in err
     for line in lines[1:]:
         assert float(line.split(",")[2]) < REGRESSION_TOL
 
+    # the worst cell is named: scheme, noise and the parameter at the arg-max
+    named = re.fullmatch(r"24 cells checked, worst deviation (\S+) at (\S+) (\w+) (\w+)=(\S+)\n", err)
+    assert named is not None, err
+    worst, label, noise, flag, param = named.groups()
+    deviations = {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in lines[1:]}
+    assert deviations[label, noise] == max(deviations.values())
+    assert worst == f"{deviations[label, noise]:.3e}"
+    assert flag == {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
+    report = grid_report(parse_scheme(label), FAMILIES[noise], np.linspace(*parameter_range(FAMILIES[noise]), 5))
+    assert float(param) == report.grid[np.argmax(np.abs(report.simulated - report.closed_form))]
+
 
 def test_verify_table_flags_perturbed_closed_form(monkeypatch, capsys):
-    true_form = fidelity_mod.closed_form
+    true_form = fidelity_mod.closed_form_grid
 
-    def skewed(scheme, noise):
-        value = true_form(scheme, noise)
-        if isinstance(scheme, Cluster) and isinstance(noise, AmplitudeDamping):
+    def skewed(scheme, family, grid):
+        value = true_form(scheme, family, grid)
+        if isinstance(scheme, Cluster) and family is AmplitudeDamping:
             value += 1e-6
         return value
 
-    monkeypatch.setattr("decoynoise.fidelity.closed_form", skewed)
+    monkeypatch.setattr("decoynoise.fidelity.closed_form_grid", skewed)
     code = run(["verify-table", "--grid", "5"])
     capsys.readouterr()
     assert code == 2
@@ -62,6 +81,16 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
     assert path_a.read_bytes().startswith(b"scheme,noise,parameter")
 
 
+def test_sweep_rows_do_not_depend_on_the_write_block(monkeypatch, capsys):
+    args = ["sweep", "--noise", "cd", "--schemes", "bb84,w,cluster", "--grid", "7"]
+    assert run(args) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr("decoynoise.cli.CSV_ROWS", 3)
+    assert run(args) == 0
+    assert capsys.readouterr().out == whole
+    assert len(whole.splitlines()) == 1 + 3 * 7
+
+
 def test_sweep_w_state_has_empty_closed_form_fields(capsys):
     code = run(["sweep", "--noise", "cd", "--schemes", "w", "--grid", "3"])
     out, _ = capsys.readouterr()
@@ -79,6 +108,13 @@ def test_sweep_respects_explicit_range(capsys):
     assert code == 0
     params = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
     assert params == ["0.25", "0.5", "0.75"]
+
+
+def test_sweep_outside_the_rate_range_writes_no_header(capsys):
+    code = run(["sweep", "--noise", "ad", "--from=-0.5", "--to", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: decoherence rate must lie in [0, 1], got -0.5\n"
 
 
 def test_sweep_rejects_degenerate_grid(capsys):
@@ -118,6 +154,24 @@ def test_recommend_output(capsys):
     assert lines[0] == "rank,scheme,fidelity"
     top = [line for line in lines[1:] if line.startswith("1,")]
     assert {line.split(",")[1] for line in top} == {"psi+", "phi-"}
+
+
+@pytest.mark.parametrize(
+    "args,top",
+    [
+        # bb84 and cluster both have fidelity cos^8 theta under cr
+        (["--noise", "cr", "--theta", "2.0"], ["bb84", "cluster"]),
+        (["--noise", "cd", "--phi", "1.1", "--include-w"], ["phi+", "phi-", "w"]),
+    ],
+)
+def test_recommend_lists_tied_rows_by_label(args, top, capsys):
+    assert run(["recommend", *args]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    by_rank = {}
+    for rank, label, _ in rows:
+        by_rank.setdefault(rank, []).append(label)
+    assert top in by_rank.values()
+    assert all(labels == sorted(labels) for labels in by_rank.values())
 
 
 def test_crossover_output_and_errors(capsys):
@@ -185,8 +239,8 @@ def test_failed_command_leaves_existing_out_file_untouched(tmp_path, capsys):
 
 
 def test_verify_table_regression_still_writes_out_file(monkeypatch, tmp_path, capsys):
-    true_form = fidelity_mod.closed_form
-    monkeypatch.setattr("decoynoise.fidelity.closed_form", lambda s, n: true_form(s, n) + 1e-6)
+    true_form = fidelity_mod.closed_form_grid
+    monkeypatch.setattr("decoynoise.fidelity.closed_form_grid", lambda s, f, g: true_form(s, f, g) + 1e-6)
     out = tmp_path / "table.csv"
     assert run(["verify-table", "--grid", "3", "--out", str(out)]) == 2
     capsys.readouterr()
@@ -313,6 +367,8 @@ def test_sweep_matches_golden_file(tmp_path, golden, args):
         ["recommend", "--noise", "cd", "--phi", "inf"],
         ["recommend", "--noise", "cr", "--theta", "nan"],
         ["sweep", "--noise", "cd", "--from=-inf", "--to", "1"],
+        # finite ends whose difference is not: linspace would warn and give NaN
+        ["sweep", "--noise", "cd", "--from=-1e308", "--to=1e308"],
     ],
 )
 def test_non_finite_parameters_fail_cleanly(args):
@@ -333,3 +389,99 @@ def test_module_entrypoint_keeps_streams_separate():
     assert proc.stdout.startswith("scheme,noise,max_abs_deviation")
     assert "worst deviation" in proc.stderr
     assert "worst deviation" not in proc.stdout
+
+
+_HEADERS = {
+    "verify-table": ["scheme", "noise", "max_abs_deviation"],
+    "sweep": SWEEP_HEADER,
+    "recommend": ["rank", "scheme", "fidelity"],
+    "crossover": ["scheme_a", "scheme_b", "noise", "crossover"],
+    "eve-sim": ["kind", "label", "value"],
+}
+# one bad value in each pool, so that most commands get past argument checking
+_SCHEMES = st.sampled_from(["bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w", "ghz"])
+_NOISES = st.sampled_from(["ad", "pd", "cd", "cr", "xx"])
+_FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 7.0), st.floats(allow_nan=True, allow_infinity=True))
+_PARAM_FLAG = {"ad": "--eta", "pd": "--eta", "cd": "--phi", "cr": "--theta", "xx": "--eta"}
+
+
+def _sizes(cap):
+    """Small sizes, and sizes over the cap, which must be refused before any work."""
+    return st.sampled_from([-1, 1, 2, 3, 4, 5, 8, cap + 1, 10**12])
+
+
+def _maybe(flag, values):
+    """[] or ["--flag=value"]; the = form lets negative numbers parse."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda drawn: [name] + [arg for part in drawn for arg in part])
+
+
+def _noise_setting(noise, value, flag):
+    # flag None stands for the flag the noise family takes
+    return [f"--noise={noise}", f"{flag or _PARAM_FLAG[noise]}={value}"]
+
+
+def _bracket(lo, hi, ordered):
+    lo, hi = sorted((lo, hi)) if ordered else (lo, hi)
+    return [f"--lo={lo}", f"--hi={hi}"]
+
+
+_ARGV = {
+    "verify-table": _command("verify-table", _maybe("--grid", _sizes(MAX_TABLE_GRID))),
+    "sweep": _command(
+        "sweep",
+        _NOISES.map(lambda noise: [f"--noise={noise}"]),
+        _maybe("--schemes", st.lists(_SCHEMES, max_size=8).map(",".join)),
+        _maybe("--grid", _sizes(MAX_SWEEP_VALUES)),
+        _maybe("--from", _FLOATS),
+        _maybe("--to", _FLOATS),
+    ),
+    "recommend": _command(
+        "recommend",
+        st.builds(_noise_setting, _NOISES, _FLOATS, st.sampled_from([None, None, "--eta", "--phi", "--theta"])),
+        st.sampled_from([[], ["--include-w"]]),
+    ),
+    "crossover": _command(
+        "crossover",
+        _SCHEMES.map(lambda a: [f"--a={a}"]),
+        _SCHEMES.map(lambda b: [f"--b={b}"]),
+        _NOISES.map(lambda noise: [f"--noise={noise}"]),
+        st.builds(_bracket, _FLOATS, _FLOATS, st.sampled_from([True, True, True, False])),
+    ),
+    "eve-sim": _command(
+        "eve-sim",
+        st.sampled_from(["intercept", "wrong-pair", "intercept", "wrong-pair", "swap"]).map(
+            lambda attack: [f"--attack={attack}"]
+        ),
+        _maybe("--bell", _SCHEMES),
+        _maybe("--eve-pair", st.sampled_from(["12", "23", "13"])),
+        _maybe("--method", st.sampled_from(["exact", "mc"])),
+        _maybe("--trials", _sizes(MAX_TRIALS)),
+        _maybe("--seed", st.integers(-1, 2**64)),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_argv_ends_in_csv_or_a_one_line_error(command, data):
+    argv = data.draw(_ARGV[command], label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # printed, so that a warning shows up on stderr like outside the tests
+        warnings.simplefilter("always")
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == _HEADERS[command]
+        assert all(len(row) == len(rows[0]) for row in rows)

@@ -19,11 +19,14 @@ from decoynoise.channels import (
 from decoynoise.fidelity import (
     KERNEL_BLOCK,
     TABLE_SCHEMES,
+    FidelityReport,
     bb84_average_fidelity,
     closed_form,
+    closed_form_grid,
     conventional_fidelity,
     fidelity,
     grid_fidelity,
+    grid_report,
     scheme_fidelity,
     simulate_fidelity,
     verify_table,
@@ -130,6 +133,94 @@ def test_grid_longer_than_a_block_matches_single_points(scheme, family):
     together = grid_fidelity(scheme, family, grid)
     alone = [grid_fidelity(scheme, family, [p])[0] for p in grid]
     np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-15)
+
+
+def scalar_closed_form(scheme, noise):
+    """The closed-form table one point at a time, as Python floats: the reference for closed_form_grid."""
+    match scheme, noise:
+        case BB84Average(), AmplitudeDamping(eta=e):
+            return (3.0 + math.sqrt(1.0 - e) - e) ** 4 / 256.0
+        case BB84Average(), PhaseDamping(eta=e):
+            return (e - 4.0) ** 4 / 256.0
+        case BB84Average(), CollectiveDephasing(phi=p):
+            return (3.0 + math.cos(p)) ** 4 / 256.0
+        case BB84Average(), CollectiveRotation(theta=t):
+            return math.cos(t) ** 8
+
+        case BellPair(label=("psi+" | "psi-")), AmplitudeDamping(eta=e):
+            return (2.0 - 2.0 * e + e * e) ** 2 / 4.0
+        case BellPair(label=("phi+" | "phi-")), AmplitudeDamping(eta=e):
+            return (1.0 - e) ** 2
+        case BellPair(), PhaseDamping(eta=e):
+            return (2.0 - 2.0 * e + e * e) ** 2 / 4.0
+        case BellPair(label=("psi+" | "psi-")), CollectiveDephasing(phi=p):
+            return math.cos(p) ** 4
+        case BellPair(label=("phi+" | "phi-")), CollectiveDephasing():
+            return 1.0
+        case BellPair(label=("psi+" | "phi-")), CollectiveRotation():
+            return 1.0
+        case BellPair(label=("psi-" | "phi+")), CollectiveRotation(theta=t):
+            return math.cos(2.0 * t) ** 4
+
+        case Cluster(), AmplitudeDamping(eta=e):
+            return (4.0 - 8.0 * e + 6.0 * e**2 - 2.0 * e**3 + e**4) / 4.0
+        case Cluster(), PhaseDamping(eta=e):
+            return (2.0 - 2.0 * e + e * e) ** 2 / 4.0
+        case Cluster(), CollectiveDephasing(phi=p):
+            return math.cos(p) ** 4
+        case Cluster(), CollectiveRotation(theta=t):
+            return math.cos(t) ** 8
+    raise AssertionError(f"no reference for {scheme!r} under {noise!r}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30),
+    st.tuples(*[st.sampled_from(SINGLE_LABELS)] * 4),
+)
+def test_closed_form_grid_matches_scalar_reference(rates, angles, product_labels):
+    for tag, family in FAMILIES.items():
+        grid = rates if tag in ("ad", "pd") else angles
+        for scheme in TABLE_SCHEMES:
+            reference = np.array([scalar_closed_form(scheme, family(p)) for p in grid])
+            closed = closed_form_grid(scheme, family, grid)
+            # the cluster polynomial under ad cancels terms of size up to 4
+            # down to about 0.2, so its rounding is counted in ulps of 1
+            scale = 1.0 if (isinstance(scheme, Cluster) and tag == "ad") else np.abs(reference)
+            assert np.all(np.abs(closed - reference) <= 4 * np.spacing(scale)), (scheme, tag)
+        assert closed_form_grid(WState(), family, grid) is None
+        assert closed_form_grid(BB84Product(product_labels), family, grid) is None
+
+
+def test_closed_form_grid_rejects_parameters_outside_the_family_range():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        closed_form_grid(Cluster(), AmplitudeDamping, [0.5, 1.5])
+    with pytest.raises(ValueError, match="finite"):
+        closed_form_grid(Cluster(), CollectiveRotation, [0.5, np.nan])
+
+
+def test_fidelity_report_arrays_are_read_only_copies():
+    grid = np.linspace(0.0, 1.0, 5)
+    report = grid_report(Cluster(), AmplitudeDamping, grid)
+    for values in (report.grid, report.simulated, report.closed_form):
+        assert values.dtype == np.float64 and values.shape == (5,)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+    assert grid.flags.writeable
+    assert grid_report(WState(), AmplitudeDamping, grid).closed_form is None
+
+
+def test_fidelity_report_checks_its_arrays():
+    fields = dict(scheme=Cluster(), noise="ad", grid=[0.0, 1.0], closed_form=[1.0, 0.25])
+    with pytest.raises(ValueError, match="outside"):
+        FidelityReport(simulated=[1.0, 1.5], max_abs_deviation=1.25, **fields)
+    with pytest.raises(ValueError, match="does not match"):
+        FidelityReport(simulated=[1.0, 0.5], max_abs_deviation=0.2, **fields)
+    with pytest.raises(ValueError, match="length"):
+        FidelityReport(simulated=[1.0, 0.25, 0.5], max_abs_deviation=0.0, **fields)
+    assert FidelityReport(simulated=[1.0, 0.5], max_abs_deviation=0.25, **fields).max_abs_deviation == 0.25
 
 
 def test_closed_form_spot_values():

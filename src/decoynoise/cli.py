@@ -11,16 +11,16 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import itertools
 import sys
 
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
 from .fidelity import TABLE_SCHEMES, verify_table
-from .states import WState, parse_scheme, scheme_label
+from .states import BELL_LABELS, WState, parse_scheme, scheme_label
 
 # A closed form drifting this far from simulation signals a regression.
 REGRESSION_TOL = 1e-9
@@ -29,16 +29,15 @@ REGRESSION_TOL = 1e-9
 # of failing with a MemoryError. Peak RSS is about 240 MB per 10**6 sweep
 # values: one scheme under pd at --grid 10**6 peaks at 244 MB, mostly its
 # operator stack of 12 complex numbers per point; seven schemes at 142857
-# peak at 104 MB, or 240 MB with --out, which holds the CSV text until the
-# command succeeds. verify-table keeps 24 fidelities per grid point, 92 MB at
-# --grid 10**5. An intercept-resend Monte Carlo run holds several arrays of
-# one entry per trial (about 440 MB at 10**7 trials).
+# peak at 104 MB, to stdout or --out alike. verify-table keeps 24 fidelities
+# per grid point, 92 MB at --grid 10**5. An intercept-resend Monte Carlo run
+# holds several arrays of one entry per trial (about 440 MB at 10**7 trials).
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7
 
-# Sweep rows formatted per writerows call, so that only one block of a report
-# is held as Python floats and strings at a time.
+# Sweep rows formatted per block, so that only one block of a report is held
+# as Python floats and strings at a time.
 CSV_ROWS = 2**16
 
 SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
@@ -97,7 +96,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eve-sim", help="simulate an eavesdropping attack")
     p.add_argument("--attack", required=True, choices=["intercept", "wrong-pair"])
-    p.add_argument("--bell", default="psi+", help="prepared Bell label (wrong-pair)")
+    p.add_argument("--bell", default="psi+", choices=BELL_LABELS, help="prepared Bell label (wrong-pair)")
     p.add_argument("--eve-pair", default="23", choices=["12", "23"], help="pair Eve measures")
     p.add_argument("--method", default="exact", choices=["exact", "mc"])
     p.add_argument("--trials", type=int, default=1_000_000)
@@ -128,15 +127,12 @@ def _noise_value(args) -> float:
     return value
 
 
-def _cmd_verify_table(args, writer) -> int:
+def _cmd_verify_table(args):
     if args.grid < 2:
         raise CliError("grid must be >= 2")
     if args.grid > MAX_TABLE_GRID:
         raise CliError(f"grid must be <= {MAX_TABLE_GRID}")
     reports = verify_table(args.grid)
-    writer.writerow(["scheme", "noise", "max_abs_deviation"])
-    for report in reports:
-        writer.writerow([scheme_label(report.scheme), report.noise, _fmt(report.max_abs_deviation)])
     worst = max(reports, key=lambda report: report.max_abs_deviation)
     at = worst.grid[abs(worst.simulated - worst.closed_form).argmax()]
     print(
@@ -144,10 +140,26 @@ def _cmd_verify_table(args, writer) -> int:
         f"{scheme_label(worst.scheme)} {worst.noise} {_PARAM_FLAGS[worst.noise]}={_fmt(at)}",
         file=sys.stderr,
     )
-    return 2 if worst.max_abs_deviation >= REGRESSION_TOL else 0
+    rows = [["scheme", "noise", "max_abs_deviation"]]
+    rows += ([scheme_label(r.scheme), r.noise, _fmt(r.max_abs_deviation)] for r in reports)
+    return 2 if worst.max_abs_deviation >= REGRESSION_TOL else 0, rows
 
 
-def _cmd_sweep(args, writer) -> int:
+def _sweep_blocks(reports):
+    """The sweep's CSV in blocks of CSV_ROWS rows, formatted one block at a time."""
+    yield [SWEEP_HEADER]
+    for report in reports:
+        lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
+        columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
+        if report.closed_form is not None:
+            columns += [report.closed_form, abs(report.simulated - report.closed_form)]
+            tail = []
+        for start in range(0, len(report.grid), CSV_ROWS):
+            text = [map(repr, column[start : start + CSV_ROWS].tolist()) for column in columns]
+            yield zip(*lead, *text, *tail)
+
+
+def _cmd_sweep(args):
     if args.grid < 2:
         raise CliError("grid must be >= 2")
     schemes = _parse_schemes(args.schemes)
@@ -158,36 +170,25 @@ def _cmd_sweep(args, writer) -> int:
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
     reports = analysis.sweep(analysis.SweepSpec(schemes, family, start, end, args.grid))
-    writer.writerow(SWEEP_HEADER)
-    for report in reports:
-        lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
-        columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
-        if report.closed_form is not None:
-            columns += [report.closed_form, abs(report.simulated - report.closed_form)]
-            tail = []
-        for start in range(0, len(report.grid), CSV_ROWS):
-            text = [map(repr, column[start : start + CSV_ROWS].tolist()) for column in columns]
-            writer.writerows(zip(*lead, *text, *tail))
-    return 0
+    return 0, itertools.chain.from_iterable(_sweep_blocks(reports))
 
 
-def _cmd_recommend(args, writer) -> int:
+def _cmd_recommend(args):
     noise = FAMILIES[args.noise](_noise_value(args))
     schemes = TABLE_SCHEMES
     if args.include_w:
         schemes = schemes + (WState(),)
     ranking = analysis.recommend(noise, schemes)
     fid_by_scheme = dict(ranking.ordered)
-    writer.writerow(["rank", "scheme", "fidelity"])
+    rows = [["rank", "scheme", "fidelity"]]
     rank = 1
     for group in ranking.ties:
-        for scheme in group:
-            writer.writerow([rank, scheme_label(scheme), _fmt(fid_by_scheme[scheme])])
+        rows += ([rank, scheme_label(scheme), _fmt(fid_by_scheme[scheme])] for scheme in group)
         rank += len(group)
-    return 0
+    return 0, rows
 
 
-def _cmd_crossover(args, writer) -> int:
+def _cmd_crossover(args):
     family = FAMILIES[args.noise]
     try:
         a = parse_scheme(args.a)
@@ -195,12 +196,13 @@ def _cmd_crossover(args, writer) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     root = analysis.find_crossover(a, b, family, args.lo, args.hi)
-    writer.writerow(["scheme_a", "scheme_b", "noise", "crossover"])
-    writer.writerow([scheme_label(a), scheme_label(b), args.noise, _fmt(root)])
-    return 0
+    return 0, [
+        ["scheme_a", "scheme_b", "noise", "crossover"],
+        [scheme_label(a), scheme_label(b), args.noise, _fmt(root)],
+    ]
 
 
-def _cmd_eve_sim(args, writer) -> int:
+def _cmd_eve_sim(args):
     if args.method == "mc" and args.seed is None:
         raise CliError("--seed is required for --method mc")
     if args.method == "mc" and args.trials > MAX_TRIALS:
@@ -213,13 +215,15 @@ def _cmd_eve_sim(args, writer) -> int:
     else:
         pair = (1, 2) if args.eve_pair == "12" else (2, 3)
         outcome = eavesdrop.wrong_pair_bell_attack(args.bell, pair, **kwargs)
-    writer.writerow(["kind", "label", "value"])
-    writer.writerow(["summary", "detection_probability", _fmt(outcome.detection_probability)])
-    for label, prob in outcome.outcome_distribution.items():
-        writer.writerow(["outcome", label, _fmt(prob)])
-    return 0
+    rows = [["kind", "label", "value"]]
+    rows.append(["summary", "detection_probability", _fmt(outcome.detection_probability)])
+    rows += (["outcome", label, _fmt(prob)] for label, prob in outcome.outcome_distribution.items())
+    return 0, rows
 
 
+# Each command does all its work and every check that can fail, then returns
+# its exit code (0 or 2) and its CSV rows, which only format computed values;
+# run alone writes them.
 _COMMANDS = {
     "verify-table": _cmd_verify_table,
     "sweep": _cmd_sweep,
@@ -236,32 +240,21 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _run_to_file(args, path: str) -> int:
-    """Run the command into a buffer, written to path only on exit 0 or 2.
-
-    A failed command leaves path as it was. path is opened for writing like
-    any file, so a symlink, a device or a FIFO is written through.
-    """
-    buffer = io.StringIO()
-    code = _COMMANDS[args.command](args, csv.writer(buffer, lineterminator="\n"))
-    if code in (0, 2):
-        with open(path, "w", newline="") as stream:
-            stream.write(buffer.getvalue())
-    return code
-
-
 def run(argv: list[str]) -> int:
-    """Parse argv and execute one command; returns the process exit code."""
+    """Parse argv, execute one command and write its CSV; returns the exit code.
+
+    Stdout or --out is opened only after the command has returned, so a failed
+    command writes no CSV and leaves an --out path as it was. --out is opened
+    for writing like any file, so a symlink, a device or a FIFO is written
+    through.
+    """
     try:
         args = _parser().parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        out_path = getattr(args, "out", None)
-        if out_path:
-            return _run_to_file(args, out_path)
-        return _COMMANDS[args.command](args, csv.writer(sys.stdout, lineterminator="\n"))
+        code, rows = _COMMANDS[args.command](args)
+        target = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
+        with target as stream:
+            csv.writer(stream, lineterminator="\n").writerows(rows)
+        return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

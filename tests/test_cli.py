@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import os
+import pathlib
 import re
 import stat
 import subprocess
@@ -22,6 +23,14 @@ from decoynoise.fidelity import grid_report
 from decoynoise.states import Cluster, parse_scheme
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(args, **kwargs):
+    """`python -m decoynoise *args` in a child process that imports this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "decoynoise", *args], env=env, **kwargs)
 
 
 def test_verify_table_passes_and_reports_every_cell(capsys):
@@ -206,6 +215,15 @@ def test_eve_sim_wrong_pair(capsys):
     assert float(summary[2]) == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("attack", ["intercept", "wrong-pair"])
+def test_eve_sim_rejects_unknown_bell_label(attack, capsys):
+    assert run(["eve-sim", "--attack", attack, "--bell", "nonsense"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "--bell" in err
+
+
 def test_eve_sim_mc_requires_seed(capsys):
     code = run(["eve-sim", "--attack", "intercept", "--method", "mc"])
     _, err = capsys.readouterr()
@@ -252,6 +270,14 @@ def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
     code = run(["eve-sim", "--attack", "intercept", "--out", str(tmp_path / "missing" / "f.csv")])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_empty_out_path_is_a_one_line_error(capsys):
+    # an empty path, such as an unset "$OUT", must not fall back to stdout
+    assert run(["eve-sim", "--attack", "intercept", "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
@@ -319,9 +345,8 @@ def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys):
     plain = ["recommend", "--noise", "cd", "--phi", "1.1"]
     # each command's output when it runs alone, in a fresh process
     alone = tmp_path / "alone.csv"
-    subprocess.run([sys.executable, "-m", "decoynoise", *with_w(alone)], check=True)
-    expected_plain = subprocess.run([sys.executable, "-m", "decoynoise", *plain],
-                                    capture_output=True, text=True, check=True).stdout
+    run_module(with_w(alone), check=True)
+    expected_plain = run_module(plain, capture_output=True, text=True, check=True).stdout
     assert b"w," in alone.read_bytes() and "w," not in expected_plain
 
     out = tmp_path / "ranked.csv"
@@ -353,8 +378,6 @@ def test_missing_command_is_bad_usage(capsys):
 def test_sweep_matches_golden_file(tmp_path, golden, args):
     # regenerate with `decoynoise sweep ... --grid 5 --out tests/data/<name>`
     # if the numeric stack ever changes the last float digits
-    import pathlib
-
     out = tmp_path / "sweep.csv"
     assert run(["sweep", *args, "--grid", "5", "--out", str(out)]) == 0
     expected = pathlib.Path(__file__).parent / "data" / golden
@@ -372,7 +395,7 @@ def test_sweep_matches_golden_file(tmp_path, golden, args):
     ],
 )
 def test_non_finite_parameters_fail_cleanly(args):
-    proc = subprocess.run([sys.executable, "-m", "decoynoise", *args], capture_output=True, text=True)
+    proc = run_module(args, capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
@@ -380,11 +403,7 @@ def test_non_finite_parameters_fail_cleanly(args):
 
 
 def test_module_entrypoint_keeps_streams_separate():
-    proc = subprocess.run(
-        [sys.executable, "-m", "decoynoise", "verify-table", "--grid", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["verify-table", "--grid", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("scheme,noise,max_abs_deviation")
     assert "worst deviation" in proc.stderr

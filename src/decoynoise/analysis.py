@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseModel, parameter_range
-from .fidelity import TABLE_SCHEMES, FidelityReport, grid_fidelity, grid_report, scheme_fidelity
+from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_fidelity, grid_report, scheme_fidelity
 from .states import DecoyScheme, scheme_label
 
 # Fidelities closer than this are reported as a tie; well above simulation
@@ -21,9 +21,9 @@ from .states import DecoyScheme, scheme_label
 TIE_TOL = 1e-9
 
 # Halvings find_crossover evaluates per round, as one grid of
-# 2**BISECT_DEPTH - 1 midpoints. 4 and 5 measured fastest; from 6 on, the
-# points the walk never visits cost more than the calls saved, since bb84's
-# four single-qubit kernels grow with the grid.
+# 2**BISECT_DEPTH - 1 midpoints. 4 to 6 measured fastest, within 7% of each
+# other: below, the two evaluations per round cost more than their points,
+# and from 8 on the tree of 2**BISECT_DEPTH brackets built per round does.
 BISECT_DEPTH = 4
 
 
@@ -67,11 +67,11 @@ def find_crossover(
     also stops when the bracket holds no float between its ends, so tol=0
     bisects down to neighbouring floats.
 
-    Each round evaluates, with one grid_fidelity call per scheme, the
-    midpoints of the next BISECT_DEPTH halvings whichever way they go (a
-    binary tree in heap order), then walks the tree. The midpoints and the
-    kernel's values are those of one-point-at-a-time bisection, so the root
-    is the same float.
+    Both fidelities are compiled once, before the first round. Each round
+    evaluates them at the midpoints of the next BISECT_DEPTH halvings
+    whichever way they go (a binary tree in heap order), then walks the tree.
+    The midpoints and the polynomials' values are those of one-point-at-a-time
+    bisection, so the root is the same float.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -81,9 +81,10 @@ def find_crossover(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
+    fidelity_a, fidelity_b = compile_fidelity(a, family), compile_fidelity(b, family)
+
     def gap(points: list[float]) -> np.ndarray:
-        grid = np.array(points)
-        return grid_fidelity(a, family, grid) - grid_fidelity(b, family, grid)
+        return fidelity_a(points) - fidelity_b(points)
 
     gap_lo, gap_hi = gap([lo, hi])
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):

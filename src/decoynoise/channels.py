@@ -1,4 +1,4 @@
-"""The four noise channels, as per-qubit operator stacks and as density-matrix maps.
+"""The four noise channels, as Pauli transfer matrices and as density-matrix maps.
 
 Every channel acts qubit by qubit. Kraus channels (amplitude damping, phase
 damping) apply the same set of single-qubit Kraus operators independently to
@@ -18,9 +18,11 @@ rotation is the real rotation [[cos t, -sin t], [sin t, cos t]]. The angle
 parameters may be any finite real (they drift with time); eta is a
 decoherence probability and must lie in [0, 1].
 
-operator_stack writes these operators down once, for a whole parameter grid;
-the single-point constructors and the density-matrix maps (apply_noise and the
-two below it, the tests' oracle for the kernel in `fidelity`) are built on it.
+The fidelity kernel in `fidelity` sees a channel only through its Pauli
+transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2 (TRANSFER_BASIS and
+transfer_weights). The Kraus operators and unitaries, written out apart from
+it, and the density-matrix maps (apply_noise and the two below it) are the
+tests' oracle for that kernel.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ FAMILIES: dict[str, type] = {
 
 _TAGS = {cls: tag for tag, cls in FAMILIES.items()}
 
-# Per-qubit operators of each family: Kraus operators, or one unitary.
-_OPERATOR_COUNTS = {AmplitudeDamping: 2, PhaseDamping: 3, CollectiveDephasing: 1, CollectiveRotation: 1}
-
 
 def family_tag(noise) -> str:
     """Short tag ('ad', 'pd', 'cd', 'cr') for a noise model or family class."""
@@ -158,50 +157,63 @@ def parameter_grid(family: type, grid) -> np.ndarray:
     return p
 
 
-def operator_stack(family: type, grid) -> np.ndarray:
-    """The per-qubit operators of a noise family at every grid point.
+_IZ, _XY, _IY, _XZ = (np.diag(d) for d in ([1.0, 0, 0, 1], [0.0, 1, 1, 0], [1.0, 0, 1, 0], [0.0, 1, 0, 1]))
 
-    Returns a complex array of shape (G, m, 2, 2): the m Kraus operators of a
-    damping channel, or the collective unitary as m = 1, for each of the G
-    parameter values of parameter_grid.
+# A0, A1 and A2 of each family's R_ij = Tr(P_i E(P_j)) / 2, P in the order I, X, Y, Z
+TRANSFER_BASIS: dict[type, np.ndarray] = {
+    # I -> I + eta Z, X -> sqrt(1-eta) X, Y -> sqrt(1-eta) Y, Z -> (1-eta) Z
+    AmplitudeDamping: np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1]]]),
+    # X -> (1-eta) X, Y -> (1-eta) Y
+    PhaseDamping: np.array([_IZ, _XY]),
+    # X -> cos phi X + sin phi Y, Y -> cos phi Y - sin phi X
+    CollectiveDephasing: np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]]),
+    # X -> cos 2t X - sin 2t Z, Z -> cos 2t Z + sin 2t X
+    CollectiveRotation: np.array([_IY, _XZ, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0]]]),
+}
+for _matrices in TRANSFER_BASIS.values():
+    _matrices.setflags(write=False)
+
+
+def transfer_weights(family: type, grid) -> tuple[np.ndarray, np.ndarray | None]:
+    """The weights (w1, w2) of a family's TRANSFER_BASIS at every point of a parameter grid.
+
+    They are sqrt(1-eta), eta (ad); 1-eta, None (pd, no A2); cos phi, sin phi
+    (cd); cos 2t, sin 2t (cr). parameter_grid checks the grid.
     """
     p = parameter_grid(family, grid)
-    ops = np.zeros((p.size, _OPERATOR_COUNTS[family], 2, 2), dtype=complex)
     if family is AmplitudeDamping:
-        ops[:, 0, 0, 0] = 1.0
-        ops[:, 0, 1, 1] = np.sqrt(1.0 - p)
-        ops[:, 1, 0, 1] = np.sqrt(p)
-    elif family is PhaseDamping:
-        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = np.sqrt(1.0 - p)
-        ops[:, 1, 0, 0] = ops[:, 2, 1, 1] = np.sqrt(p)
-    elif family is CollectiveDephasing:
-        ops[:, 0, 0, 0] = 1.0
-        ops[:, 0, 1, 1] = np.exp(1j * p)
-    else:
-        sin = np.sin(p)
-        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = np.cos(p)
-        ops[:, 0, 0, 1], ops[:, 0, 1, 0] = -sin, sin
-    return ops
+        return np.sqrt(1.0 - p), p
+    if family is PhaseDamping:
+        return 1.0 - p, None
+    if family is CollectiveDephasing:
+        return np.cos(p), np.sin(p)
+    # cos 2t and sin 2t from t, which stay finite where 2t would overflow
+    cos, sin = np.cos(p), np.sin(p)
+    return (cos - sin) * (cos + sin), 2.0 * sin * cos
 
 
 def kraus_ad(eta: float) -> KrausChannel:
     """Amplitude damping channel with decoherence rate eta in [0, 1]."""
-    return KrausChannel(tuple(operator_stack(AmplitudeDamping, [eta])[0]), "amplitude_damping")
+    eta = AmplitudeDamping(eta).eta
+    return KrausChannel(([[1, 0], [0, math.sqrt(1 - eta)]], [[0, math.sqrt(eta)], [0, 0]]), "amplitude_damping")
 
 
 def kraus_pd(eta: float) -> KrausChannel:
     """Phase damping channel with decoherence rate eta in [0, 1]."""
-    return KrausChannel(tuple(operator_stack(PhaseDamping, [eta])[0]), "phase_damping")
+    eta = PhaseDamping(eta).eta
+    keep, lose = math.sqrt(1 - eta), math.sqrt(eta)
+    return KrausChannel(([[keep, 0], [0, keep]], [[lose, 0], [0, 0]], [[0, 0], [0, lose]]), "phase_damping")
 
 
 def unitary_cd(phi: float) -> np.ndarray:
     """Collective dephasing phase gate diag(1, exp(i phi))."""
-    return operator_stack(CollectiveDephasing, [phi])[0, 0]
+    return np.diag([1.0, np.exp(1j * CollectiveDephasing(phi).phi)])
 
 
 def unitary_cr(theta: float) -> np.ndarray:
     """Collective rotation by angle theta in the real plane."""
-    return operator_stack(CollectiveRotation, [theta])[0, 0]
+    theta = CollectiveRotation(theta).theta
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]], dtype=complex)
 
 
 def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:

@@ -25,13 +25,12 @@ from .states import BELL_LABELS, WState, parse_scheme, scheme_label
 # A closed form drifting this far from simulation signals a regression.
 REGRESSION_TOL = 1e-9
 
-# Largest accepted sizes, so that a command peaks at a few hundred MB instead
-# of failing with a MemoryError. Peak RSS is about 240 MB per 10**6 sweep
-# values: one scheme under pd at --grid 10**6 peaks at 244 MB, mostly its
-# operator stack of 12 complex numbers per point; seven schemes at 142857
-# peak at 104 MB, to stdout or --out alike. verify-table keeps 24 fidelities
-# per grid point, 92 MB at --grid 10**5. An intercept-resend Monte Carlo run
-# holds several arrays of one entry per trial (about 440 MB at 10**7 trials).
+# Largest accepted sizes, so that a command peaks at about 100 MB (Monte Carlo
+# at about 440 MB) instead of failing with a MemoryError. A sweep keeps a few
+# floats per value: one scheme under pd at --grid 10**6 peaks at 93 MB, seven
+# schemes at 142857 at 72 MB, to stdout or --out alike. verify-table keeps 24
+# fidelities per grid point, 90 MB at --grid 10**5. An intercept-resend Monte
+# Carlo run holds several arrays of one entry per trial (10**7 trials).
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7

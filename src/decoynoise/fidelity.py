@@ -5,11 +5,13 @@ prepared pure state with the channel output. For a pure reference this is the
 square of the conventional fidelity F_c(sigma, rho) = Tr sqrt(sqrt(sigma) rho
 sqrt(sigma)); both are provided.
 
-Simulation is one kernel, pure_state_fidelity. Every channel acts qubit by
-qubit with operators E_a (Kraus operators, or one collective unitary), so a
-pure decoy state has F = sum over (a1..an) of |<psi| E_a1 x ... x E_an |psi>|^2,
-evaluated at every point of a parameter grid at once. The BB84 average over
-all 256 product strings is exactly (mean single-qubit fidelity over 0, 1, +, -)^4.
+Simulation compiles each (scheme, channel family) pair into a polynomial.
+Every channel acts on every qubit with one Pauli transfer matrix R(p) = A0 +
+w1(p) A1 + w2(p) A2 (see `channels`), so a decoy state of n qubits with Pauli
+vector r_P = <psi|P|psi> has F = 2^-n r^T R^(x n) r, a polynomial in w1 and
+w2 of degree at most n, evaluated over a whole grid in arrays of its length.
+The BB84 average over all 256 product strings is exactly (the mean of the four
+single-qubit polynomials over 0, 1, +, -)^4.
 
 closed_form_grid evaluates the known closed forms over a whole grid, and
 verify_table checks each (scheme, channel family) combination that has one
@@ -23,11 +25,13 @@ in `states`:
     cluster     (4-8e+6e^2-2e^3+e^4)/4          (2-2e+e^2)^2/4      cos^4 p             cos^8 t
 
 The W state has no closed form here and is supported by simulation only.
+Simulation never uses these expressions, so verify_table compares two derivations.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +39,14 @@ import numpy as np
 from .channels import (
     FAMILIES,
     NoiseModel,
+    TRANSFER_BASIS,
     family_tag,
-    operator_stack,
     parameter_grid,
     parameter_of,
     parameter_range,
+    transfer_weights,
 )
-from .linalg import ATOL, DensityMatrix, PureState
+from .linalg import ATOL, MAX_QUBITS, DensityMatrix, PureState
 from .states import (
     BB84Average,
     BB84Product,
@@ -65,10 +70,43 @@ TABLE_SCHEMES: tuple[DecoyScheme, ...] = (
     Cluster(),
 )
 
-# Grid points the kernel evaluates at once. Phase damping on four qubits ends
-# with 3^4 branch vectors of 16 amplitudes per point, about 60 KB with the
-# copies of the last step, so a block needs about 16 MB whatever the grid length.
-KERNEL_BLOCK = 256
+# A compiled fidelity keeps its coefficient c_jk at index j * _DEGREES + k.
+_DEGREES = MAX_QUBITS + 1
+
+
+def _kron_power(stack: np.ndarray, count: int) -> np.ndarray:
+    """Every product of count matrices of a stack of square matrices, first factor major."""
+    products = np.ones((1, 1, 1))
+    for _ in range(count):
+        outer = np.multiply.outer(products, stack).transpose(0, 3, 1, 4, 2, 5)
+        products = outer.reshape(len(products) * len(stack), len(products[0]) * len(stack[0]), -1)
+    return products
+
+
+def _transfer_powers(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Products of 0, 1 and 2 basis matrices, each with the index j * _DEGREES + k of its j A1 and k A2."""
+    steps = np.array([0, _DEGREES, 1][: len(basis)])
+    monomials = (np.zeros(1, dtype=np.intp), steps, np.add.outer(steps, steps).ravel())
+    return [(_kron_power(basis, count), monomials[count]) for count in range(3)]
+
+
+# Products over 0, 1 and 2 qubits, enough for either half of up to four: the
+# Pauli strings, from I, X, Y, Z in that order, and each family's transfer basis.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_STRINGS = [_kron_power(_PAULIS, count) for count in range(3)]
+_TRANSFER_POWERS = {family: _transfer_powers(basis) for family, basis in TRANSFER_BASIS.items()}
+
+
+def _bilinear(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum over i, j of conj(x_ij) (L x R^T)_ij for each matrix x of a stack and every L and R of two stacks.
+
+    That is the sum over i, j of (L x)_ij (conj(x) R)_ij, so two matrix
+    products give L x for every L and conj(x) R for every R.
+    """
+    count, rows, columns = x.shape
+    left_x = (left.reshape(-1, rows) @ x).reshape(count, len(left), -1)
+    x_right = (x.conj() @ right.transpose(1, 0, 2).reshape(columns, -1)).reshape(count, rows, len(right), columns)
+    return left_x @ x_right.transpose(0, 1, 3, 2).reshape(count, -1, len(right))
 
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:
@@ -90,36 +128,41 @@ def conventional_fidelity(psi: PureState, rho: DensityMatrix) -> float:
     return math.sqrt(max(fidelity(psi, rho), 0.0))
 
 
-def pure_state_fidelity(psi: PureState, ops: np.ndarray) -> np.ndarray:
-    """F = sum_a |<psi| E_a1 x ... x E_an |psi>|^2 at each of G grid points.
+def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndarray]:
+    """The fidelity of one scheme under one noise family, as a function of the parameter grid.
 
-    ops has shape (G, m, 2, 2), from channels.operator_stack. Each step applies
-    all m operators to the leading qubit of every branch vector with one matmul
-    and rotates that qubit to the back, so n steps restore the qubit order.
+    The Pauli vector r_P = <psi|P|psi>, and then the coefficients of F =
+    2^-n r^T R^(x n) r, come from one identity: with the n qubits split into
+    h = ceil(n/2) and n - h and a vector v on them written as a matrix V,
+    v^dag (L x R) v is the sum of the entries of conj(V) * (L V R^T). Each
+    product of basis matrices in R^(x n) adds to the coefficient of the
+    monomial w1^j w2^k that its factors A1 and A2 set.
     """
-    n, amps = psi.n_qubits, psi.amplitudes
-    half = amps.size // 2
-    out = np.empty(len(ops))
-    for start in range(0, len(ops), KERNEL_BLOCK):
-        block = ops[start : start + KERNEL_BLOCK]
-        g, m = block.shape[:2]
-        stacked = block.reshape(g, 2 * m, 2)
-        # (grid point, leading qubit, other qubits and branches)
-        state = amps.reshape(1, 2, half)
-        for _ in range(n):
-            applied = (stacked @ state).reshape(g, m, 2, half, -1)
-            state = applied.transpose(0, 3, 2, 4, 1).reshape(g, 2, -1)
-        overlaps = amps.conj() @ state.reshape(g, amps.size, -1)
-        out[start : start + g] = (np.abs(overlaps) ** 2).sum(axis=-1)
-    return out
+    if isinstance(scheme, BB84Average):
+        states, power = [make_single(label) for label in SINGLE_LABELS], 4
+    else:
+        states, power = [make_decoy_state(scheme)], 1
+    count, n = len(states), states[0].n_qubits
+    half = (n + 1) // 2
+    psi = np.array([state.amplitudes for state in states]).reshape(count, 2**half, -1)
+    r = _bilinear(psi, _PAULI_STRINGS[half], _PAULI_STRINGS[n - half]).real
+    (left, left_monomials), (right, right_monomials) = (_TRANSFER_POWERS[family][c] for c in (half, n - half))
+    products = _bilinear(r, left, right).sum(axis=0) / (count * 2**n)
+    coefficients = np.bincount(np.add.outer(left_monomials, right_monomials).ravel(), products.ravel())
+    terms = [(*divmod(index, _DEGREES), c) for index, c in enumerate(coefficients.tolist()) if c]
+
+    def fidelity_over(grid) -> np.ndarray:
+        """The fidelity at every point of a parameter grid."""
+        w1, w2 = transfer_weights(family, grid)
+        terms_over = (c * (w1**j if j else 1.0) * (w2**k if k else 1.0) for j, k, c in terms)
+        return sum(terms_over, start=np.zeros_like(w1)) ** power
+
+    return fidelity_over
 
 
 def grid_fidelity(scheme: DecoyScheme, family: type, grid) -> np.ndarray:
     """Simulated fidelity of one scheme at every point of a parameter grid."""
-    ops = operator_stack(family, grid)
-    if isinstance(scheme, BB84Average):
-        return (sum(pure_state_fidelity(make_single(label), ops) for label in SINGLE_LABELS) / 4.0) ** 4
-    return pure_state_fidelity(make_decoy_state(scheme), ops)
+    return compile_fidelity(scheme, family)(grid)
 
 
 def scheme_fidelity(scheme: DecoyScheme, noise: NoiseModel) -> float:

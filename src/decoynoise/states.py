@@ -142,7 +142,7 @@ def make_decoy_state(scheme: DecoyScheme) -> PureState:
             return PureState(amps)
         case BellPair(label=label):
             bell = _BELLS[label]
-            return PureState(tensor_product(bell, bell))
+            return PureState(np.outer(bell, bell))
         case Cluster():
             return make_cluster()
         case WState(n=n):

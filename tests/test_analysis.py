@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decoynoise.analysis
+import decoynoise.fidelity
 from decoynoise.analysis import (
     SweepSpec,
     find_crossover,
@@ -22,7 +24,7 @@ from decoynoise.channels import (
     PhaseDamping,
     parameter_range,
 )
-from decoynoise.fidelity import TABLE_SCHEMES, closed_form, grid_fidelity, scheme_fidelity
+from decoynoise.fidelity import TABLE_SCHEMES, closed_form, grid_fidelity, scheme_fidelity, verify_table
 from decoynoise.states import BB84Average, BellPair, Cluster, WState, scheme_label
 
 
@@ -172,6 +174,46 @@ def test_batched_bisection_returns_the_scalar_loops_root(family, kind, data):
     tol = (hi - lo) * 10.0 ** -data.draw(st.floats(0.5, 10.0))
     expected = _outcome(scalar_crossover, a, b, family, lo, hi, tol)
     assert _outcome(find_crossover, a, b, family, lo, hi, tol) == expected
+
+
+def _count_compiles(monkeypatch):
+    """The schemes compile_fidelity is called for, wherever analysis and fidelity look it up."""
+    original, compiled = decoynoise.fidelity.compile_fidelity, []
+
+    def counting(scheme, family):
+        compiled.append(scheme)
+        return original(scheme, family)
+
+    monkeypatch.setattr(decoynoise.analysis, "compile_fidelity", counting)
+    monkeypatch.setattr(decoynoise.fidelity, "compile_fidelity", counting)
+    return compiled
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.01, 10.0])
+@pytest.mark.parametrize(
+    "a,b,family,lo,hi",
+    [
+        (BB84Average(), BellPair("psi+"), AmplitudeDamping, 0.3, 0.9),
+        (BellPair("psi-"), Cluster(), CollectiveRotation, 0.5, 1.2),
+        (BellPair("psi+"), BB84Average(), CollectiveDephasing, 2.0, 2.4),
+    ],
+)
+def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, tol):
+    compiled = _count_compiles(monkeypatch)
+    find_crossover(a, b, family, lo, hi, tol)
+    assert compiled == [a, b]
+
+
+def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    schemes = TABLE_SCHEMES + (WState(),)
+    assert [report.scheme for report in sweep(SweepSpec(schemes, PhaseDamping, 0.0, 1.0, 600))] == list(schemes)
+    assert compiled == list(schemes)
+    compiled.clear()
+    assert [report.scheme for report in verify_table(5)] == compiled
+    compiled.clear()
+    recommend(AmplitudeDamping(0.4), schemes)
+    assert compiled == list(schemes)
 
 
 def test_crossover_with_zero_tol_stops_at_neighbouring_floats():

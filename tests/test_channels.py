@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoynoise.channels import (
+    FAMILIES,
     AmplitudeDamping,
     CollectiveDephasing,
     CollectiveRotation,
@@ -16,9 +17,11 @@ from decoynoise.channels import (
     apply_noise,
     kraus_ad,
     kraus_pd,
-    operator_stack,
+    parameter_grid,
     parameter_of,
     parameter_range,
+    TRANSFER_BASIS,
+    transfer_weights,
     unitary_cd,
     unitary_cr,
 )
@@ -200,19 +203,54 @@ def test_non_finite_parameters_are_rejected(bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             model(bad)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            operator_stack(model, [0.0, 0.5, bad])
+            parameter_grid(model, [0.0, 0.5, bad])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            transfer_weights(model, [0.0, 0.5, bad])
     for model in (CollectiveDephasing, CollectiveRotation):
         with pytest.raises(ValueError, match="finite"):
             model(bad)
         with pytest.raises(ValueError, match="finite"):
-            operator_stack(model, [0.0, 0.5, bad])
+            parameter_grid(model, [0.0, 0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            transfer_weights(model, [0.0, 0.5, bad])
 
 
-def test_operator_stack_shape_and_family():
-    for family, count in ((AmplitudeDamping, 2), (PhaseDamping, 3), (CollectiveDephasing, 1), (CollectiveRotation, 1)):
-        assert operator_stack(family, [0.0, 0.3, 1.0]).shape == (3, count, 2, 2)
+def test_transfer_basis_shape_and_family():
+    for family, count in ((AmplitudeDamping, 3), (PhaseDamping, 2), (CollectiveDephasing, 3), (CollectiveRotation, 3)):
+        basis = TRANSFER_BASIS[family]
+        assert basis.shape == (count, 4, 4) and not basis.flags.writeable
+        weights = transfer_weights(family, [0.0, 0.3, 1.0])
+        assert len(weights) == 2 and weights[0].shape == (3,)
+        assert (weights[1] is None) == (count == 2)
+    assert set(TRANSFER_BASIS) == {AmplitudeDamping, PhaseDamping, CollectiveDephasing, CollectiveRotation}
     with pytest.raises(ValueError, match="unknown noise family"):
-        operator_stack(KrausChannel, [0.5])
+        transfer_weights(KrausChannel, [0.5])
+
+
+def _channel_written_here(family, p):
+    """Kraus operators or the collective unitary of a family, independent of the package."""
+    if family is AmplitudeDamping:
+        return [np.array([[1, 0], [0, np.sqrt(1 - p)]]), np.array([[0, np.sqrt(p)], [0, 0]])]
+    if family is PhaseDamping:
+        return [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.diag([1, 0]), np.sqrt(p) * np.diag([0, 1])]
+    if family is CollectiveDephasing:
+        return [np.diag([1, np.exp(1j * p)])]
+    return [np.array([[np.cos(p), -np.sin(p)], [np.sin(p), np.cos(p)]])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(0.0, 1.0))
+def test_transfer_basis_reproduces_the_transfer_matrix(tag, frac):
+    family = FAMILIES[tag]
+    p = frac if tag in ("ad", "pd") else 40.0 * (frac - 0.5)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    ops = _channel_written_here(family, p)
+    # R_ij = Tr(P_i E(P_j)) / 2
+    expected = np.array([[np.trace(pi @ sum(e @ pj @ e.conj().T for e in ops)) / 2 for pj in paulis] for pi in paulis])
+    assert np.abs(expected.imag).max() <= 1e-15
+    basis, (w1, w2) = TRANSFER_BASIS[family], transfer_weights(family, [p])
+    transfer = basis[0] + w1[0] * basis[1] + (0.0 if w2 is None else w2[0] * basis[2])
+    assert np.abs(transfer - expected.real).max() <= 1e-15
 
 
 def test_kraus_channel_after_dephasing_handles_complex_density():

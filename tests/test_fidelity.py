@@ -17,7 +17,6 @@ from decoynoise.channels import (
     apply_noise,
 )
 from decoynoise.fidelity import (
-    KERNEL_BLOCK,
     TABLE_SCHEMES,
     FidelityReport,
     bb84_average_fidelity,
@@ -129,10 +128,22 @@ def test_kernel_matches_density_matrix_evolution(scheme, family, frac):
 @pytest.mark.parametrize("family", list(FAMILIES.values()))
 @pytest.mark.parametrize("scheme", [BB84Average(), Cluster(), WState()])
 def test_grid_longer_than_a_block_matches_single_points(scheme, family):
-    grid = np.linspace(0.0, 1.0, 2 * KERNEL_BLOCK + 7)
+    grid = np.linspace(0.0, 1.0, 519)
     together = grid_fidelity(scheme, family, grid)
     alone = [grid_fidelity(scheme, family, [p])[0] for p in grid]
     np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30),
+)
+def test_w_state_follows_its_derived_forms(rates, angles):
+    eta, phi = np.array(rates), np.array(angles)
+    assert np.abs(grid_fidelity(WState(), AmplitudeDamping, eta) - (1.0 - eta)).max() <= 1e-14
+    assert np.abs(grid_fidelity(WState(), PhaseDamping, eta) - (1.0 + 2.0 * (1.0 - eta) ** 2) / 3.0).max() <= 1e-14
+    assert np.abs(grid_fidelity(WState(), CollectiveDephasing, phi) - 1.0).max() <= 1e-14
 
 
 def scalar_closed_form(scheme, noise):

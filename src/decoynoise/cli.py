@@ -17,6 +17,8 @@ import functools
 import itertools
 import sys
 
+import numpy as np
+
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
 from .fidelity import TABLE_SCHEMES, verify_table
@@ -28,16 +30,17 @@ REGRESSION_TOL = 1e-9
 # Largest accepted sizes, so that a command peaks at about 100 MB (Monte Carlo
 # at about 440 MB) instead of failing with a MemoryError. A sweep keeps a few
 # floats per value: one scheme under pd at --grid 10**6 peaks at 93 MB, seven
-# schemes at 142857 at 72 MB, to stdout or --out alike. verify-table keeps 24
+# schemes at 142857 at 70 MB, to stdout or --out alike. verify-table keeps 24
 # fidelities per grid point, 90 MB at --grid 10**5. An intercept-resend Monte
 # Carlo run holds several arrays of one entry per trial (10**7 trials).
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7
 
-# Sweep rows formatted per block, so that only one block of a report is held
-# as Python floats and strings at a time.
-CSV_ROWS = 2**16
+# Sweep rows formatted per block, so that only one block's Python floats and
+# strings are held at a time. A block holds all its strings at once; at this
+# size the largest sweeps peak at the sizes given above.
+CSV_ROWS = 2**14
 
 SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
 
@@ -144,18 +147,47 @@ def _cmd_verify_table(args):
     return 2 if worst.max_abs_deviation >= REGRESSION_TOL else 0, rows
 
 
-def _sweep_blocks(reports):
-    """The sweep's CSV in blocks of CSV_ROWS rows, formatted one block at a time."""
-    yield [SWEEP_HEADER]
+def _blocks(reports):
+    """The reports as blocks: lists of (report, row slice) of at most CSV_ROWS rows.
+
+    A block holds whole reports while they fit; a longer report is cut into
+    pieces of CSV_ROWS rows. Rows keep their order.
+    """
+    block, size = [], 0
     for report in reports:
-        lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
-        columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
-        if report.closed_form is not None:
-            columns += [report.closed_form, abs(report.simulated - report.closed_form)]
-            tail = []
         for start in range(0, len(report.grid), CSV_ROWS):
-            text = [map(repr, column[start : start + CSV_ROWS].tolist()) for column in columns]
-            yield zip(*lead, *text, *tail)
+            rows = min(CSV_ROWS, len(report.grid) - start)
+            if size + rows > CSV_ROWS:
+                yield block
+                block, size = [], 0
+            block.append((report, slice(start, start + rows)))
+            size += rows
+    if block:
+        yield block
+
+
+def _sweep_blocks(reports):
+    """The sweep's CSV rows, formatted one block of at most CSV_ROWS rows at a time.
+
+    Each distinct float of a block is repr-ed once: the schemes share one grid,
+    many of their fidelities tie and abs_err takes few values. Floats are told
+    apart by their bits, so 0.0 and -0.0 each keep their own repr.
+    """
+    yield [SWEEP_HEADER]
+    for block in _blocks(reports):
+        pieces = []
+        for report, rows in block:
+            columns = [report.grid[rows], report.simulated[rows]]
+            if report.closed_form is not None:
+                columns += [report.closed_form[rows], abs(columns[1] - report.closed_form[rows])]
+            pieces.append(columns)
+        values = np.concatenate([column for columns in pieces for column in columns])
+        distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+        text = iter(np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[index].tolist())
+        for (report, _), columns in zip(block, pieces):
+            fields = [list(itertools.islice(text, len(column))) for column in columns]
+            lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
+            yield zip(*lead, *fields, *[itertools.repeat("")] * (4 - len(columns)))
 
 
 def _cmd_sweep(args):

@@ -67,6 +67,8 @@ def _require_seeded_mc(trials, seed):
         raise ValueError("monte-carlo method needs a positive trial count")
     if seed is None:
         raise ValueError("monte-carlo method needs an explicit seed")
+    if seed < 0:
+        raise ValueError(f"monte-carlo seed must be non-negative, got {seed}")
 
 
 def intercept_resend_bb84(

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import importlib
 import io
+import itertools
 import os
 import pathlib
 import re
@@ -11,16 +12,18 @@ import stat
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoynoise import analysis, cli
 from decoynoise.channels import FAMILIES, AmplitudeDamping, parameter_range
 from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
-from decoynoise.fidelity import grid_report
-from decoynoise.states import Cluster, parse_scheme
+from decoynoise.fidelity import FidelityReport, grid_report
+from decoynoise.states import Cluster, parse_scheme, scheme_label
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
@@ -90,14 +93,63 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
     assert path_a.read_bytes().startswith(b"scheme,noise,parameter")
 
 
-def test_sweep_rows_do_not_depend_on_the_write_block(monkeypatch, capsys):
-    args = ["sweep", "--noise", "cd", "--schemes", "bb84,w,cluster", "--grid", "7"]
-    assert run(args) == 0
-    whole = capsys.readouterr().out
-    monkeypatch.setattr("decoynoise.cli.CSV_ROWS", 3)
-    assert run(args) == 0
-    assert capsys.readouterr().out == whole
-    assert len(whole.splitlines()) == 1 + 3 * 7
+def _reference_sweep_csv(reports):
+    """A sweep's CSV formatted value by value, with no block and no dedupe."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SWEEP_HEADER)
+    for report in reports:
+        columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
+        if report.closed_form is not None:
+            columns, tail = columns + [report.closed_form, abs(report.simulated - report.closed_form)], []
+        lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
+        writer.writerows(zip(*lead, *(map(repr, column.tolist()) for column in columns), *tail))
+    return out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    noise=st.sampled_from(sorted(FAMILIES)),
+    labels=st.lists(st.sampled_from(["bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w"]),
+                    min_size=1, max_size=7, unique=True),
+    grid=st.integers(2, 9),
+)
+def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
+    family = FAMILIES[noise]
+    schemes = tuple(map(parse_scheme, labels))
+    expected = _reference_sweep_csv(analysis.sweep(analysis.SweepSpec(schemes, family, *parameter_range(family), grid)))
+    assert len(expected.splitlines()) == 1 + len(labels) * grid
+    # 3 rows split a report of more than 3 points, 7 hold one whole report of
+    # up to 7, 14 two, and the default all of them
+    for block in (3, 7, 14, cli.CSV_ROWS):
+        out = io.StringIO()
+        with mock.patch.object(cli, "CSV_ROWS", block), contextlib.redirect_stdout(out):
+            assert run(["sweep", "--noise", noise, "--schemes", ",".join(labels), "--grid", str(grid)]) == 0
+        assert out.getvalue() == expected, block
+
+
+def test_sweep_formats_each_float_by_its_bits():
+    # value-equal but distinct floats must each print their own repr
+    above = float(np.nextafter(0.5, 1.0))
+    grid = [0.0, -0.0, 0.5, above]
+    reports = [
+        FidelityReport(parse_scheme("psi+"), "ad", grid, [-0.0, 0.0, above, 0.5], [0.0, -0.0, 0.5, 0.5], above - 0.5),
+        FidelityReport(parse_scheme("w"), "ad", grid, [0.0, -0.0, 0.5, above], None, None),
+    ]
+    rows = [list(row) for row in itertools.chain.from_iterable(cli._sweep_blocks(reports))]
+    assert rows[1:] == [
+        ["psi+", "ad", "0.0", "-0.0", "0.0", "0.0"],
+        ["psi+", "ad", "-0.0", "0.0", "-0.0", "0.0"],
+        ["psi+", "ad", "0.5", repr(above), "0.5", repr(above - 0.5)],
+        ["psi+", "ad", repr(above), "0.5", "0.5", "0.0"],
+        ["w", "ad", "0.0", "0.0", "", ""],
+        ["w", "ad", "-0.0", "-0.0", "", ""],
+        ["w", "ad", "0.5", "0.5", "", ""],
+        ["w", "ad", repr(above), repr(above), "", ""],
+    ]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    assert text.getvalue() == _reference_sweep_csv(reports)
 
 
 def test_sweep_w_state_has_empty_closed_form_fields(capsys):
@@ -228,6 +280,14 @@ def test_eve_sim_mc_requires_seed(capsys):
     code = run(["eve-sim", "--attack", "intercept", "--method", "mc"])
     _, err = capsys.readouterr()
     assert code == 1 and "--seed" in err
+
+
+@pytest.mark.parametrize("attack", ["intercept", "wrong-pair"])
+def test_eve_sim_mc_rejects_a_negative_seed(attack, capsys):
+    assert run(["eve-sim", "--attack", attack, "--method", "mc", "--trials", "10", "--seed=-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: monte-carlo seed must be non-negative, got -1\n"
 
 
 def test_eve_sim_mc_deterministic(capsys):

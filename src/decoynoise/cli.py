@@ -36,6 +36,7 @@ REGRESSION_TOL = 1e-9
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7
+DEFAULT_TRIALS = 10**6
 
 # Sweep rows formatted per block, so that only one block's Python floats and
 # strings are held at a time. A block holds all its strings at once; at this
@@ -98,11 +99,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eve-sim", help="simulate an eavesdropping attack")
     p.add_argument("--attack", required=True, choices=["intercept", "wrong-pair"])
-    p.add_argument("--bell", default="psi+", choices=BELL_LABELS, help="prepared Bell label (wrong-pair)")
-    p.add_argument("--eve-pair", default="23", choices=["12", "23"], help="pair Eve measures")
+    p.add_argument("--bell", choices=BELL_LABELS, help="prepared Bell label (wrong-pair; default psi+)")
+    p.add_argument("--eve-pair", choices=["12", "23"], help="pair Eve measures (wrong-pair; default 23)")
     p.add_argument("--method", default="exact", choices=["exact", "mc"])
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None, help="required for --method mc")
+    p.add_argument("--trials", type=int, help=f"Monte Carlo trials (mc; default {DEFAULT_TRIALS})")
+    p.add_argument("--seed", type=int, help="required for --method mc")
     p.add_argument("--out", help="write CSV here instead of stdout")
 
     return parser
@@ -234,18 +235,27 @@ def _cmd_crossover(args):
 
 
 def _cmd_eve_sim(args):
-    if args.method == "mc" and args.seed is None:
-        raise CliError("--seed is required for --method mc")
-    if args.method == "mc" and args.trials > MAX_TRIALS:
-        raise CliError(f"trials must be <= {MAX_TRIALS}")
+    for flag, scope, applies in (
+        ("bell", f"attack {args.attack}", args.attack == "wrong-pair"),
+        ("eve-pair", f"attack {args.attack}", args.attack == "wrong-pair"),
+        ("trials", f"method {args.method}", args.method == "mc"),
+        ("seed", f"method {args.method}", args.method == "mc"),
+    ):
+        if not applies and getattr(args, flag.replace("-", "_")) is not None:
+            raise CliError(f"--{flag} does not apply to {scope}")
     kwargs = {"method": args.method}
     if args.method == "mc":
-        kwargs.update(trials=args.trials, seed=args.seed)
+        if args.seed is None:
+            raise CliError("--seed is required for --method mc")
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        if trials > MAX_TRIALS:
+            raise CliError(f"trials must be <= {MAX_TRIALS}")
+        kwargs.update(trials=trials, seed=args.seed)
     if args.attack == "intercept":
         outcome = eavesdrop.intercept_resend_bb84(**kwargs)
     else:
         pair = (1, 2) if args.eve_pair == "12" else (2, 3)
-        outcome = eavesdrop.wrong_pair_bell_attack(args.bell, pair, **kwargs)
+        outcome = eavesdrop.wrong_pair_bell_attack(args.bell or "psi+", pair, **kwargs)
     rows = [["kind", "label", "value"]]
     rows.append(["summary", "detection_probability", _fmt(outcome.detection_probability)])
     rows += (["outcome", label, _fmt(prob)] for label, prob in outcome.outcome_distribution.items())

@@ -13,10 +13,19 @@ Two quantitative facts are reproduced here:
 Exact enumeration is the primary method. Monte Carlo sampling exists only to
 exercise the statistical pathway; it requires an explicit seed and is
 bit-reproducible for a fixed seed.
+
+Both exact tables are built once per process, since each is a function of a
+few labels: the intercept-resend disagreement of eve_present alone, and the
+receiver's joint Bell-outcome distribution of (bell, eve_pair, eve_outcome),
+at most 4 x 2 x 5 = 40 keys, stored read-only. Every call still returns a
+fresh AttackOutcome with its own outcome_distribution, and Monte Carlo samples
+the same joint with the same random stream. A zero-probability eve_outcome
+raises on every call, as exceptions are not memoised.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,6 +80,19 @@ def _require_seeded_mc(trials, seed):
         raise ValueError(f"monte-carlo seed must be non-negative, got {seed}")
 
 
+@functools.cache
+def _exact_disagreement(eve_present: bool) -> Fraction:
+    """The exact disagreement probability over 4 sent labels x 2 bases of Eve's, each 1/8; built once per process."""
+    if not eve_present:
+        return Fraction(0)
+    return sum(
+        Fraction(1, 8) * _overlap_prob(resent, sent) * (1 - _overlap_prob(sent, resent))
+        for sent in SINGLE_LABELS
+        for labels in _BASIS_LABELS.values()
+        for resent in labels
+    )
+
+
 def intercept_resend_bb84(
     eve_present: bool = True,
     method: str = "exact",
@@ -89,15 +111,7 @@ def intercept_resend_bb84(
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
 
     if method == "exact":
-        disagree = Fraction(0)
-        if eve_present:
-            for sent in SINGLE_LABELS:
-                for eve_basis in _BASIS_LABELS:
-                    branch = Fraction(1, 4) * Fraction(1, 2)  # uniform label x basis
-                    for resent in _BASIS_LABELS[eve_basis]:
-                        p_eve = _overlap_prob(resent, sent)
-                        p_wrong = 1 - _overlap_prob(sent, resent)
-                        disagree += branch * p_eve * p_wrong
+        disagree = _exact_disagreement(bool(eve_present))
         dist = {"agree": float(1 - disagree), "disagree": float(disagree)}
         return AttackOutcome(float(disagree), dist, "exact")
 
@@ -166,6 +180,20 @@ def _receiver_joint(state: np.ndarray) -> np.ndarray:
     return np.abs(amps.reshape(4, 4)) ** 2
 
 
+@functools.cache
+def _attack_joint(bell: str, eve_pair: tuple[int, int], eve_outcome: str | None) -> np.ndarray:
+    """The receiver's joint Bell-outcome distribution, read-only and built once per key."""
+    branches = [(p, post) for label, p, post in _eve_branches(bell, eve_pair) if eve_outcome in (None, label)]
+    if not branches:
+        raise ValueError(f"Eve outcome {eve_outcome!r} has zero probability")
+    joint = np.zeros((4, 4))
+    for p, post in branches:
+        # conditioned on Eve's outcome, its one branch has weight p / p = 1
+        joint += (p if eve_outcome is None else 1.0) * _receiver_joint(post)
+    joint.setflags(write=False)
+    return joint
+
+
 def wrong_pair_bell_attack(
     bell: str,
     eve_pair: tuple[int, int],
@@ -194,19 +222,9 @@ def wrong_pair_bell_attack(
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
 
-    branches = _eve_branches(bell, eve_pair)
-    if eve_outcome is not None:
-        if eve_outcome not in BELL_LABELS:
-            raise ValueError(f"unknown Bell label {eve_outcome!r}")
-        branches = [(lab, p, post) for lab, p, post in branches if lab == eve_outcome]
-        if not branches:
-            raise ValueError(f"Eve outcome {eve_outcome!r} has zero probability")
-        total = sum(p for _, p, _ in branches)
-        branches = [(lab, p / total, post) for lab, p, post in branches]
-
-    joint = np.zeros((4, 4))
-    for _, p, post in branches:
-        joint += p * _receiver_joint(post)
+    if eve_outcome is not None and eve_outcome not in BELL_LABELS:
+        raise ValueError(f"unknown Bell label {eve_outcome!r}")
+    joint = _attack_joint(bell, eve_pair, eve_outcome)
     prep = BELL_LABELS.index(bell)
 
     if method == "exact":

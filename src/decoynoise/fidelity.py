@@ -13,6 +13,14 @@ w2 of degree at most n, evaluated over a whole grid in arrays of its length.
 The BB84 average over all 256 product strings is exactly (the mean of the four
 single-qubit polynomials over 0, 1, +, -)^4.
 
+compile_fidelity is memoised, so each (scheme, family) pair is compiled once
+per process and a one-point evaluation (recommend, each bisection round) pays
+only for the evaluation. The polynomial depends on that pair alone, and the
+key set is finite: 7 schemes x 4 families through the CLI, at most 263 x 4
+through the API (256 BB84 products, the average, 4 Bell pairs, cluster and W).
+Nothing is evicted or invalidated; the compiled function holds only its
+coefficients. An unknown family raises ValueError, which is not memoised.
+
 closed_form_grid evaluates the known closed forms over a whole grid, and
 verify_table checks each (scheme, channel family) combination that has one
 against simulation. The closed forms, keyed by the Bell labeling documented
@@ -30,6 +38,7 @@ Simulation never uses these expressions, so verify_table compares two derivation
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -128,6 +137,7 @@ def conventional_fidelity(psi: PureState, rho: DensityMatrix) -> float:
     return math.sqrt(max(fidelity(psi, rho), 0.0))
 
 
+@functools.cache
 def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndarray]:
     """The fidelity of one scheme under one noise family, as a function of the parameter grid.
 
@@ -136,8 +146,10 @@ def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndar
     h = ceil(n/2) and n - h and a vector v on them written as a matrix V,
     v^dag (L x R) v is the sum of the entries of conj(V) * (L V R^T). Each
     product of basis matrices in R^(x n) adds to the coefficient of the
-    monomial w1^j w2^k that its factors A1 and A2 set.
+    monomial w1^j w2^k that its factors A1 and A2 set. Memoised; see the module docstring.
     """
+    if family not in _TRANSFER_POWERS:
+        raise ValueError(f"unknown noise family {family!r}")
     if isinstance(scheme, BB84Average):
         states, power = [make_single(label) for label in SINGLE_LABELS], 4
     else:
@@ -149,7 +161,7 @@ def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndar
     (left, left_monomials), (right, right_monomials) = (_TRANSFER_POWERS[family][c] for c in (half, n - half))
     products = _bilinear(r, left, right).sum(axis=0) / (count * 2**n)
     coefficients = np.bincount(np.add.outer(left_monomials, right_monomials).ravel(), products.ravel())
-    terms = [(*divmod(index, _DEGREES), c) for index, c in enumerate(coefficients.tolist()) if c]
+    terms = tuple((*divmod(index, _DEGREES), c) for index, c in enumerate(coefficients.tolist()) if c)
 
     def fidelity_over(grid) -> np.ndarray:
         """The fidelity at every point of a parameter grid."""

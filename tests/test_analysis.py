@@ -346,3 +346,21 @@ def test_cluster_ad_rises_again_after_its_minimum():
     low = scheme_fidelity(Cluster(), AmplitudeDamping(0.819))
     assert scheme_fidelity(Cluster(), AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
     assert low < 0.25 - 1e-3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decoynoise.fidelity.compile_fidelity(BellPair("psi+"), int),
+        lambda: grid_fidelity(Cluster(), int, [0.5]),
+        lambda: find_crossover(BB84Average(), BellPair("psi+"), int, 0.3, 0.9),
+        lambda: is_decoherence_free(WState(), int),
+        lambda: parameter_range(int),
+    ],
+    ids=["compile_fidelity", "grid_fidelity", "find_crossover", "is_decoherence_free", "parameter_range"],
+)
+def test_unknown_noise_family_is_a_value_error_every_time(call):
+    # twice, since a memoised function does not remember a raised exception
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^unknown noise family <class 'int'>$"):
+            call()

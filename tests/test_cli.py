@@ -300,6 +300,82 @@ def test_eve_sim_mc_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--attack", "intercept", "--bell", "psi+"], "--bell does not apply to attack intercept"),
+        (["--attack", "intercept", "--eve-pair", "23"], "--eve-pair does not apply to attack intercept"),
+        (["--attack", "intercept", "--method", "mc", "--seed", "1", "--bell", "phi-"],
+         "--bell does not apply to attack intercept"),
+        (["--attack", "intercept", "--seed", "1"], "--seed does not apply to method exact"),
+        (["--attack", "intercept", "--trials", "10"], "--trials does not apply to method exact"),
+        (["--attack", "wrong-pair", "--method", "exact", "--seed", "1"], "--seed does not apply to method exact"),
+        (["--attack", "wrong-pair", "--bell", "psi-", "--trials", "10"], "--trials does not apply to method exact"),
+    ],
+)
+def test_eve_sim_rejects_flags_that_do_not_apply(args, message, capsys):
+    assert run(["eve-sim", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_eve_sim_defaults_stand_in_for_omitted_flags(capsys):
+    for short, full in [
+        (["--attack", "wrong-pair"], ["--attack", "wrong-pair", "--bell", "psi+", "--eve-pair", "23"]),
+        (["--attack", "intercept", "--method", "mc", "--seed", "5"],
+         ["--attack", "intercept", "--method", "mc", "--seed", "5", "--trials", "1000000"]),
+    ]:
+        assert run(["eve-sim", *short]) == 0
+        omitted, _ = capsys.readouterr()
+        assert run(["eve-sim", *full]) == 0
+        assert capsys.readouterr().out == omitted
+
+
+def _count_state_builds(monkeypatch):
+    built = []
+    build = fidelity_mod.make_decoy_state
+
+    def counting(scheme):
+        built.append(scheme)
+        return build(scheme)
+
+    monkeypatch.setattr(fidelity_mod, "make_decoy_state", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["recommend", "--noise", "pd", "--eta", "0.25", "--include-w"],
+        ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "0.8", "--hi", "1.1"],
+    ],
+)
+def test_a_repeated_query_builds_no_state(args, monkeypatch, capsys):
+    built = _count_state_builds(monkeypatch)
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    built.clear()
+    assert run(args) == 0
+    assert capsys.readouterr().out == first
+    assert built == []
+
+
+def test_repeated_queries_in_one_process_print_what_a_fresh_process_prints(capsys):
+    queries = [
+        ["recommend", "--noise", "ad", "--eta", "0.55", "--include-w"],
+        ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"],
+        ["eve-sim", "--attack", "wrong-pair", "--bell", "phi-"],
+        ["eve-sim", "--attack", "intercept"],
+        ["eve-sim", "--attack", "wrong-pair", "--method", "mc", "--trials", "5000", "--seed", "11"],
+    ]
+    for args in queries:
+        fresh = run_module(args, capture_output=True, text=True, check=True).stdout
+        for _ in range(2):
+            assert run(args) == 0
+            assert capsys.readouterr().out == fresh
+
+
 def test_failed_command_leaves_no_out_file(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run(["sweep", "--noise", "ad", "--from", "-0.5", "--to", "1", "--out", str(out)]) == 1

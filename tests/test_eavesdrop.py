@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from decoynoise import eavesdrop
 from decoynoise.eavesdrop import (
     all_label_detections,
     intercept_resend_bb84,
@@ -190,3 +191,37 @@ def test_wrong_pair_rejects_bad_input():
         wrong_pair_bell_attack("psi+", (2, 3), eve_outcome="nope")
     with pytest.raises(ValueError, match="seed"):
         wrong_pair_bell_attack("psi+", (2, 3), method="mc", trials=10)
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        lambda: intercept_resend_bb84(),
+        lambda: wrong_pair_bell_attack("phi-", (2, 3)),
+        lambda: wrong_pair_bell_attack("psi+", (2, 3), eve_outcome="phi+"),
+    ],
+)
+def test_exact_outcomes_are_fresh_on_every_call(attack):
+    first = attack()
+    expected = dict(first.outcome_distribution)
+    first.outcome_distribution.clear()
+    first.outcome_distribution["agree"] = 2.0
+    second = attack()
+    assert second.outcome_distribution == expected
+    assert second.outcome_distribution is not first.outcome_distribution
+
+
+def test_memoised_joint_is_read_only():
+    joint = eavesdrop._attack_joint("psi-", (2, 3), None)
+    assert not joint.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        joint[0, 0] = 1.0
+    assert eavesdrop._attack_joint("psi-", (2, 3), None) is joint
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_zero_probability_eve_outcome_raises_on_every_call(method):
+    # on the correct pair Eve always finds the prepared label
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^Eve outcome 'psi-' has zero probability$"):
+            wrong_pair_bell_attack("psi+", (1, 2), method, 10, 1, eve_outcome="psi-")

@@ -15,6 +15,7 @@ from decoynoise.channels import (
     FAMILIES,
     PhaseDamping,
     apply_noise,
+    parameter_range,
 )
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
@@ -22,6 +23,7 @@ from decoynoise.fidelity import (
     bb84_average_fidelity,
     closed_form,
     closed_form_grid,
+    compile_fidelity,
     conventional_fidelity,
     fidelity,
     grid_fidelity,
@@ -317,3 +319,32 @@ def test_verify_table_endpoint_grid():
 def test_verify_table_rejects_degenerate_grid():
     with pytest.raises(ValueError, match=">= 2"):
         verify_table(1)
+
+
+def _assert_memo_matches_a_fresh_compile(scheme, family, fractions):
+    lo, hi = parameter_range(family)
+    grid = lo + (hi - lo) * np.array(fractions)
+    memoised = compile_fidelity(scheme, family)
+    assert compile_fidelity(scheme, family) is memoised
+    assert memoised(grid).tobytes() == compile_fidelity.__wrapped__(scheme, family)(grid).tobytes()
+
+
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES.values()))
+@pytest.mark.parametrize("scheme", TABLE_SCHEMES + (WState(),))
+@settings(max_examples=10, deadline=None)
+@given(fractions=_FRACTIONS)
+def test_memoised_compile_gives_the_bits_of_a_fresh_compile(scheme, family, fractions):
+    _assert_memo_matches_a_fresh_compile(scheme, family, fractions)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    labels=st.tuples(*[st.sampled_from(SINGLE_LABELS)] * 4),
+    family=st.sampled_from(list(FAMILIES.values())),
+    fractions=_FRACTIONS,
+)
+def test_memoised_product_compile_gives_the_bits_of_a_fresh_compile(labels, family, fractions):
+    _assert_memo_matches_a_fresh_compile(BB84Product(labels), family, fractions)

@@ -6,15 +6,21 @@ verify-table finds a deviation at or above the regression threshold.
 
 Floating-point fields use the shortest round-trip decimal representation, so
 identical invocations produce byte-identical output.
+
+Every field is a str that needs no CSV quoting: a fixed header or kind name, a
+scheme label, a noise family tag (one of argparse's choices), a Bell or
+outcome label, a repr of a float, or empty. None holds a comma, a quote or a
+line break, and no row is one empty field, so a row's line is its fields
+joined by commas, the same bytes csv.writer would write for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import functools
 import itertools
+import os
+import stat
 import sys
 
 import numpy as np
@@ -215,7 +221,7 @@ def _cmd_recommend(args):
     rows = [["rank", "scheme", "fidelity"]]
     rank = 1
     for group in ranking.ties:
-        rows += ([rank, scheme_label(scheme), _fmt(fid_by_scheme[scheme])] for scheme in group)
+        rows += ([str(rank), scheme_label(scheme), _fmt(fid_by_scheme[scheme])] for scheme in group)
         rank += len(group)
     return 0, rows
 
@@ -281,20 +287,47 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _write_rows(stream, rows) -> None:
+    """Write each row as one line of comma-joined fields (see the module docstring).
+
+    Rows are joined as the stream takes them, so a lazy sweep holds one block
+    of rows at a time.
+    """
+    stream.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_out(path: str, rows) -> None:
+    """Write the rows to the file at path, opened for writing like any file.
+
+    A symlink, a device or a FIFO is written through. If the write fails, a
+    regular file is emptied rather than left ending in a partial row.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        with open(fd, "w", newline="", closefd=False) as stream:
+            _write_rows(stream, rows)
+    except BaseException:
+        # the text stream is closed here, so no buffered row can follow
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, execute one command and write its CSV; returns the exit code.
 
     Stdout or --out is opened only after the command has returned, so a failed
-    command writes no CSV and leaves an --out path as it was. --out is opened
-    for writing like any file, so a symlink, a device or a FIFO is written
-    through.
+    command writes no CSV and leaves an --out path as it was.
     """
     try:
         args = _parser().parse_args(argv)
         code, rows = _COMMANDS[args.command](args)
-        target = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
-        with target as stream:
-            csv.writer(stream, lineterminator="\n").writerows(rows)
+        if args.out is None:
+            _write_rows(sys.stdout, rows)
+        else:
+            _write_out(args.out, rows)
         return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

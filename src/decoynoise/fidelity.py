@@ -31,8 +31,11 @@ in `states`:
     psi+-       (2-2e+e^2)^2/4                  (2-2e+e^2)^2/4      cos^4 p             1 (psi+), cos^4 2t (psi-)
     phi+-       (1-e)^2                         (2-2e+e^2)^2/4      1                   cos^4 2t (phi+), 1 (phi-)
     cluster     (4-8e+6e^2-2e^3+e^4)/4          (2-2e+e^2)^2/4      cos^4 p             cos^8 t
+    w           1-e                             (1+2(1-e)^2)/3      1                   (1+cos 2t)(3cos 2t-1)^2/8
 
-The W state has no closed form here and is supported by simulation only.
+The W row is derived from the compiled polynomials and checked against them in
+the tests, but closed_form_grid has no W cell: the W state is simulated only,
+and its sweep rows leave the closed-form fields empty.
 Simulation never uses these expressions, so verify_table compares two derivations.
 """
 

@@ -449,6 +449,44 @@ def test_out_to_the_null_device(capsys):
     assert os.stat(os.devnull).st_mode == mode and stat.S_ISCHR(mode)
 
 
+def test_a_write_that_fails_partway_leaves_no_partial_rows(tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        # limits only the child; Python ignores SIGXFSZ, so the write fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2**16, 2**16))
+
+    out = tmp_path / "f.csv"
+    out.write_text("earlier output\n")
+    proc = run_module(["sweep", "--noise", "pd", "--grid", "2000", "--out", str(out)],
+                      capture_output=True, text=True, preexec_fn=limit_file_size)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert out.read_bytes() == b""
+    # the same sweep without the limit is far longer than the limit
+    assert run_module(["sweep", "--noise", "pd", "--grid", "2000", "--out", str(out)]).returncode == 0
+    assert out.stat().st_size > 2**17
+
+
+@pytest.mark.parametrize("device", [False, True])
+def test_a_failed_write_empties_a_regular_file_and_leaves_a_device(device, tmp_path, monkeypatch, capsys):
+    def write_then_fail(stream, rows):
+        stream.write("kind,label,value\nsummary,detection")
+        stream.flush()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_rows", write_then_fail)
+    out = pathlib.Path(os.devnull) if device else tmp_path / "f.csv"
+    assert run(["eve-sim", "--attack", "intercept", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    # the write's own error, not one from emptying the target
+    assert captured.out == "" and captured.err == "error: [Errno 28] No space left on device\n"
+    if device:
+        assert stat.S_ISCHR(out.stat().st_mode)
+    else:
+        assert out.read_bytes() == b""
+
+
 SWEEP_LIMIT = f"grid times number of schemes must be <= {MAX_SWEEP_VALUES}"
 
 
@@ -640,3 +678,7 @@ def test_any_argv_ends_in_csv_or_a_one_line_error(command, data):
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == _HEADERS[command]
         assert all(len(row) == len(rows[0]) for row in rows)
+        # the hand-joined lines are what csv.writer writes for the parsed rows
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        assert text.getvalue() == out

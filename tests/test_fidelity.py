@@ -146,6 +146,8 @@ def test_w_state_follows_its_derived_forms(rates, angles):
     assert np.abs(grid_fidelity(WState(), AmplitudeDamping, eta) - (1.0 - eta)).max() <= 1e-14
     assert np.abs(grid_fidelity(WState(), PhaseDamping, eta) - (1.0 + 2.0 * (1.0 - eta) ** 2) / 3.0).max() <= 1e-14
     assert np.abs(grid_fidelity(WState(), CollectiveDephasing, phi) - 1.0).max() <= 1e-14
+    c = np.cos(2.0 * phi)
+    assert np.abs(grid_fidelity(WState(), CollectiveRotation, phi) - (1.0 + c) * (3.0 * c - 1.0) ** 2 / 8.0).max() <= 1e-14
 
 
 def scalar_closed_form(scheme, noise):

@@ -8,19 +8,25 @@ Two quantitative facts are reproduced here:
 
 * an eavesdropper who Bell-measures the wrong pair of a two-Bell-pair decoy
   block causes entanglement swapping, which the receiver's Bell measurements
-  on the correct pairs detect with a label-independent probability.
+  on the correct pairs detect with probability exactly 3/4, whatever the
+  prepared label.
 
-Exact enumeration is the primary method. Monte Carlo sampling exists only to
-exercise the statistical pathway; it requires an explicit seed and is
-bit-reproducible for a fixed seed.
+Both attacks are computed exactly from the integer state vectors of
+states.INT_SINGLES and states.INT_BELLS. Every amplitude is then an integer
+times one known normalisation, so every probability is an exact rational: the
+intercept-resend rate is a Fraction, and each wrong-pair probability is a
+ratio of squared integer amplitudes, rounded once to the nearest float. An
+Eve outcome has zero probability exactly when its integer weights are all 0.
 
-Both exact tables are built once per process, since each is a function of a
-few labels: the intercept-resend disagreement of eve_present alone, and the
-receiver's joint Bell-outcome distribution of (bell, eve_pair, eve_outcome),
-at most 4 x 2 x 5 = 40 keys, stored read-only. Every call still returns a
-fresh AttackOutcome with its own outcome_distribution, and Monte Carlo samples
-the same joint with the same random stream. A zero-probability eve_outcome
-raises on every call, as exceptions are not memoised.
+Monte Carlo sampling exists only to exercise the statistical pathway; it
+requires an explicit seed and is bit-reproducible for a fixed seed.
+
+The receiver's joint Bell-outcome distribution is built once per process for
+each of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome), and
+stored read-only. Every call still returns a fresh AttackOutcome with its own
+outcome_distribution, and Monte Carlo samples the same joint with the same
+random stream. A zero-probability eve_outcome raises on every call, as
+exceptions are not memoised.
 """
 
 from __future__ import annotations
@@ -31,33 +37,31 @@ from fractions import Fraction
 
 import numpy as np
 
-from .states import BELL_LABELS, SINGLE_LABELS, make_bell
-from .linalg import tensor_product
+from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, SINGLE_LABELS
 
-# The two labels of each preparation basis.
-_BASIS_LABELS = {"Z": ("0", "1"), "X": ("+", "-")}
+# Born probabilities |<a|b>|^2 between the four single-qubit states, in
+# SINGLE_LABELS order: the squared dot product of the integer vectors over
+# the product of their squared norms.
+_SINGLE = np.array([INT_SINGLES[label] for label in SINGLE_LABELS])
+_DOTS = (_SINGLE @ _SINGLE.T).tolist()
+_BORN = [[Fraction(_DOTS[a][b] ** 2, _DOTS[a][a] * _DOTS[b][b]) for b in range(4)] for a in range(4)]
+_BORN_FLOAT = np.array(_BORN, dtype=float)
 
-# Exact rational Born probabilities between the four single-qubit states:
-# each state is an integer vector times a coefficient whose square is
-# rational, so |<a|b>|^2 is an exact Fraction. This keeps the enumerated
-# detection rate exactly 1/4 instead of drifting by an ulp via sqrt(2).
-_INT_VECS = {"0": (1, 0), "1": (0, 1), "+": (1, 1), "-": (1, -1)}
-_COEFF_SQ = {
-    "0": Fraction(1),
-    "1": Fraction(1),
-    "+": Fraction(1, 2),
-    "-": Fraction(1, 2),
-}
+# Eve's two bases hold each of the four labels once, so the sent label s (1/4),
+# Eve's basis (1/2) and her outcome r give the pair (s, r) probability
+# Born(r, s) / 8, and the receiver then disagrees with probability
+# 1 - Born(s, r). Exactly 1/4.
+_DISAGREEMENT = sum(Fraction(1, 8) * _BORN[r][s] * (1 - _BORN[s][r]) for s in range(4) for r in range(4))
 
+# Integer Bell tensors, _BELL[label, a, b] for the qubit values a, b.
+_BELL = np.array([INT_BELLS[label] for label in BELL_LABELS]).reshape(4, 2, 2)
 
-# Pairs Eve may measure, 1-indexed; the sender entangles (1,2) and (3,4).
-_VALID_EVE_PAIRS = ((1, 2), (2, 3))
-
-
-def _overlap_prob(a: str, b: str) -> Fraction:
-    """Born probability |<a|b>|^2 for two single-qubit labels, exactly."""
-    dot = sum(x * y for x, y in zip(_INT_VECS[a], _INT_VECS[b]))
-    return dot * dot * _COEFF_SQ[a] * _COEFF_SQ[b]
+# For each pair Eve may measure (1-indexed; the sender entangles (1,2) and
+# (3,4)): the integer amplitude <x|_12 <y|_34 (|e><e| on Eve's pair) |abcd> of
+# the receiver's outcomes x, y after Eve finds e, over the sent block's qubits
+# abcd; capitals name the qubits that Eve's bra <e| contracts with.
+_EVE_SUBSCRIPTS = {(1, 2): "xab,ycd,eab,eAB,ABcd->exy", (2, 3): "xab,ycd,ebc,eBC,aBCd->exy"}
+_VALID_EVE_PAIRS = tuple(_EVE_SUBSCRIPTS)
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,6 @@ def _require_seeded_mc(trials, seed):
         raise ValueError(f"monte-carlo seed must be non-negative, got {seed}")
 
 
-@functools.cache
-def _exact_disagreement(eve_present: bool) -> Fraction:
-    """The exact disagreement probability over 4 sent labels x 2 bases of Eve's, each 1/8; built once per process."""
-    if not eve_present:
-        return Fraction(0)
-    return sum(
-        Fraction(1, 8) * _overlap_prob(resent, sent) * (1 - _overlap_prob(sent, resent))
-        for sent in SINGLE_LABELS
-        for labels in _BASIS_LABELS.values()
-        for resent in labels
-    )
-
-
 def intercept_resend_bb84(
     eve_present: bool = True,
     method: str = "exact",
@@ -111,20 +102,18 @@ def intercept_resend_bb84(
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
 
     if method == "exact":
-        disagree = _exact_disagreement(bool(eve_present))
+        disagree = _DISAGREEMENT if eve_present else Fraction(0)
         dist = {"agree": float(1 - disagree), "disagree": float(disagree)}
         return AttackOutcome(float(disagree), dist, "exact")
 
     _require_seeded_mc(trials, seed)
     rng = np.random.default_rng(seed)
-    # ov[a, b] = |<a|b>|^2 with labels indexed in SINGLE_LABELS order
-    ov = np.array([[float(_overlap_prob(a, b)) for b in SINGLE_LABELS] for a in SINGLE_LABELS])
     sent = rng.integers(0, 4, size=trials)
     if eve_present:
         basis_first = 2 * rng.integers(0, 2, size=trials)  # first label of Eve's basis
-        take_second = rng.random(size=trials) >= ov[basis_first, sent]
+        take_second = rng.random(size=trials) >= _BORN_FLOAT[basis_first, sent]
         eve_outcome_idx = basis_first + take_second
-        wrong = rng.random(size=trials) >= ov[sent, eve_outcome_idx]
+        wrong = rng.random(size=trials) >= _BORN_FLOAT[sent, eve_outcome_idx]
     else:
         wrong = np.zeros(trials, dtype=bool)
     disagreements = int(np.count_nonzero(wrong))
@@ -135,61 +124,24 @@ def intercept_resend_bb84(
     return AttackOutcome(disagreements / trials, dist, "mc", trials=trials, seed=seed)
 
 
-def _bell_basis() -> np.ndarray:
-    """4x4 matrix whose columns are the Bell states, in BELL_LABELS order."""
-    return np.column_stack([make_bell(lab).amplitudes for lab in BELL_LABELS])
-
-
-def _pair_front(state: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reorder a 4-qubit state so the given 1-indexed pair comes first."""
-    front = [q - 1 for q in pair]
-    order = tuple(front + [q for q in range(4) if q not in front])
-    moved = state.reshape(2, 2, 2, 2).transpose(order).reshape(16)
-    return moved, order
-
-
-def _pair_back(state: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
-    """Undo _pair_front's qubit reordering."""
-    inverse = np.argsort(order)
-    return state.reshape(2, 2, 2, 2).transpose(inverse).reshape(16)
-
-
-def _eve_branches(prepared: str, eve_pair: tuple[int, int]):
-    """Eve's Bell measurement branches: (label, probability, post-state)."""
-    bell = make_bell(prepared).amplitudes
-    psi = tensor_product(bell, bell)
-    basis = _bell_basis()
-    moved, order = _pair_front(psi, eve_pair)
-    # rows: Eve's Bell outcome on the pair; columns: the other two qubits
-    amps = basis.conj().T @ moved.reshape(4, 4)
-    branches = []
-    for idx, label in enumerate(BELL_LABELS):
-        p = float(np.linalg.norm(amps[idx]) ** 2)
-        if p < 1e-15:
-            continue
-        rest = amps[idx] / np.sqrt(p)
-        post = _pair_back(np.kron(basis[:, idx], rest), order)
-        branches.append((label, p, post))
-    return branches
-
-
-def _receiver_joint(state: np.ndarray) -> np.ndarray:
-    """Joint Bell-outcome distribution of measurements on pairs (1,2), (3,4)."""
-    basis = _bell_basis()
-    amps = tensor_product(basis, basis).conj().T @ state
-    return np.abs(amps.reshape(4, 4)) ** 2
-
-
 @functools.cache
 def _attack_joint(bell: str, eve_pair: tuple[int, int], eve_outcome: str | None) -> np.ndarray:
-    """The receiver's joint Bell-outcome distribution, read-only and built once per key."""
-    branches = [(p, post) for label, p, post in _eve_branches(bell, eve_pair) if eve_outcome in (None, label)]
-    if not branches:
-        raise ValueError(f"Eve outcome {eve_outcome!r} has zero probability")
-    joint = np.zeros((4, 4))
-    for p, post in branches:
-        # conditioned on Eve's outcome, its one branch has weight p / p = 1
-        joint += (p if eve_outcome is None else 1.0) * _receiver_joint(post)
+    """The receiver's joint Bell-outcome distribution, read-only and built once per key.
+
+    The weights are squared integer amplitudes far below 2**53, so they and
+    their total convert to float exactly and one division rounds each exact
+    probability correctly.
+    """
+    sent = _BELL[BELL_LABELS.index(bell)]
+    block = np.multiply.outer(sent, sent)
+    weights = np.einsum(_EVE_SUBSCRIPTS[eve_pair], _BELL, _BELL, _BELL, _BELL, block) ** 2
+    if eve_outcome is None:
+        weights = weights.sum(axis=0)
+    else:
+        weights = weights[BELL_LABELS.index(eve_outcome)]
+        if not weights.any():
+            raise ValueError(f"Eve outcome {eve_outcome!r} has zero probability")
+    joint = weights / weights.sum()
     joint.setflags(write=False)
     return joint
 
@@ -216,9 +168,10 @@ def wrong_pair_bell_attack(
     """
     if bell not in BELL_LABELS:
         raise ValueError(f"unknown Bell label {bell!r}, expected one of {BELL_LABELS}")
-    eve_pair = tuple(int(q) for q in eve_pair)
-    if eve_pair not in _VALID_EVE_PAIRS:
-        raise ValueError(f"eve_pair must be one of {_VALID_EVE_PAIRS} (1-indexed), got {eve_pair}")
+    try:
+        eve_pair = _VALID_EVE_PAIRS[_VALID_EVE_PAIRS.index(tuple(eve_pair))]
+    except (TypeError, ValueError):
+        raise ValueError(f"eve_pair must be one of {_VALID_EVE_PAIRS} (1-indexed), got {eve_pair!r}") from None
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
 

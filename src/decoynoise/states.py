@@ -22,21 +22,19 @@ from .linalg import PureState, tensor_product
 SINGLE_LABELS = ("0", "1", "+", "-")
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
-_SQRT2 = math.sqrt(2.0)
+# Each single-qubit and Bell state as an integer vector; its amplitudes are the
+# vector divided by the square root of its squared norm. eavesdrop reads these
+# integers directly, so its Born probabilities are exact rationals.
+INT_SINGLES = {"0": (1, 0), "1": (0, 1), "+": (1, 1), "-": (1, -1)}
+INT_BELLS = {"psi+": (1, 0, 0, 1), "psi-": (1, 0, 0, -1), "phi+": (0, 1, 1, 0), "phi-": (0, 1, -1, 0)}
 
-_SINGLES = {
-    "0": np.array([1.0, 0.0]),
-    "1": np.array([0.0, 1.0]),
-    "+": np.array([1.0, 1.0]) / _SQRT2,
-    "-": np.array([1.0, -1.0]) / _SQRT2,
-}
 
-_BELLS = {
-    "psi+": np.array([1.0, 0.0, 0.0, 1.0]) / _SQRT2,
-    "psi-": np.array([1.0, 0.0, 0.0, -1.0]) / _SQRT2,
-    "phi+": np.array([0.0, 1.0, 1.0, 0.0]) / _SQRT2,
-    "phi-": np.array([0.0, 1.0, -1.0, 0.0]) / _SQRT2,
-}
+def _normalised(vec: tuple[int, ...]) -> np.ndarray:
+    return np.array(vec, dtype=float) / math.sqrt(sum(x * x for x in vec))
+
+
+_SINGLES = {label: _normalised(vec) for label, vec in INT_SINGLES.items()}
+_BELLS = {label: _normalised(vec) for label, vec in INT_BELLS.items()}
 
 
 def make_single(label: str) -> PureState:

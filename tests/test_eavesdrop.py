@@ -2,7 +2,7 @@
 
 The wrong-pair numbers are checked against a brute-force oracle built from
 explicit 16x16 projectors and permutation matrices, a deliberately different
-construction from the implementation's axis reordering.
+construction from the implementation's integer einsum.
 """
 
 import math
@@ -60,6 +60,18 @@ def oracle_wrong_pair(prepared, eve_pair):
     return joint, 1.0 - joint[prep, prep]
 
 
+def _oracle_given_eve(prepared, eve_pair, eve_label):
+    """Eve's outcome probability and the receiver's joint with it, from projectors alone."""
+    bell = make_bell(prepared).amplitudes
+    collapsed = _bell_projector(eve_label, tuple(q - 1 for q in eve_pair)) @ np.kron(bell, bell)
+    joint = np.zeros((4, 4))
+    for i, l12 in enumerate(BELL_LABELS):
+        for j, l34 in enumerate(BELL_LABELS):
+            hit = _bell_projector(l12, (0, 1)) @ _bell_projector(l34, (2, 3)) @ collapsed
+            joint[i, j] = np.vdot(hit, hit).real
+    return float(np.vdot(collapsed, collapsed).real), joint
+
+
 # ---------------------------------------------------------------------------
 # intercept-resend
 # ---------------------------------------------------------------------------
@@ -108,6 +120,8 @@ def test_correct_pair_leaves_no_trace():
     outcome = wrong_pair_bell_attack("psi+", (1, 2))
     assert abs(outcome.detection_probability) < 1e-12
     assert outcome.outcome_distribution["psi+;psi+"] == pytest.approx(1.0, abs=1e-12)
+    assert outcome.detection_probability == 0.0
+    assert outcome.outcome_distribution["psi+;psi+"] == 1.0
 
 
 def test_wrong_pair_matches_brute_force_oracle():
@@ -127,6 +141,7 @@ def test_wrong_pair_detection_is_three_quarters():
     # outcomes leaves the receiver passing with probability 1/4
     outcome = wrong_pair_bell_attack("psi+", (2, 3))
     assert outcome.detection_probability == pytest.approx(0.75, abs=1e-12)
+    assert outcome.detection_probability == 0.75
 
 
 def test_wrong_pair_detection_is_label_independent():
@@ -145,9 +160,30 @@ def test_wrong_pair_distribution_sums_to_one():
 def test_wrong_pair_conditional_on_eve_outcome():
     outcome = wrong_pair_bell_attack("psi+", (2, 3), eve_outcome="psi+")
     assert outcome.detection_probability == pytest.approx(0.75, abs=1e-12)
+    assert outcome.detection_probability == 0.75
     # the post-swap receiver outcomes are perfectly correlated
     for label in BELL_LABELS:
         assert outcome.outcome_distribution[f"{label};{label}"] == pytest.approx(0.25, abs=1e-12)
+        assert outcome.outcome_distribution[f"{label};{label}"] == 0.25
+
+
+@pytest.mark.parametrize("eve_outcome", (None,) + BELL_LABELS)
+@pytest.mark.parametrize("eve_pair", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("bell", BELL_LABELS)
+def test_exact_distributions_are_in_64ths_with_the_oracle_zeros(bell, eve_pair, eve_outcome):
+    if eve_outcome is None:
+        oracle, _ = oracle_wrong_pair(bell, eve_pair)
+    else:
+        p_eve, oracle = _oracle_given_eve(bell, eve_pair, eve_outcome)
+        if p_eve < 1e-12:
+            with pytest.raises(ValueError, match="zero probability"):
+                wrong_pair_bell_attack(bell, eve_pair, eve_outcome=eve_outcome)
+            return
+    outcome = wrong_pair_bell_attack(bell, eve_pair, eve_outcome=eve_outcome)
+    probs = np.array(list(outcome.outcome_distribution.values()))
+    assert all((64 * p).is_integer() for p in probs)
+    assert (64 * outcome.detection_probability).is_integer()
+    np.testing.assert_array_equal(probs.reshape(4, 4) < 1e-12, oracle < 1e-12)
 
 
 def test_wrong_pair_monte_carlo():
@@ -183,8 +219,9 @@ def test_wrong_pair_mc_counts_match_generator_choice(bell, eve_pair):
 
 
 def test_wrong_pair_rejects_bad_input():
-    with pytest.raises(ValueError, match="eve_pair"):
-        wrong_pair_bell_attack("psi+", (1, 3))
+    for eve_pair in [(1, 3), (1.9, 2.2), (2.7, 3.5), 23, "23", (2, 3, 4)]:
+        with pytest.raises(ValueError, match="eve_pair must be one of"):
+            wrong_pair_bell_attack("psi+", eve_pair)
     with pytest.raises(ValueError, match="Bell label"):
         wrong_pair_bell_attack("bell", (2, 3))
     with pytest.raises(ValueError, match="Bell label"):

@@ -34,6 +34,8 @@ SQ2 = np.sqrt(2.0)
 )
 def test_make_single(label, expected):
     np.testing.assert_allclose(make_single(label).amplitudes, expected, atol=ATOL)
+    # bit-identical to the literal, so no fidelity digit depends on how it is built
+    assert make_single(label).amplitudes.tobytes() == np.array(expected, dtype=complex).tobytes()
 
 
 def test_make_single_unknown_label():
@@ -53,6 +55,7 @@ def test_make_single_unknown_label():
 def test_make_bell_uses_parallel_spin_labeling(label, expected):
     # psi is the parallel pair here, phi the anti-parallel one
     np.testing.assert_allclose(make_bell(label).amplitudes, expected, atol=ATOL)
+    assert make_bell(label).amplitudes.tobytes() == np.array(expected, dtype=complex).tobytes()
 
 
 def test_make_bell_unknown_label():

@@ -547,6 +547,10 @@ def test_missing_command_is_bad_usage(capsys):
     [
         ("ad_sweep_golden.csv", ["--noise", "ad", "--schemes", "bb84,psi+,phi+,cluster"]),
         ("cr_sweep_golden.csv", ["--noise", "cr", "--schemes", "psi-,cluster,w"]),
+        ("pd_sweep_golden.csv", ["--noise", "pd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w"]),
+        ("cd_sweep_golden.csv", ["--noise", "cd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w"]),
+        ("ad_rest_sweep_golden.csv", ["--noise", "ad", "--schemes", "psi-,phi-,w"]),
+        ("cr_rest_sweep_golden.csv", ["--noise", "cr", "--schemes", "bb84,psi+,phi+,phi-"]),
     ],
 )
 def test_sweep_matches_golden_file(tmp_path, golden, args):

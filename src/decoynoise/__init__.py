@@ -5,17 +5,10 @@ collective rotation acting on the decoy states used for eavesdropping checks
 (single qubits in two mutually unbiased bases, Bell-pair copies, the four
 qubit cluster state and the W state), verifies the closed-form fidelity
 expressions against a pure-state simulation kernel, and ranks the schemes per
-channel.
+channel. A scheme is its label, one of SCHEMES.
 """
 
-from .analysis import (
-    Ranking,
-    SweepSpec,
-    find_crossover,
-    is_decoherence_free,
-    recommend,
-    sweep,
-)
+from .analysis import Ranking, SweepSpec, find_crossover, recommend, sweep
 from .channels import (
     AmplitudeDamping,
     CollectiveDephasing,
@@ -35,28 +28,8 @@ from .eavesdrop import AttackOutcome, intercept_resend_bb84, wrong_pair_bell_att
 
 # the overlap metric itself lives at decoynoise.fidelity.fidelity; re-exporting
 # the bare name here would shadow the submodule
-from .fidelity import (
-    FidelityReport,
-    bb84_average_fidelity,
-    closed_form,
-    conventional_fidelity,
-    scheme_fidelity,
-    simulate_fidelity,
-    verify_table,
-)
+from .fidelity import FidelityReport, scheme_fidelity, verify_table
 from .linalg import DensityMatrix, PureState, conjugate_apply, tensor_product
-from .states import (
-    BB84Average,
-    BB84Product,
-    BellPair,
-    Cluster,
-    DecoyScheme,
-    WState,
-    make_bell,
-    make_cluster,
-    make_decoy_state,
-    make_single,
-    make_w,
-)
+from .states import SCHEMES
 
 __version__ = "0.1.0"

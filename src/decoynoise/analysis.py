@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NoiseModel, parameter_range
-from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_fidelity, grid_report, scheme_fidelity
-from .states import DecoyScheme, scheme_label
+from .channels import NoiseModel
+from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_report, scheme_fidelity
 
 # Fidelities closer than this are reported as a tie; well above simulation
 # noise (~1e-15) and well below any genuine fidelity gap between schemes.
@@ -31,7 +30,7 @@ BISECT_DEPTH = 4
 class SweepSpec:
     """A uniform parameter sweep of one noise family over a set of schemes."""
 
-    schemes: tuple[DecoyScheme, ...]
+    schemes: tuple[str, ...]
     family: type
     start: float
     end: float
@@ -53,8 +52,8 @@ def sweep(spec: SweepSpec) -> list[FidelityReport]:
 
 
 def find_crossover(
-    a: DecoyScheme,
-    b: DecoyScheme,
+    a: str,
+    b: str,
     family: type,
     lo: float,
     hi: float,
@@ -110,24 +109,6 @@ def find_crossover(
     return 0.5 * (lo + hi)
 
 
-def is_decoherence_free(
-    scheme: DecoyScheme,
-    family: type,
-    samples: int = 32,
-    tol: float = 1e-9,
-) -> bool:
-    """True if the scheme keeps fidelity 1 at every sampled noise parameter.
-
-    Samples uniformly over the family's natural range ([0, 1] for damping
-    rates, [0, 2 pi] for collective angles).
-    """
-    if samples < 8:
-        raise ValueError(f"need at least 8 samples, got {samples}")
-    lo, hi = parameter_range(family)
-    grid = np.linspace(lo, hi, samples)
-    return bool(np.all(np.abs(grid_fidelity(scheme, family, grid) - 1.0) < tol))
-
-
 @dataclass(frozen=True)
 class Ranking:
     """Schemes ordered by fidelity under one noise model, best first.
@@ -138,8 +119,8 @@ class Ranking:
     """
 
     noise: NoiseModel
-    ordered: tuple[tuple[DecoyScheme, float], ...]
-    ties: tuple[tuple[DecoyScheme, ...], ...]
+    ordered: tuple[tuple[str, float], ...]
+    ties: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         values = [f for _, f in self.ordered]
@@ -147,7 +128,7 @@ class Ranking:
             raise ValueError("ranking is not non-increasing in fidelity")
 
 
-def recommend(noise: NoiseModel, schemes: tuple[DecoyScheme, ...] | None = None) -> Ranking:
+def recommend(noise: NoiseModel, schemes: tuple[str, ...] | None = None) -> Ranking:
     """Rank schemes by simulated fidelity under the given noise model.
 
     The ordering is canonical (fidelity descending, then scheme label), so it
@@ -156,8 +137,8 @@ def recommend(noise: NoiseModel, schemes: tuple[DecoyScheme, ...] | None = None)
     if schemes is None:
         schemes = TABLE_SCHEMES
     scored = [(scheme, scheme_fidelity(scheme, noise)) for scheme in schemes]
-    scored.sort(key=lambda pair: (-pair[1], scheme_label(pair[0])))
-    groups: list[list[DecoyScheme]] = []
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    groups: list[list[str]] = []
     last_fid = None
     for scheme, fid in scored:
         if last_fid is None or abs(fid - last_fid) >= TIE_TOL:
@@ -167,5 +148,5 @@ def recommend(noise: NoiseModel, schemes: tuple[DecoyScheme, ...] | None = None)
     return Ranking(
         noise=noise,
         ordered=tuple(scored),
-        ties=tuple(tuple(sorted(group, key=scheme_label)) for group in groups),
+        ties=tuple(tuple(sorted(group)) for group in groups),
     )

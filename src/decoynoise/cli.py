@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
 from .fidelity import TABLE_SCHEMES, verify_table
-from .states import BELL_LABELS, WState, parse_scheme, scheme_label
+from .states import BELL_LABELS, SCHEMES, check_scheme
 
 # A closed form drifting this far from simulation signals a regression.
 REGRESSION_TOL = 1e-9
@@ -119,10 +119,7 @@ def _parse_schemes(text: str):
     labels = [item.strip() for item in text.split(",") if item.strip()]
     if not labels:
         raise CliError("no schemes given")
-    try:
-        return tuple(parse_scheme(label) for label in labels)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return tuple(check_scheme(label) for label in labels)
 
 
 def _noise_value(args) -> float:
@@ -146,11 +143,11 @@ def _cmd_verify_table(args):
     at = worst.grid[abs(worst.simulated - worst.closed_form).argmax()]
     print(
         f"{len(reports)} cells checked, worst deviation {worst.max_abs_deviation:.3e} at "
-        f"{scheme_label(worst.scheme)} {worst.noise} {_PARAM_FLAGS[worst.noise]}={_fmt(at)}",
+        f"{worst.scheme} {worst.noise} {_PARAM_FLAGS[worst.noise]}={_fmt(at)}",
         file=sys.stderr,
     )
     rows = [["scheme", "noise", "max_abs_deviation"]]
-    rows += ([scheme_label(r.scheme), r.noise, _fmt(r.max_abs_deviation)] for r in reports)
+    rows += ([r.scheme, r.noise, _fmt(r.max_abs_deviation)] for r in reports)
     return 2 if worst.max_abs_deviation >= REGRESSION_TOL else 0, rows
 
 
@@ -193,7 +190,7 @@ def _sweep_blocks(reports):
         text = iter(np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[index].tolist())
         for (report, _), columns in zip(block, pieces):
             fields = [list(itertools.islice(text, len(column))) for column in columns]
-            lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
+            lead = [itertools.repeat(report.scheme), itertools.repeat(report.noise)]
             yield zip(*lead, *fields, *[itertools.repeat("")] * (4 - len(columns)))
 
 
@@ -213,30 +210,23 @@ def _cmd_sweep(args):
 
 def _cmd_recommend(args):
     noise = FAMILIES[args.noise](_noise_value(args))
-    schemes = TABLE_SCHEMES
-    if args.include_w:
-        schemes = schemes + (WState(),)
-    ranking = analysis.recommend(noise, schemes)
+    ranking = analysis.recommend(noise, SCHEMES if args.include_w else TABLE_SCHEMES)
     fid_by_scheme = dict(ranking.ordered)
     rows = [["rank", "scheme", "fidelity"]]
     rank = 1
     for group in ranking.ties:
-        rows += ([str(rank), scheme_label(scheme), _fmt(fid_by_scheme[scheme])] for scheme in group)
+        rows += ([str(rank), scheme, _fmt(fid_by_scheme[scheme])] for scheme in group)
         rank += len(group)
     return 0, rows
 
 
 def _cmd_crossover(args):
     family = FAMILIES[args.noise]
-    try:
-        a = parse_scheme(args.a)
-        b = parse_scheme(args.b)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    a, b = check_scheme(args.a), check_scheme(args.b)
     root = analysis.find_crossover(a, b, family, args.lo, args.hi)
     return 0, [
         ["scheme_a", "scheme_b", "noise", "crossover"],
-        [scheme_label(a), scheme_label(b), args.noise, _fmt(root)],
+        [a, b, args.noise, _fmt(root)],
     ]
 
 

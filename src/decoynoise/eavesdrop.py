@@ -209,11 +209,3 @@ def wrong_pair_bell_attack(
     }
     detection = 1.0 - counts[4 * prep + prep] / trials
     return AttackOutcome(detection, dist, "mc", trials=trials, seed=seed)
-
-
-def all_label_detections(eve_pair: tuple[int, int] = (2, 3)) -> dict[str, float]:
-    """Exact detection probability per prepared Bell label, for symmetry checks."""
-    return {
-        lab: wrong_pair_bell_attack(lab, eve_pair).detection_probability
-        for lab in BELL_LABELS
-    }

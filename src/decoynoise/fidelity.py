@@ -3,7 +3,7 @@
 The comparison metric throughout is F = <psi| rho_k |psi>, the overlap of the
 prepared pure state with the channel output. For a pure reference this is the
 square of the conventional fidelity F_c(sigma, rho) = Tr sqrt(sqrt(sigma) rho
-sqrt(sigma)); both are provided.
+sqrt(sigma)). A scheme is its label in states.SCHEMES.
 
 Simulation compiles each (scheme, channel family) pair into a polynomial.
 Every channel acts on every qubit with one Pauli transfer matrix R(p) = A0 +
@@ -16,10 +16,9 @@ single-qubit polynomials over 0, 1, +, -)^4.
 compile_fidelity is memoised, so each (scheme, family) pair is compiled once
 per process and a one-point evaluation (recommend, each bisection round) pays
 only for the evaluation. The polynomial depends on that pair alone, and the
-key set is finite: 7 schemes x 4 families through the CLI, at most 263 x 4
-through the API (256 BB84 products, the average, 4 Bell pairs, cluster and W).
-Nothing is evicted or invalidated; the compiled function holds only its
-coefficients. An unknown family raises ValueError, which is not memoised.
+key set is finite: 7 schemes x 4 families. Nothing is evicted or
+invalidated; the compiled function holds only its coefficients. An unknown
+scheme or family raises ValueError, which is not memoised.
 
 closed_form_grid evaluates the known closed forms over a whole grid, and
 verify_table checks each (scheme, channel family) combination that has one
@@ -42,9 +41,8 @@ Simulation never uses these expressions, so verify_table compares two derivation
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,28 +57,11 @@ from .channels import (
     transfer_weights,
 )
 from .linalg import ATOL, MAX_QUBITS, DensityMatrix, PureState
-from .states import (
-    BB84Average,
-    BB84Product,
-    BellPair,
-    Cluster,
-    DecoyScheme,
-    SINGLE_LABELS,
-    WState,
-    make_decoy_state,
-    make_single,
-)
+from .states import AMPLITUDES, SCHEMES, SINGLES, check_scheme
 
-# Schemes that have a closed-form fidelity for every channel family; also the
-# default set that analysis.recommend ranks.
-TABLE_SCHEMES: tuple[DecoyScheme, ...] = (
-    BB84Average(),
-    BellPair("psi+"),
-    BellPair("psi-"),
-    BellPair("phi+"),
-    BellPair("phi-"),
-    Cluster(),
-)
+# Schemes that have a closed-form fidelity for every channel family, all but
+# w; also the default set that analysis.recommend ranks.
+TABLE_SCHEMES = SCHEMES[:-1]
 
 # A compiled fidelity keeps its coefficient c_jk at index j * _DEGREES + k.
 _DEGREES = MAX_QUBITS + 1
@@ -135,13 +116,8 @@ def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     return float(value.real)
 
 
-def conventional_fidelity(psi: PureState, rho: DensityMatrix) -> float:
-    """Conventional fidelity against a pure reference: sqrt(<psi| rho |psi>)."""
-    return math.sqrt(max(fidelity(psi, rho), 0.0))
-
-
 @functools.cache
-def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndarray]:
+def compile_fidelity(scheme: str, family: type) -> Callable[..., np.ndarray]:
     """The fidelity of one scheme under one noise family, as a function of the parameter grid.
 
     The Pauli vector r_P = <psi|P|psi>, and then the coefficients of F =
@@ -153,13 +129,13 @@ def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndar
     """
     if family not in _TRANSFER_POWERS:
         raise ValueError(f"unknown noise family {family!r}")
-    if isinstance(scheme, BB84Average):
-        states, power = [make_single(label) for label in SINGLE_LABELS], 4
+    if check_scheme(scheme) == "bb84":
+        states, power = list(SINGLES.values()), 4
     else:
-        states, power = [make_decoy_state(scheme)], 1
-    count, n = len(states), states[0].n_qubits
+        states, power = [AMPLITUDES[scheme]], 1
+    count, n = len(states), len(states[0]).bit_length() - 1
     half = (n + 1) // 2
-    psi = np.array([state.amplitudes for state in states]).reshape(count, 2**half, -1)
+    psi = np.array(states, dtype=complex).reshape(count, 2**half, -1)
     r = _bilinear(psi, _PAULI_STRINGS[half], _PAULI_STRINGS[n - half]).real
     (left, left_monomials), (right, right_monomials) = (_TRANSFER_POWERS[family][c] for c in (half, n - half))
     products = _bilinear(r, left, right).sum(axis=0) / (count * 2**n)
@@ -175,94 +151,58 @@ def compile_fidelity(scheme: DecoyScheme, family: type) -> Callable[..., np.ndar
     return fidelity_over
 
 
-def grid_fidelity(scheme: DecoyScheme, family: type, grid) -> np.ndarray:
-    """Simulated fidelity of one scheme at every point of a parameter grid."""
-    return compile_fidelity(scheme, family)(grid)
+def scheme_fidelity(scheme: str, noise: NoiseModel) -> float:
+    """Simulated fidelity of a scheme under one noise model."""
+    return float(compile_fidelity(scheme, type(noise))([parameter_of(noise)])[0])
 
 
-def scheme_fidelity(scheme: DecoyScheme, noise: NoiseModel) -> float:
-    """Simulated fidelity for any scheme, including the BB84 average."""
-    return float(grid_fidelity(scheme, type(noise), [parameter_of(noise)])[0])
-
-
-def simulate_fidelity(scheme: DecoyScheme, noise: NoiseModel) -> float:
-    """Simulated fidelity of the decoy state of one scheme."""
-    if isinstance(scheme, BB84Average):
-        raise ValueError("BB84Average has no single state; use bb84_average_fidelity")
-    return scheme_fidelity(scheme, noise)
-
-
-def bb84_average_fidelity(noise: NoiseModel) -> float:
-    """Mean fidelity over all 4^4 = 256 four-qubit product decoy strings.
-
-    Exact: every string is a product state and every channel acts qubit by
-    qubit, so the average factorises into single-qubit fidelities.
-    """
-    return scheme_fidelity(BB84Average(), noise)
-
-
-def closed_form_grid(scheme: DecoyScheme, family: type, grid) -> np.ndarray | None:
+def closed_form_grid(scheme: str, family: type, grid) -> np.ndarray | None:
     """The known closed-form fidelity of a scheme at every point of a grid.
 
-    None for the schemes without one: the W state and individual BB84
-    product strings, which are covered by simulation only.
+    None for the W state, which is covered by simulation only.
     """
     x = parameter_grid(family, grid)
-    match scheme, family_tag(family):
-        case BB84Average(), "ad":
+    match check_scheme(scheme), family_tag(family):
+        case "bb84", "ad":
             return (3.0 + np.sqrt(1.0 - x) - x) ** 4 / 256.0
-        case BB84Average(), "pd":
+        case "bb84", "pd":
             return (x - 4.0) ** 4 / 256.0
-        case BB84Average(), "cd":
+        case "bb84", "cd":
             return (3.0 + np.cos(x)) ** 4 / 256.0
-        case BB84Average() | Cluster(), "cr":
+        case "bb84" | "cluster", "cr":
             return np.cos(x) ** 8
-        case (BellPair(label="psi+" | "psi-"), "ad") | (BellPair() | Cluster(), "pd"):
+        case ("psi+" | "psi-", "ad") | ("psi+" | "psi-" | "phi+" | "phi-" | "cluster", "pd"):
             return (2.0 - 2.0 * x + x * x) ** 2 / 4.0
-        case BellPair(label="phi+" | "phi-"), "ad":
+        case "phi+" | "phi-", "ad":
             return (1.0 - x) ** 2
-        case BellPair(label="psi+" | "psi-") | Cluster(), "cd":
+        case "psi+" | "psi-" | "cluster", "cd":
             return np.cos(x) ** 4
-        case (BellPair(label="phi+" | "phi-"), "cd") | (BellPair(label="psi+" | "phi-"), "cr"):
+        case ("phi+" | "phi-", "cd") | ("psi+" | "phi-", "cr"):
             return np.ones_like(x)
-        case BellPair(label="psi-" | "phi+"), "cr":
+        case "psi-" | "phi+", "cr":
             return np.cos(2.0 * x) ** 4
-        case Cluster(), "ad":
+        case "cluster", "ad":
             return (4.0 - 8.0 * x + 6.0 * x**2 - 2.0 * x**3 + x**4) / 4.0
-        case WState() | BB84Product(), _:
-            return None
-    raise ValueError(f"no closed form for scheme {scheme!r}")
-
-
-def closed_form(scheme: DecoyScheme, noise: NoiseModel) -> float:
-    """Evaluate the known closed-form fidelity for a (scheme, noise) pair.
-
-    Individual BB84 product strings and the W state have no closed form and
-    are rejected; they are covered by simulation only.
-    """
-    closed = closed_form_grid(scheme, type(noise), [parameter_of(noise)])
-    if closed is None and isinstance(scheme, WState):
-        raise ValueError("the W state has no closed-form fidelity expression")
-    if closed is None:
-        raise ValueError("individual BB84 product strings have no closed form; only the average does")
-    return float(closed[0])
+    # the W state, the one scheme left
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class FidelityReport:
     """Simulated-vs-closed-form fidelities for one scheme over a parameter grid.
 
-    grid, simulated and closed_form are stored as read-only float arrays.
-    closed_form and max_abs_deviation are None for schemes without a known
-    expression (the W state).
+    grid, simulated and closed_form are stored as read-only float arrays, and
+    max_abs_deviation is derived from the last two. closed_form and
+    max_abs_deviation are None for schemes without a known expression (the W
+    state).
     """
 
-    scheme: DecoyScheme
+    scheme: str
     noise: str
     grid: np.ndarray
     simulated: np.ndarray
     closed_form: np.ndarray | None
-    max_abs_deviation: float | None
+    max_abs_deviation: float | None = field(init=False)
 
     def __post_init__(self):
         for name in ("grid", "simulated", "closed_form"):
@@ -275,21 +215,18 @@ class FidelityReport:
             raise ValueError(f"simulated fidelity {self.simulated[outside][0]} outside [0, 1]")
         if len({a.shape for a in (self.grid, self.simulated, self.closed_form) if a is not None}) != 1:
             raise ValueError("grid, simulated and closed_form differ in length")
-        if self.closed_form is not None and self.max_abs_deviation != np.max(np.abs(self.simulated - self.closed_form)):
-            raise ValueError("max_abs_deviation does not match the stored grids")
+        deviation = None if self.closed_form is None else float(np.max(np.abs(self.simulated - self.closed_form)))
+        object.__setattr__(self, "max_abs_deviation", deviation)
 
 
-def grid_report(scheme: DecoyScheme, family: type, grid) -> FidelityReport:
+def grid_report(scheme: str, family: type, grid) -> FidelityReport:
     """Simulate one scheme across a parameter grid, with closed forms when known."""
-    simulated = grid_fidelity(scheme, family, grid)
-    closed = closed_form_grid(scheme, family, grid)
     return FidelityReport(
         scheme=scheme,
         noise=family_tag(family),
         grid=grid,
-        simulated=simulated,
-        closed_form=closed,
-        max_abs_deviation=None if closed is None else float(np.max(np.abs(simulated - closed))),
+        simulated=compile_fidelity(scheme, family)(grid),
+        closed_form=closed_form_grid(scheme, family, grid),
     )
 
 

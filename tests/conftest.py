@@ -1,6 +1,12 @@
 import numpy as np
 
 from decoynoise.linalg import DensityMatrix, PureState
+from decoynoise.states import INT_BELLS
+
+
+def bell_state(label):
+    """One Bell state: the integer vector of states.INT_BELLS, normalised."""
+    return PureState(np.array(INT_BELLS[label]) / np.sqrt(2.0))
 
 
 def random_pure_state(rng, n):

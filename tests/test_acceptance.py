@@ -22,18 +22,9 @@ from decoynoise.channels import (
     kraus_pd,
 )
 from decoynoise.cli import run
-from decoynoise.eavesdrop import (
-    all_label_detections,
-    intercept_resend_bb84,
-    wrong_pair_bell_attack,
-)
-from decoynoise.fidelity import (
-    bb84_average_fidelity,
-    closed_form,
-    simulate_fidelity,
-    verify_table,
-)
-from decoynoise.states import BB84Average, BellPair, Cluster, WState
+from decoynoise.eavesdrop import intercept_resend_bb84, wrong_pair_bell_attack
+from decoynoise.fidelity import closed_form_grid, compile_fidelity, scheme_fidelity, verify_table
+from decoynoise.states import BELL_LABELS
 
 from conftest import random_density
 from test_eavesdrop import oracle_wrong_pair
@@ -58,22 +49,21 @@ def test_criterion_1_table_oracle_equivalence():
 
 def test_criterion_2_decoherence_free_suite():
     cases = [
-        (BellPair("phi+"), CollectiveDephasing, np.linspace(0, 2 * np.pi, 21)),
-        (BellPair("phi-"), CollectiveDephasing, np.linspace(0, 2 * np.pi, 21)),
-        (BellPair("psi+"), CollectiveRotation, np.linspace(0, 2 * np.pi, 21)),
-        (BellPair("phi-"), CollectiveRotation, np.linspace(0, 2 * np.pi, 21)),
-        (WState(), CollectiveDephasing, np.linspace(0, 2 * np.pi, 21)),
+        ("phi+", CollectiveDephasing, np.linspace(0, 2 * np.pi, 21)),
+        ("phi-", CollectiveDephasing, np.linspace(0, 2 * np.pi, 21)),
+        ("psi+", CollectiveRotation, np.linspace(0, 2 * np.pi, 21)),
+        ("phi-", CollectiveRotation, np.linspace(0, 2 * np.pi, 21)),
+        ("w", CollectiveDephasing, np.linspace(0, 2 * np.pi, 21)),
     ]
     for scheme, family, grid in cases:
-        for p in grid:
-            assert simulate_fidelity(scheme, family(p)) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(compile_fidelity(scheme, family)(grid) - 1.0).max() <= 1e-12
     _ok(2, "five decoherence-free (scheme, channel) pairs hold fidelity 1")
 
 
 def test_criterion_3_pd_equivalence():
-    entangled = [BellPair(lab) for lab in ("psi+", "psi-", "phi+", "phi-")] + [Cluster()]
+    entangled = ["psi+", "psi-", "phi+", "phi-", "cluster"]
     for eta in np.linspace(0.0, 1.0, 21):
-        values = [simulate_fidelity(s, PhaseDamping(eta)) for s in entangled]
+        values = [scheme_fidelity(s, PhaseDamping(eta)) for s in entangled]
         assert max(values) - min(values) <= 1e-12
     _ok(3, "all five entangled schemes agree under phase damping")
 
@@ -81,37 +71,29 @@ def test_criterion_3_pd_equivalence():
 def test_criterion_4_cr_equivalence():
     for theta in np.linspace(0.0, 2 * np.pi, 21):
         noise = CollectiveRotation(theta)
-        assert abs(bb84_average_fidelity(noise) - simulate_fidelity(Cluster(), noise)) <= 1e-12
-        assert abs(
-            simulate_fidelity(BellPair("psi-"), noise) - simulate_fidelity(BellPair("phi+"), noise)
-        ) <= 1e-12
+        assert abs(scheme_fidelity("bb84", noise) - scheme_fidelity("cluster", noise)) <= 1e-12
+        assert abs(scheme_fidelity("psi-", noise) - scheme_fidelity("phi+", noise)) <= 1e-12
     _ok(4, "BB84 average equals cluster and psi- equals phi+ under rotation")
 
 
 def test_criterion_5_ad_ordering():
     for eta in np.arange(0.05, 0.96, 0.05):
         noise = AmplitudeDamping(float(eta))
-        psi = simulate_fidelity(BellPair("psi+"), noise)
-        cluster = simulate_fidelity(Cluster(), noise)
-        phi = simulate_fidelity(BellPair("phi+"), noise)
+        psi = scheme_fidelity("psi+", noise)
+        cluster = scheme_fidelity("cluster", noise)
+        phi = scheme_fidelity("phi+", noise)
         assert psi > cluster > phi
-    assert simulate_fidelity(BellPair("psi+"), AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
-    assert simulate_fidelity(Cluster(), AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
+    assert scheme_fidelity("psi+", AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
+    assert scheme_fidelity("cluster", AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
     _ok(5, "psi > cluster > phi strictly on (0,1) and both hit 0.25 at eta=1")
 
 
 def test_criterion_6_ad_crossover():
-    root = find_crossover(BB84Average(), BellPair("psi+"), AmplitudeDamping, 0.3, 0.9)
+    root = find_crossover("bb84", "psi+", AmplitudeDamping, 0.3, 0.9)
     assert 0.5 <= root <= 0.65
     assert abs(root - 0.583) <= 0.01
     grid = np.arange(0.5, 0.65, 1e-4)
-    diffs = np.array(
-        [
-            closed_form(BB84Average(), AmplitudeDamping(e))
-            - closed_form(BellPair("psi+"), AmplitudeDamping(e))
-            for e in grid
-        ]
-    )
+    diffs = closed_form_grid("bb84", AmplitudeDamping, grid) - closed_form_grid("psi+", AmplitudeDamping, grid)
     flip = int(np.nonzero(np.sign(diffs[1:]) != np.sign(diffs[:-1]))[0][0])
     assert abs(root - grid[flip]) < 1e-3
     _ok(6, f"crossover at {root:.4f}, confirmed by the 1e-4-step scan")
@@ -122,7 +104,7 @@ def test_criterion_7_eavesdropping():
     _, oracle_value = oracle_wrong_pair("psi+", (2, 3))
     impl = wrong_pair_bell_attack("psi+", (2, 3)).detection_probability
     assert abs(impl - oracle_value) < 1e-12
-    detections = list(all_label_detections((2, 3)).values())
+    detections = [wrong_pair_bell_attack(label, (2, 3)).detection_probability for label in BELL_LABELS]
     assert all(abs(d - detections[0]) < 1e-12 for d in detections)
     _ok(7, f"intercept rate 0.25 exactly; wrong-pair detection {impl:.4f} matches the oracle")
 
@@ -161,7 +143,7 @@ def test_criterion_9_cli_determinism_and_mutation(tmp_path, capsys, monkeypatch)
 
     def skewed(scheme, family, grid):
         value = true_form(scheme, family, grid)
-        if isinstance(scheme, BB84Average) and family is PhaseDamping:
+        if scheme == "bb84" and family is PhaseDamping:
             value += 1e-6
         return value
 

@@ -1,4 +1,4 @@
-"""Sweeps, crossover root finding, decoherence-free detection and ranking."""
+"""Sweeps, crossover root finding, decoherence-free schemes and ranking."""
 
 import itertools
 import math
@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 import decoynoise.analysis
 import decoynoise.fidelity
-from decoynoise.analysis import (
-    SweepSpec,
-    find_crossover,
-    is_decoherence_free,
-    recommend,
-    sweep,
-)
+from decoynoise.analysis import SweepSpec, find_crossover, recommend, sweep
 from decoynoise.channels import (
     AmplitudeDamping,
     CollectiveDephasing,
@@ -24,19 +18,26 @@ from decoynoise.channels import (
     PhaseDamping,
     parameter_range,
 )
-from decoynoise.fidelity import TABLE_SCHEMES, closed_form, grid_fidelity, scheme_fidelity, verify_table
-from decoynoise.states import BB84Average, BellPair, Cluster, WState, scheme_label
+from decoynoise.fidelity import (
+    TABLE_SCHEMES,
+    closed_form_grid,
+    compile_fidelity,
+    grid_report,
+    scheme_fidelity,
+    verify_table,
+)
+from decoynoise.states import SCHEMES
 
 
 def test_sweep_ad_ordering_between_entangled_schemes():
     spec = SweepSpec(
-        schemes=(BB84Average(), BellPair("psi+"), BellPair("phi+"), Cluster()),
+        schemes=("bb84", "psi+", "phi+", "cluster"),
         family=AmplitudeDamping,
         start=0.0,
         end=1.0,
         points=101,
     )
-    by_label = {scheme_label(r.scheme): r for r in sweep(spec)}
+    by_label = {r.scheme: r for r in sweep(spec)}
     psi, phi, cluster = by_label["psi+"], by_label["phi+"], by_label["cluster"]
     for i, eta in enumerate(psi.grid):
         if 0.0 < eta < 1.0:
@@ -44,7 +45,7 @@ def test_sweep_ad_ordering_between_entangled_schemes():
 
 
 def test_sweep_reports_closed_forms_and_grid():
-    spec = SweepSpec((BellPair("psi+"), WState()), CollectiveDephasing, 0.0, np.pi, 5)
+    spec = SweepSpec(("psi+", "w"), CollectiveDephasing, 0.0, np.pi, 5)
     reports = sweep(spec)
     assert reports[0].grid.tolist() == [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]
     assert reports[0].closed_form is not None
@@ -54,32 +55,26 @@ def test_sweep_reports_closed_forms_and_grid():
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="points"):
-        SweepSpec((Cluster(),), AmplitudeDamping, 0.0, 1.0, 1)
+        SweepSpec(("cluster",), AmplitudeDamping, 0.0, 1.0, 1)
     with pytest.raises(ValueError, match="start"):
-        SweepSpec((Cluster(),), AmplitudeDamping, 1.0, 0.0, 5)
+        SweepSpec(("cluster",), AmplitudeDamping, 1.0, 0.0, 5)
 
 
 def test_ad_crossover_between_bb84_and_parallel_bell():
-    root = find_crossover(BB84Average(), BellPair("psi+"), AmplitudeDamping, 0.3, 0.9)
+    root = find_crossover("bb84", "psi+", AmplitudeDamping, 0.3, 0.9)
     assert 0.5 <= root <= 0.65
-    gap = scheme_fidelity(BB84Average(), AmplitudeDamping(root)) - scheme_fidelity(
-        BellPair("psi+"), AmplitudeDamping(root)
-    )
+    gap = scheme_fidelity("bb84", AmplitudeDamping(root)) - scheme_fidelity("psi+", AmplitudeDamping(root))
     assert abs(gap) < 1e-8
     # independent oracle: scan the closed forms at 1e-4 steps for the sign change
     grid = np.arange(0.3, 0.9, 1e-4)
-    diffs = [
-        closed_form(BB84Average(), AmplitudeDamping(e)) - closed_form(BellPair("psi+"), AmplitudeDamping(e))
-        for e in grid
-    ]
-    signs = np.sign(diffs)
+    signs = np.sign(closed_form_grid("bb84", AmplitudeDamping, grid) - closed_form_grid("psi+", AmplitudeDamping, grid))
     flip = int(np.nonzero(signs[1:] != signs[:-1])[0][0])
     assert abs(root - grid[flip]) < 1e-3
 
 
 def test_cr_crossover_between_antiparallel_bell_and_bb84():
     lo, hi = 0.1, np.pi / 2 - 0.1
-    root = find_crossover(BellPair("psi-"), BB84Average(), CollectiveRotation, lo, hi)
+    root = find_crossover("psi-", "bb84", CollectiveRotation, lo, hi)
     assert lo < root < hi
     # cos^4(2t) equals cos^8(t) at cos^2(t) = 1/3
     assert root == pytest.approx(math.acos(1 / math.sqrt(3)), abs=1e-8)
@@ -87,12 +82,12 @@ def test_cr_crossover_between_antiparallel_bell_and_bb84():
 
 def test_crossover_requires_sign_change():
     with pytest.raises(ValueError, match="no crossover"):
-        find_crossover(BellPair("phi-"), BellPair("phi-"), CollectiveRotation, 0.0, np.pi)
+        find_crossover("phi-", "phi-", CollectiveRotation, 0.0, np.pi)
 
 
 def test_crossover_rejects_empty_interval():
     with pytest.raises(ValueError, match="lo < hi"):
-        find_crossover(BB84Average(), Cluster(), AmplitudeDamping, 0.9, 0.3)
+        find_crossover("bb84", "cluster", AmplitudeDamping, 0.9, 0.3)
 
 
 def scalar_crossover(a, b, family, lo, hi, tol=1e-9):
@@ -132,12 +127,12 @@ def _crossing_cells():
     cells = {}
     for family in (AmplitudeDamping, PhaseDamping, CollectiveDephasing, CollectiveRotation):
         grid = np.linspace(*parameter_range(family), 401)
-        fids = {s: grid_fidelity(s, family, grid) for s in TABLE_SCHEMES + (WState(),)}
+        fids = {s: compile_fidelity(s, family)(grid) for s in SCHEMES}
         for a, b in itertools.combinations(fids, 2):
             gap = fids[a] - fids[b]
             if np.abs(gap).max() < 1e-9:
                 continue  # the pair is tied: every sign change is rounding noise
-            kind = "bb84" if BB84Average() in (a, b) else "cheap"
+            kind = "bb84" if "bb84" in (a, b) else "cheap"
             for i in np.nonzero(gap[:-1] * gap[1:] < 0.0)[0]:
                 cells.setdefault((family, kind), []).append((a, b, grid[i], grid[i + 1]))
     return cells
@@ -193,9 +188,9 @@ def _count_compiles(monkeypatch):
 @pytest.mark.parametrize(
     "a,b,family,lo,hi",
     [
-        (BB84Average(), BellPair("psi+"), AmplitudeDamping, 0.3, 0.9),
-        (BellPair("psi-"), Cluster(), CollectiveRotation, 0.5, 1.2),
-        (BellPair("psi+"), BB84Average(), CollectiveDephasing, 2.0, 2.4),
+        ("bb84", "psi+", AmplitudeDamping, 0.3, 0.9),
+        ("psi-", "cluster", CollectiveRotation, 0.5, 1.2),
+        ("psi+", "bb84", CollectiveDephasing, 2.0, 2.4),
     ],
 )
 def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, tol):
@@ -206,7 +201,7 @@ def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, 
 
 def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
     compiled = _count_compiles(monkeypatch)
-    schemes = TABLE_SCHEMES + (WState(),)
+    schemes = SCHEMES
     assert [report.scheme for report in sweep(SweepSpec(schemes, PhaseDamping, 0.0, 1.0, 600))] == list(schemes)
     assert compiled == list(schemes)
     compiled.clear()
@@ -218,11 +213,11 @@ def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
 
 def test_crossover_with_zero_tol_stops_at_neighbouring_floats():
     lo, hi = 0.8, 1.1
-    root = find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, lo, hi, tol=0.0)
+    root = find_crossover("psi-", "cluster", CollectiveRotation, lo, hi, tol=0.0)
     assert lo < root < hi
     assert root == pytest.approx(math.acos(1 / math.sqrt(3)), abs=1e-15)
     # a tolerance below the float spacing stops the same way
-    tiny = find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, lo, hi, tol=1e-300)
+    tiny = find_crossover("psi-", "cluster", CollectiveRotation, lo, hi, tol=1e-300)
     assert tiny == root
 
 
@@ -230,60 +225,60 @@ def test_crossover_rejects_brackets_whose_midpoints_could_overflow():
     # 0.5 and 1.02e308 bracket a crossing, but halving [7.7e307, 1.02e308]
     # would overflow to inf
     with pytest.raises(ValueError, match=r"2\*\*1023"):
-        find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, 0.5, 1.02e308)
+        find_crossover("psi-", "cluster", CollectiveRotation, 0.5, 1.02e308)
     with pytest.raises(ValueError, match=r"2\*\*1023"):
-        find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, 0.5, math.inf)
+        find_crossover("psi-", "cluster", CollectiveRotation, 0.5, math.inf)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
 def test_crossover_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
-        find_crossover(BellPair("psi-"), Cluster(), CollectiveRotation, 0.8, 1.1, tol=tol)
+        find_crossover("psi-", "cluster", CollectiveRotation, 0.8, 1.1, tol=tol)
+
+
+def _decoherence_free(scheme, family):
+    """The fidelity stays 1 at 32 points over the family's natural range."""
+    grid = np.linspace(*parameter_range(family), 32)
+    return bool(np.all(np.abs(compile_fidelity(scheme, family)(grid) - 1.0) < 1e-9))
 
 
 @pytest.mark.parametrize(
     "scheme,family",
     [
-        (BellPair("phi+"), CollectiveDephasing),
-        (BellPair("phi-"), CollectiveDephasing),
-        (BellPair("psi+"), CollectiveRotation),
-        (BellPair("phi-"), CollectiveRotation),
-        (WState(), CollectiveDephasing),
+        ("phi+", CollectiveDephasing),
+        ("phi-", CollectiveDephasing),
+        ("psi+", CollectiveRotation),
+        ("phi-", CollectiveRotation),
+        ("w", CollectiveDephasing),
     ],
 )
 def test_decoherence_free_states(scheme, family):
-    assert is_decoherence_free(scheme, family)
+    assert _decoherence_free(scheme, family)
 
 
 @pytest.mark.parametrize(
     "scheme,family",
     [
-        (BellPair("psi+"), CollectiveDephasing),
-        (BellPair("psi-"), CollectiveRotation),
-        (WState(), CollectiveRotation),
-        (Cluster(), AmplitudeDamping),
-        (BB84Average(), PhaseDamping),
+        ("psi+", CollectiveDephasing),
+        ("psi-", CollectiveRotation),
+        ("w", CollectiveRotation),
+        ("cluster", AmplitudeDamping),
+        ("bb84", PhaseDamping),
     ],
 )
 def test_not_decoherence_free(scheme, family):
-    assert not is_decoherence_free(scheme, family)
-
-
-def test_decoherence_free_needs_enough_samples():
-    with pytest.raises(ValueError, match="8"):
-        is_decoherence_free(BellPair("phi-"), CollectiveDephasing, samples=4)
+    assert not _decoherence_free(scheme, family)
 
 
 def test_decoherence_free_consistent_with_sweep():
-    spec = SweepSpec((BellPair("phi-"),), CollectiveDephasing, 0.0, 2 * np.pi, 33)
+    spec = SweepSpec(("phi-",), CollectiveDephasing, 0.0, 2 * np.pi, 33)
     (report,) = sweep(spec)
-    assert is_decoherence_free(BellPair("phi-"), CollectiveDephasing, samples=33)
     assert max(abs(f - 1.0) for f in report.simulated) < 1e-9
 
 
 def test_recommend_cr_top_tie_group():
     ranking = recommend(CollectiveRotation(0.7))
-    top = {scheme_label(s) for s in ranking.ties[0]}
+    top = set(ranking.ties[0])
     assert top == {"psi+", "phi-"}
     for scheme, fid in ranking.ordered[:2]:
         assert fid == pytest.approx(1.0, abs=1e-12)
@@ -291,7 +286,7 @@ def test_recommend_cr_top_tie_group():
 
 def test_recommend_pd_prefers_bb84():
     ranking = recommend(PhaseDamping(0.5))
-    assert scheme_label(ranking.ordered[0][0]) == "bb84"
+    assert ranking.ordered[0][0] == "bb84"
     assert ranking.ordered[0][1] == pytest.approx(0.586181640625, abs=1e-12)
     entangled_group = ranking.ties[1]
     assert len(entangled_group) == 5
@@ -301,16 +296,16 @@ def test_recommend_pd_prefers_bb84():
 
 def test_recommend_high_ad_prefers_parallel_bells():
     ranking = recommend(AmplitudeDamping(0.9))
-    top = {scheme_label(s) for s in ranking.ties[0]}
+    top = set(ranking.ties[0])
     assert top == {"psi+", "psi-"}
     assert ranking.ordered[0][1] == pytest.approx(0.255025, abs=1e-12)
-    labels_in_order = [scheme_label(s) for s, _ in ranking.ordered]
+    labels_in_order = [s for s, _ in ranking.ordered]
     assert labels_in_order.index("bb84") > labels_in_order.index("cluster")
 
 
 def test_recommend_can_include_w_state():
-    ranking = recommend(CollectiveDephasing(1.1), TABLE_SCHEMES + (WState(),))
-    top = {scheme_label(s) for s in ranking.ties[0]}
+    ranking = recommend(CollectiveDephasing(1.1), SCHEMES)
+    top = set(ranking.ties[0])
     assert top == {"phi+", "phi-", "w"}
 
 
@@ -326,13 +321,13 @@ def test_recommend_invariant_under_scheme_permutation(schemes):
 @pytest.mark.parametrize(
     "scheme,family,upper",
     [
-        (BB84Average(), AmplitudeDamping, 1.0),
-        (BB84Average(), PhaseDamping, 1.0),
-        (BellPair("phi+"), AmplitudeDamping, 1.0),
-        (BellPair("phi-"), AmplitudeDamping, 1.0),
+        ("bb84", AmplitudeDamping, 1.0),
+        ("bb84", PhaseDamping, 1.0),
+        ("phi+", AmplitudeDamping, 1.0),
+        ("phi-", AmplitudeDamping, 1.0),
         # the cluster AD polynomial has a stationary minimum near 0.819 and
         # rises again toward 0.25, so it is only monotone up to that point
-        (Cluster(), AmplitudeDamping, 0.8),
+        ("cluster", AmplitudeDamping, 0.8),
     ],
 )
 def test_fidelity_monotone_where_closed_form_is_monotone(scheme, family, upper):
@@ -343,24 +338,41 @@ def test_fidelity_monotone_where_closed_form_is_monotone(scheme, family, upper):
 
 def test_cluster_ad_rises_again_after_its_minimum():
     # 2 eta^3 - 3 eta^2 + 6 eta - 4 = 0 near 0.819 marks the turning point
-    low = scheme_fidelity(Cluster(), AmplitudeDamping(0.819))
-    assert scheme_fidelity(Cluster(), AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
+    low = scheme_fidelity("cluster", AmplitudeDamping(0.819))
+    assert scheme_fidelity("cluster", AmplitudeDamping(1.0)) == pytest.approx(0.25, abs=1e-12)
     assert low < 0.25 - 1e-3
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: decoynoise.fidelity.compile_fidelity(BellPair("psi+"), int),
-        lambda: grid_fidelity(Cluster(), int, [0.5]),
-        lambda: find_crossover(BB84Average(), BellPair("psi+"), int, 0.3, 0.9),
-        lambda: is_decoherence_free(WState(), int),
+        lambda: decoynoise.fidelity.compile_fidelity("psi+", int),
+        lambda: grid_report("cluster", int, [0.5]),
+        lambda: find_crossover("bb84", "psi+", int, 0.3, 0.9),
+        lambda: closed_form_grid("w", int, [0.5]),
         lambda: parameter_range(int),
     ],
-    ids=["compile_fidelity", "grid_fidelity", "find_crossover", "is_decoherence_free", "parameter_range"],
+    ids=["compile_fidelity", "grid_report", "find_crossover", "closed_form_grid", "parameter_range"],
 )
 def test_unknown_noise_family_is_a_value_error_every_time(call):
     # twice, since a memoised function does not remember a raised exception
     for _ in range(2):
         with pytest.raises(ValueError, match="^unknown noise family <class 'int'>$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decoynoise.fidelity.compile_fidelity("ghz", AmplitudeDamping),
+        lambda: scheme_fidelity("ghz", AmplitudeDamping(0.5)),
+        lambda: sweep(SweepSpec(("psi+", "ghz"), AmplitudeDamping, 0.0, 1.0, 5)),
+        lambda: find_crossover("bb84", "ghz", AmplitudeDamping, 0.3, 0.9),
+        lambda: recommend(AmplitudeDamping(0.5), ("psi+", "ghz")),
+    ],
+    ids=["compile_fidelity", "scheme_fidelity", "sweep", "find_crossover", "recommend"],
+)
+def test_unknown_scheme_is_a_value_error_every_time(call):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^unknown scheme 'ghz'; expected bb84, psi\+, psi-, phi\+, phi-, cluster or w$"):
             call()

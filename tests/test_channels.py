@@ -25,10 +25,10 @@ from decoynoise.channels import (
     unitary_cd,
     unitary_cr,
 )
-from decoynoise.linalg import ATOL, DensityMatrix, is_unitary
-from decoynoise.states import make_bell, make_single
+from decoynoise.linalg import ATOL, DensityMatrix, PureState, is_unitary
+from decoynoise.states import SINGLES
 
-from conftest import random_density
+from conftest import bell_state, random_density
 
 
 def completeness_defect(ch):
@@ -96,7 +96,7 @@ def test_unitary_cr():
 def test_ad_on_excited_state():
     # hand Kraus sum: |1><1| goes to (1-eta)|1><1| + eta|0><0|
     eta = 0.3
-    rho = make_single("1").density()
+    rho = PureState(SINGLES["1"]).density()
     out = apply_kraus_channel(rho, kraus_ad(eta))
     np.testing.assert_allclose(out.matrix, np.diag([eta, 1 - eta]), atol=ATOL)
 
@@ -104,7 +104,7 @@ def test_ad_on_excited_state():
 def test_pd_damps_coherences_only():
     # hand Kraus sum: diagonal stays 1/2, off-diagonal scales by (1-eta)
     eta = 0.4
-    rho = make_single("+").density()
+    rho = PureState(SINGLES["+"]).density()
     out = apply_kraus_channel(rho, kraus_pd(eta))
     expected = np.array([[0.5, (1 - eta) / 2], [(1 - eta) / 2, 0.5]])
     np.testing.assert_allclose(out.matrix, expected, atol=ATOL)
@@ -149,20 +149,20 @@ def test_channel_outputs_are_valid_densities(seed, n, family, frac):
 
 
 def test_collective_dephasing_composes_additively():
-    rho = make_bell("psi+").density()
+    rho = bell_state("psi+").density()
     one = apply_collective(apply_collective(rho, unitary_cd(0.7)), unitary_cd(0.9))
     both = apply_collective(rho, unitary_cd(1.6))
     np.testing.assert_allclose(one.matrix, both.matrix, atol=1e-12)
 
 
 def test_apply_collective_identity():
-    rho = make_bell("phi+").density()
+    rho = bell_state("phi+").density()
     out = apply_collective(rho, np.eye(2))
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=ATOL)
 
 
 def test_apply_collective_rejects_non_unitary():
-    rho = make_bell("phi+").density()
+    rho = bell_state("phi+").density()
     with pytest.raises(ValueError, match="unitary"):
         apply_collective(rho, np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="2x2"):
@@ -170,7 +170,7 @@ def test_apply_collective_rejects_non_unitary():
 
 
 def test_parallel_bell_invariant_under_rotation():
-    rho = make_bell("psi+").density()
+    rho = bell_state("psi+").density()
     for theta in np.linspace(0, 2 * np.pi, 9):
         out = apply_collective(rho, unitary_cr(theta))
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
@@ -178,7 +178,7 @@ def test_parallel_bell_invariant_under_rotation():
 
 def test_antiparallel_rotation_overlap_is_cos_sq_2theta():
     # hand expansion: U x U |psi-> = cos 2t |psi-> + sin 2t (|01>+|10>)/sqrt(2)
-    psi = make_bell("psi-")
+    psi = bell_state("psi-")
     for theta in np.linspace(0, np.pi, 7):
         out = apply_collective(psi.density(), unitary_cr(theta))
         overlap = (psi.amplitudes.conj() @ out.matrix @ psi.amplitudes).real
@@ -255,7 +255,7 @@ def test_transfer_basis_reproduces_the_transfer_matrix(tag, frac):
 
 def test_kraus_channel_after_dephasing_handles_complex_density():
     # complex off-diagonal entries go through the Kraus sum intact
-    rho = apply_collective(make_bell("psi+").density(), unitary_cd(0.6))
+    rho = apply_collective(bell_state("psi+").density(), unitary_cd(0.6))
     assert np.any(rho.matrix.imag != 0)
     out = apply_kraus_channel(rho, kraus_ad(0.25))
     assert abs(np.trace(out.matrix) - 1.0) <= ATOL

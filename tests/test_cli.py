@@ -23,7 +23,6 @@ from decoynoise import analysis, cli
 from decoynoise.channels import FAMILIES, AmplitudeDamping, parameter_range
 from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
 from decoynoise.fidelity import FidelityReport, grid_report
-from decoynoise.states import Cluster, parse_scheme, scheme_label
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
@@ -54,7 +53,7 @@ def test_verify_table_passes_and_reports_every_cell(capsys):
     assert deviations[label, noise] == max(deviations.values())
     assert worst == f"{deviations[label, noise]:.3e}"
     assert flag == {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
-    report = grid_report(parse_scheme(label), FAMILIES[noise], np.linspace(*parameter_range(FAMILIES[noise]), 5))
+    report = grid_report(label, FAMILIES[noise], np.linspace(*parameter_range(FAMILIES[noise]), 5))
     assert float(param) == report.grid[np.argmax(np.abs(report.simulated - report.closed_form))]
 
 
@@ -63,7 +62,7 @@ def test_verify_table_flags_perturbed_closed_form(monkeypatch, capsys):
 
     def skewed(scheme, family, grid):
         value = true_form(scheme, family, grid)
-        if isinstance(scheme, Cluster) and family is AmplitudeDamping:
+        if scheme == "cluster" and family is AmplitudeDamping:
             value += 1e-6
         return value
 
@@ -102,7 +101,7 @@ def _reference_sweep_csv(reports):
         columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
         if report.closed_form is not None:
             columns, tail = columns + [report.closed_form, abs(report.simulated - report.closed_form)], []
-        lead = [itertools.repeat(scheme_label(report.scheme)), itertools.repeat(report.noise)]
+        lead = [itertools.repeat(report.scheme), itertools.repeat(report.noise)]
         writer.writerows(zip(*lead, *(map(repr, column.tolist()) for column in columns), *tail))
     return out.getvalue()
 
@@ -116,8 +115,7 @@ def _reference_sweep_csv(reports):
 )
 def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
     family = FAMILIES[noise]
-    schemes = tuple(map(parse_scheme, labels))
-    expected = _reference_sweep_csv(analysis.sweep(analysis.SweepSpec(schemes, family, *parameter_range(family), grid)))
+    expected = _reference_sweep_csv(analysis.sweep(analysis.SweepSpec(tuple(labels), family, *parameter_range(family), grid)))
     assert len(expected.splitlines()) == 1 + len(labels) * grid
     # 3 rows split a report of more than 3 points, 7 hold one whole report of
     # up to 7, 14 two, and the default all of them
@@ -133,8 +131,8 @@ def test_sweep_formats_each_float_by_its_bits():
     above = float(np.nextafter(0.5, 1.0))
     grid = [0.0, -0.0, 0.5, above]
     reports = [
-        FidelityReport(parse_scheme("psi+"), "ad", grid, [-0.0, 0.0, above, 0.5], [0.0, -0.0, 0.5, 0.5], above - 0.5),
-        FidelityReport(parse_scheme("w"), "ad", grid, [0.0, -0.0, 0.5, above], None, None),
+        FidelityReport("psi+", "ad", grid, [-0.0, 0.0, above, 0.5], [0.0, -0.0, 0.5, 0.5]),
+        FidelityReport("w", "ad", grid, [0.0, -0.0, 0.5, above], None),
     ]
     rows = [list(row) for row in itertools.chain.from_iterable(cli._sweep_blocks(reports))]
     assert rows[1:] == [
@@ -332,18 +330,6 @@ def test_eve_sim_defaults_stand_in_for_omitted_flags(capsys):
         assert capsys.readouterr().out == omitted
 
 
-def _count_state_builds(monkeypatch):
-    built = []
-    build = fidelity_mod.make_decoy_state
-
-    def counting(scheme):
-        built.append(scheme)
-        return build(scheme)
-
-    monkeypatch.setattr(fidelity_mod, "make_decoy_state", counting)
-    return built
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -351,14 +337,13 @@ def _count_state_builds(monkeypatch):
         ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "0.8", "--hi", "1.1"],
     ],
 )
-def test_a_repeated_query_builds_no_state(args, monkeypatch, capsys):
-    built = _count_state_builds(monkeypatch)
+def test_a_repeated_query_compiles_nothing(args, capsys):
     assert run(args) == 0
     first = capsys.readouterr().out
-    built.clear()
+    misses = fidelity_mod.compile_fidelity.cache_info().misses
     assert run(args) == 0
     assert capsys.readouterr().out == first
-    assert built == []
+    assert fidelity_mod.compile_fidelity.cache_info().misses == misses
 
 
 def test_repeated_queries_in_one_process_print_what_a_fresh_process_prints(capsys):

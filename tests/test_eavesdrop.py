@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from decoynoise import eavesdrop
-from decoynoise.eavesdrop import (
-    all_label_detections,
-    intercept_resend_bb84,
-    wrong_pair_bell_attack,
-)
-from decoynoise.states import BELL_LABELS, make_bell
+from decoynoise.eavesdrop import intercept_resend_bb84, wrong_pair_bell_attack
+from decoynoise.states import BELL_LABELS
+
+from conftest import bell_state
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +34,13 @@ def _perm_matrix(order):
 def _bell_projector(label, pair):
     rest = [q for q in range(4) if q not in pair]
     perm = _perm_matrix(list(pair) + rest)
-    ket = make_bell(label).amplitudes
+    ket = bell_state(label).amplitudes
     return perm.T @ np.kron(np.outer(ket, ket.conj()), np.eye(4)) @ perm
 
 
 def oracle_wrong_pair(prepared, eve_pair):
     """Joint receiver distribution and detection probability, brute force."""
-    bell = make_bell(prepared).amplitudes
+    bell = bell_state(prepared).amplitudes
     psi = np.kron(bell, bell)
     pair0 = tuple(q - 1 for q in eve_pair)
     joint = np.zeros((4, 4))
@@ -54,7 +52,7 @@ def oracle_wrong_pair(prepared, eve_pair):
         post = collapsed / math.sqrt(p_eve)
         for i, l12 in enumerate(BELL_LABELS):
             for j, l34 in enumerate(BELL_LABELS):
-                amp = np.vdot(np.kron(make_bell(l12).amplitudes, make_bell(l34).amplitudes), post)
+                amp = np.vdot(np.kron(bell_state(l12).amplitudes, bell_state(l34).amplitudes), post)
                 joint[i, j] += p_eve * abs(amp) ** 2
     prep = BELL_LABELS.index(prepared)
     return joint, 1.0 - joint[prep, prep]
@@ -62,7 +60,7 @@ def oracle_wrong_pair(prepared, eve_pair):
 
 def _oracle_given_eve(prepared, eve_pair, eve_label):
     """Eve's outcome probability and the receiver's joint with it, from projectors alone."""
-    bell = make_bell(prepared).amplitudes
+    bell = bell_state(prepared).amplitudes
     collapsed = _bell_projector(eve_label, tuple(q - 1 for q in eve_pair)) @ np.kron(bell, bell)
     joint = np.zeros((4, 4))
     for i, l12 in enumerate(BELL_LABELS):
@@ -145,8 +143,7 @@ def test_wrong_pair_detection_is_three_quarters():
 
 
 def test_wrong_pair_detection_is_label_independent():
-    values = list(all_label_detections((2, 3)).values())
-    assert len(values) == 4
+    values = [wrong_pair_bell_attack(label, (2, 3)).detection_probability for label in BELL_LABELS]
     for v in values[1:]:
         assert abs(v - values[0]) < 1e-12
 

@@ -14,9 +14,9 @@ from decoynoise.linalg import (
     tensor_product,
 )
 from decoynoise.channels import unitary_cd
-from decoynoise.states import make_bell, make_single
+from decoynoise.states import SINGLES
 
-from conftest import random_density, random_unitary
+from conftest import bell_state, random_density, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -26,14 +26,14 @@ def test_tensor_identity():
 
 
 def test_tensor_column_vectors():
-    zero = make_single("0").amplitudes
-    plus = make_single("+").amplitudes
+    zero = SINGLES["0"]
+    plus = SINGLES["+"]
     expected = np.array([1, 1, 0, 0]) / np.sqrt(2)
     np.testing.assert_allclose(tensor_product(zero, plus), expected, atol=ATOL)
 
 
 def test_tensor_two_bell_pairs():
-    psi = make_bell("psi+").amplitudes
+    psi = bell_state("psi+").amplitudes
     out = tensor_product(psi, psi)
     expected = np.zeros(16)
     expected[[0, 3, 12, 15]] = 0.5
@@ -63,7 +63,7 @@ def test_conjugate_apply_identity():
 
 
 def test_conjugate_apply_bit_flip():
-    amps00 = tensor_product(make_single("0").amplitudes, make_single("0").amplitudes)
+    amps00 = tensor_product(SINGLES["0"], SINGLES["0"])
     rho00 = PureState(amps00).density()
     out = conjugate_apply(tensor_product(X, X), rho00)
     expected = np.zeros((4, 4), dtype=complex)
@@ -74,13 +74,13 @@ def test_conjugate_apply_bit_flip():
 def test_conjugate_apply_double_phase_gate_fixes_parallel_bell():
     # phase gate at phi=pi on both qubits multiplies |11> by exp(2 i pi) = 1
     u = tensor_product(unitary_cd(np.pi), unitary_cd(np.pi))
-    bell = make_bell("psi+")
+    bell = bell_state("psi+")
     out = conjugate_apply(u, bell.density())
     np.testing.assert_allclose(out.matrix, bell.density().matrix, atol=ATOL)
 
 
 def test_conjugate_apply_dimension_mismatch():
-    rho = make_bell("psi+").density()
+    rho = bell_state("psi+").density()
     with pytest.raises(ValueError, match="dimension"):
         conjugate_apply(np.eye(8), rho)
 
@@ -129,7 +129,7 @@ def test_pure_state_rejects_non_power_of_two():
 
 
 def test_pure_state_is_read_only():
-    psi = make_bell("psi+")
+    psi = bell_state("psi+")
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.3
 
@@ -152,5 +152,5 @@ def test_density_matrix_rejects_negative_eigenvalue():
 
 
 def test_n_qubits_properties():
-    assert make_single("0").n_qubits == 1
-    assert make_bell("phi-").density().n_qubits == 2
+    assert PureState(SINGLES["0"]).n_qubits == 1
+    assert bell_state("phi-").density().n_qubits == 2

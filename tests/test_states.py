@@ -1,24 +1,10 @@
-"""Decoy-state constructors and the scheme variants."""
+"""The decoy-state amplitude tables and the scheme labels."""
 
 import numpy as np
 import pytest
 
 from decoynoise.linalg import ATOL, tensor_product
-from decoynoise.states import (
-    BB84Average,
-    BB84Product,
-    BELL_LABELS,
-    BellPair,
-    Cluster,
-    WState,
-    make_bell,
-    make_cluster,
-    make_decoy_state,
-    make_single,
-    make_w,
-    parse_scheme,
-    scheme_label,
-)
+from decoynoise.states import AMPLITUDES, BELL_LABELS, INT_BELLS, SCHEMES, SINGLES, check_scheme
 
 SQ2 = np.sqrt(2.0)
 
@@ -32,15 +18,10 @@ SQ2 = np.sqrt(2.0)
         ("-", [1 / SQ2, -1 / SQ2]),
     ],
 )
-def test_make_single(label, expected):
-    np.testing.assert_allclose(make_single(label).amplitudes, expected, atol=ATOL)
+def test_single_amplitudes(label, expected):
+    np.testing.assert_allclose(SINGLES[label], expected, atol=ATOL)
     # bit-identical to the literal, so no fidelity digit depends on how it is built
-    assert make_single(label).amplitudes.tobytes() == np.array(expected, dtype=complex).tobytes()
-
-
-def test_make_single_unknown_label():
-    with pytest.raises(ValueError, match="unknown"):
-        make_single("x")
+    assert SINGLES[label].tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -52,26 +33,30 @@ def test_make_single_unknown_label():
         ("phi-", [0, 1 / SQ2, -1 / SQ2, 0]),
     ],
 )
-def test_make_bell_uses_parallel_spin_labeling(label, expected):
-    # psi is the parallel pair here, phi the anti-parallel one
-    np.testing.assert_allclose(make_bell(label).amplitudes, expected, atol=ATOL)
-    assert make_bell(label).amplitudes.tobytes() == np.array(expected, dtype=complex).tobytes()
-
-
-def test_make_bell_unknown_label():
-    with pytest.raises(ValueError, match="unknown"):
-        make_bell("sigma+")
+def test_bell_pairs_use_parallel_spin_labeling(label, expected):
+    # psi is the parallel pair here, phi the anti-parallel one; a scheme sends
+    # two copies, the outer product of the normalised Bell vector with itself
+    np.testing.assert_allclose(np.array(INT_BELLS[label]) / SQ2, expected, atol=ATOL)
+    assert AMPLITUDES[label].tobytes() == np.outer(expected, expected).ravel().tobytes()
 
 
 def test_bell_states_pairwise_orthogonal():
     for i, a in enumerate(BELL_LABELS):
         for b in BELL_LABELS[i + 1 :]:
-            overlap = make_bell(a).amplitudes.conj() @ make_bell(b).amplitudes
-            assert abs(overlap) <= ATOL
+            assert np.dot(INT_BELLS[a], INT_BELLS[b]) == 0
+            assert abs(AMPLITUDES[a] @ AMPLITUDES[b]) <= ATOL
+
+
+def test_bell_pair_block_keeps_its_rounded_amplitudes():
+    # the noiseless fidelities the CLI prints depend on these exact bits
+    out = AMPLITUDES["psi+"]
+    expected = np.zeros(16)
+    expected[[0, 3, 12, 15]] = 0.4999999999999999
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_cluster_amplitudes():
-    amps = make_cluster().amplitudes
+    amps = AMPLITUDES["cluster"]
     assert amps[0] == 0.5 and amps[3] == 0.5 and amps[12] == 0.5
     assert amps[15] == -0.5
     assert set(np.abs(amps)) == {0.0, 0.5}
@@ -79,76 +64,37 @@ def test_cluster_amplitudes():
 
 
 def test_cluster_overlap_with_two_bell_pairs():
-    pairs = tensor_product(make_bell("psi+").amplitudes, make_bell("psi+").amplitudes)
-    overlap = abs(pairs.conj() @ make_cluster().amplitudes) ** 2
+    pair = np.array(INT_BELLS["psi+"]) / SQ2
+    pairs = tensor_product(pair, pair)
+    np.testing.assert_allclose(pairs, AMPLITUDES["psi+"], atol=ATOL)
+    overlap = abs(pairs.conj() @ AMPLITUDES["cluster"]) ** 2
     assert abs(overlap - 0.25) <= ATOL
 
 
-def test_make_w():
-    amps = make_w(3).amplitudes
-    np.testing.assert_allclose(amps[[1, 2, 4]], np.full(3, 1 / np.sqrt(3)), atol=ATOL)
+def test_w_amplitudes():
+    amps = AMPLITUDES["w"]
+    w = 1.0 / np.sqrt(3.0)
+    assert amps.tobytes() == np.array([0, w, w, 0, w, 0, 0, 0]).tobytes()
     assert abs(np.linalg.norm(amps) - 1.0) <= ATOL
-    with pytest.raises(ValueError, match="n=3"):
-        make_w(4)
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        BB84Product(("0", "1", "+", "-")),
-        BellPair("psi+"),
-        BellPair("phi-"),
-        Cluster(),
-        WState(),
-    ],
-)
+@pytest.mark.parametrize("scheme", SCHEMES[1:])
 def test_every_decoy_state_is_normalized(scheme):
-    amps = make_decoy_state(scheme).amplitudes
+    amps = AMPLITUDES[scheme]
     assert abs(np.linalg.norm(amps) - 1.0) <= ATOL
+    assert amps.dtype == float and not amps.flags.writeable
 
 
-def test_make_decoy_state_bell_pair_block():
-    out = make_decoy_state(BellPair("psi+")).amplitudes
-    expected = np.zeros(16)
-    expected[[0, 3, 12, 15]] = 0.5
-    np.testing.assert_allclose(out, expected, atol=ATOL)
+def test_tables_cover_every_scheme():
+    assert SCHEMES == ("bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w")
+    assert tuple(AMPLITUDES) == SCHEMES[1:]
+    assert not any(amps.flags.writeable for amps in SINGLES.values())
 
 
-def test_make_decoy_state_product_order():
-    out = make_decoy_state(BB84Product(("0", "1", "+", "-"))).amplitudes
-    explicit = make_single("0").amplitudes
-    for lab in ("1", "+", "-"):
-        explicit = tensor_product(explicit, make_single(lab).amplitudes)
-    np.testing.assert_allclose(out, explicit, atol=ATOL)
-
-
-def test_make_decoy_state_rejects_average_marker():
-    with pytest.raises(ValueError, match="bb84_average_fidelity"):
-        make_decoy_state(BB84Average())
-
-
-def test_bb84_product_validation():
-    with pytest.raises(ValueError):
-        BB84Product(("0", "1", "+"))
-    with pytest.raises(ValueError):
-        BB84Product(("0", "1", "+", "q"))
-
-
-def test_bell_pair_validation():
-    with pytest.raises(ValueError):
-        BellPair("psi")
-    with pytest.raises(ValueError, match="copies"):
-        BellPair("psi+", copies=3)
-
-
-def test_w_state_validation():
-    with pytest.raises(ValueError):
-        WState(4)
-
-
-def test_scheme_labels_round_trip():
-    for scheme in (BB84Average(), BellPair("phi+"), Cluster(), WState()):
-        assert parse_scheme(scheme_label(scheme)) == scheme
-    assert scheme_label(BB84Product(("0", "0", "+", "-"))) == "bb84:00+-"
-    with pytest.raises(ValueError):
-        parse_scheme("ghz")
+def test_check_scheme():
+    for label in SCHEMES:
+        assert check_scheme(label) == label
+    for bad in ("ghz", "bb84:00+-", "PSI+", ""):
+        with pytest.raises(ValueError) as info:
+            check_scheme(bad)
+        assert str(info.value) == f"unknown scheme {bad!r}; expected bb84, psi+, psi-, phi+, phi-, cluster or w"

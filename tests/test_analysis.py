@@ -369,8 +369,11 @@ def test_unknown_noise_family_is_a_value_error_every_time(call):
         lambda: sweep(SweepSpec(("psi+", "ghz"), AmplitudeDamping, 0.0, 1.0, 5)),
         lambda: find_crossover("bb84", "ghz", AmplitudeDamping, 0.3, 0.9),
         lambda: recommend(AmplitudeDamping(0.5), ("psi+", "ghz")),
+        lambda: grid_report("ghz", AmplitudeDamping, [0.5]),
+        # an unknown label must not fall through to the W state's None
+        lambda: closed_form_grid("ghz", AmplitudeDamping, [0.5]),
     ],
-    ids=["compile_fidelity", "scheme_fidelity", "sweep", "find_crossover", "recommend"],
+    ids=["compile_fidelity", "scheme_fidelity", "sweep", "find_crossover", "recommend", "grid_report", "closed_form_grid"],
 )
 def test_unknown_scheme_is_a_value_error_every_time(call):
     for _ in range(2):

@@ -196,13 +196,14 @@ def test_unknown_scheme_is_rejected(capsys):
     assert code == 1 and "ghz" in err
 
 
-def test_recommend_needs_the_right_parameter_flag(capsys):
-    assert run(["recommend", "--noise", "cr"]) == 1
-    _, err = capsys.readouterr()
-    assert "--theta" in err
-    assert run(["recommend", "--noise", "cr", "--eta", "0.5"]) == 1
-    _, err = capsys.readouterr()
-    assert "--eta" in err
+@pytest.mark.parametrize("noise,wrong", [("ad", "phi"), ("pd", "theta"), ("cd", "eta"), ("cr", "eta")])
+def test_recommend_needs_the_right_parameter_flag(capsys, noise, wrong):
+    flag = {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
+    assert run(["recommend", "--noise", noise]) == 1
+    assert capsys.readouterr().err == f"error: --{flag} is required for noise {noise}\n"
+    assert run(["recommend", "--noise", noise, f"--{wrong}", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: --{wrong} does not apply to noise {noise}\n"
+    assert run(["recommend", "--noise", noise, f"--{flag}", "0.5"]) == 0
 
 
 def test_recommend_output(capsys):
@@ -545,6 +546,35 @@ def test_sweep_matches_golden_file(tmp_path, golden, args):
     assert run(["sweep", *args, "--grid", "5", "--out", str(out)]) == 0
     expected = pathlib.Path(__file__).parent / "data" / golden
     assert out.read_bytes() == expected.read_bytes()
+
+
+_TWO_PI = "6.283185307179586"
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        *(
+            (f"recommend_{noise}_{value}_golden.csv", ["recommend", "--noise", noise, f"--{flag}", value, "--include-w"])
+            for noise, flag, values in (
+                ("ad", "eta", ("0.0", "0.35", "1.0")),
+                ("pd", "eta", ("0.0", "0.35", "1.0")),
+                ("cd", "phi", ("0.0", "1.1", _TWO_PI)),
+                ("cr", "theta", ("0.0", "1.1", _TWO_PI)),
+            )
+            for value in values
+        ),
+        # acceptance criterion 6, and psi- against bb84 at cos^2 t = 1/3
+        ("crossover_ad_golden.csv", ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"]),
+        ("crossover_cr_golden.csv", ["crossover", "--a", "psi-", "--b", "bb84", "--noise", "cr", "--lo", "0.1", "--hi", "1.4"]),
+        ("verify_table_golden.csv", ["verify-table", "--grid", "21"]),
+    ],
+)
+def test_command_matches_golden_file(capsys, golden, argv):
+    # regenerate with `decoynoise <argv> --out tests/data/<name>`, as for the sweeps
+    assert run(argv) == 0
+    expected = pathlib.Path(__file__).parent / "data" / golden
+    assert capsys.readouterr().out == expected.read_text()
 
 
 @pytest.mark.parametrize(

@@ -5,17 +5,15 @@ collective rotation acting on the decoy states used for eavesdropping checks
 (single qubits in two mutually unbiased bases, Bell-pair copies, the four
 qubit cluster state and the W state), verifies the closed-form fidelity
 expressions against a pure-state simulation kernel, and ranks the schemes per
-channel. A scheme is its label, one of SCHEMES.
+channel. A scheme is its label, one of SCHEMES, and a noise family its tag,
+one of FAMILIES ('ad', 'pd', 'cd', 'cr'); a noise setting is a (family,
+value) pair, as in scheme_fidelity("psi-", "cr", 0.7).
 """
 
 from .analysis import Ranking, SweepSpec, find_crossover, recommend, sweep
 from .channels import (
-    AmplitudeDamping,
-    CollectiveDephasing,
-    CollectiveRotation,
+    FAMILIES,
     KrausChannel,
-    NoiseModel,
-    PhaseDamping,
     apply_collective,
     apply_kraus_channel,
     apply_noise,

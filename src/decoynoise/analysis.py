@@ -2,7 +2,8 @@
 
 All evaluations here go through the simulated fidelity (not the closed
 forms), so schemes without a closed-form expression, like the W state, can
-participate on equal footing.
+participate on equal footing. A scheme is its label and a noise family its
+tag; a noise setting is a (family, value) pair.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NoiseModel
+from .channels import parameter_grid
 from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_report, scheme_fidelity
 
 # Fidelities closer than this are reported as a tie; well above simulation
@@ -31,7 +32,7 @@ class SweepSpec:
     """A uniform parameter sweep of one noise family over a set of schemes."""
 
     schemes: tuple[str, ...]
-    family: type
+    family: str
     start: float
     end: float
     points: int
@@ -54,7 +55,7 @@ def sweep(spec: SweepSpec) -> list[FidelityReport]:
 def find_crossover(
     a: str,
     b: str,
-    family: type,
+    family: str,
     lo: float,
     hi: float,
     tol: float = 1e-9,
@@ -111,14 +112,15 @@ def find_crossover(
 
 @dataclass(frozen=True)
 class Ranking:
-    """Schemes ordered by fidelity under one noise model, best first.
+    """Schemes ordered by fidelity under one noise setting, best first.
 
     ties partitions the ordered schemes into groups whose fidelities agree
     to within TIE_TOL, each ordered by scheme label; a group of one is simply
     untied.
     """
 
-    noise: NoiseModel
+    family: str
+    value: float
     ordered: tuple[tuple[str, float], ...]
     ties: tuple[tuple[str, ...], ...]
 
@@ -128,15 +130,16 @@ class Ranking:
             raise ValueError("ranking is not non-increasing in fidelity")
 
 
-def recommend(noise: NoiseModel, schemes: tuple[str, ...] | None = None) -> Ranking:
-    """Rank schemes by simulated fidelity under the given noise model.
+def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None) -> Ranking:
+    """Rank schemes by simulated fidelity under one noise family at one parameter value.
 
     The ordering is canonical (fidelity descending, then scheme label), so it
     does not depend on the order schemes are passed in.
     """
+    value = float(parameter_grid(family, [value])[0])
     if schemes is None:
         schemes = TABLE_SCHEMES
-    scored = [(scheme, scheme_fidelity(scheme, noise)) for scheme in schemes]
+    scored = [(scheme, scheme_fidelity(scheme, family, value)) for scheme in schemes]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     groups: list[list[str]] = []
     last_fid = None
@@ -146,7 +149,8 @@ def recommend(noise: NoiseModel, schemes: tuple[str, ...] | None = None) -> Rank
         groups[-1].append(scheme)
         last_fid = fid
     return Ranking(
-        noise=noise,
+        family=family,
+        value=value,
         ordered=tuple(scored),
         ties=tuple(tuple(sorted(group)) for group in groups),
     )

@@ -18,6 +18,10 @@ rotation is the real rotation [[cos t, -sin t], [sin t, cos t]]. The angle
 parameters may be any finite real (they drift with time); eta is a
 decoherence probability and must lie in [0, 1].
 
+A noise family is its tag, one of FAMILIES ('ad', 'pd', 'cd', 'cr'), and a
+noise setting is a (family, value) pair; FAMILIES maps each tag to the name
+of its parameter (eta, phi or theta).
+
 The fidelity kernel in `fidelity` sees a channel only through its Pauli
 transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2 (TRANSFER_BASIS and
 transfer_weights). The Kraus operators and unitaries, written out apart from
@@ -28,7 +32,7 @@ tests' oracle for that kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,87 +69,32 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
 
-class _OneParameter:
-    """A noise model of one parameter, checked by parameter_grid at construction."""
-
-    def __post_init__(self):
-        (field,) = fields(self)
-        (value,) = parameter_grid(type(self), [getattr(self, field.name)])
-        object.__setattr__(self, field.name, float(value))
+# Each noise family's tag, as the CLI and every report write it, and the name
+# of its one parameter, which is also its CLI flag.
+FAMILIES = {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}
 
 
-@dataclass(frozen=True)
-class AmplitudeDamping(_OneParameter):
-    eta: float
+def check_family(family: str) -> str:
+    """The tag itself, if it names a noise family; ValueError otherwise."""
+    # a str first, so that an unhashable value fails the check, not the lookup
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise ValueError(f"unknown noise family {family!r}")
+    return family
 
 
-@dataclass(frozen=True)
-class PhaseDamping(_OneParameter):
-    eta: float
-
-
-@dataclass(frozen=True)
-class CollectiveDephasing(_OneParameter):
-    phi: float
-
-
-@dataclass(frozen=True)
-class CollectiveRotation(_OneParameter):
-    theta: float
-
-
-NoiseModel = AmplitudeDamping | PhaseDamping | CollectiveDephasing | CollectiveRotation
-
-# Family tag <-> class, as used by the CLI and in reports.
-FAMILIES: dict[str, type] = {
-    "ad": AmplitudeDamping,
-    "pd": PhaseDamping,
-    "cd": CollectiveDephasing,
-    "cr": CollectiveRotation,
-}
-
-_TAGS = {cls: tag for tag, cls in FAMILIES.items()}
-
-
-def family_tag(noise) -> str:
-    """Short tag ('ad', 'pd', 'cd', 'cr') for a noise model or family class."""
-    cls = noise if isinstance(noise, type) else type(noise)
-    try:
-        return _TAGS[cls]
-    except KeyError:
-        raise ValueError(f"unknown noise family {noise!r}") from None
-
-
-def parameter_of(noise: NoiseModel) -> float:
-    """The single scalar parameter of a noise model."""
-    match noise:
-        case AmplitudeDamping(eta=eta) | PhaseDamping(eta=eta):
-            return eta
-        case CollectiveDephasing(phi=phi):
-            return phi
-        case CollectiveRotation(theta=theta):
-            return theta
-    raise ValueError(f"unknown noise model {noise!r}")
-
-
-def parameter_range(family: type) -> tuple[float, float]:
+def parameter_range(family: str) -> tuple[float, float]:
     """Natural sweep range: [0, 1] for damping rates, [0, 2 pi] for angles."""
-    if family in (AmplitudeDamping, PhaseDamping):
-        return 0.0, 1.0
-    if family in (CollectiveDephasing, CollectiveRotation):
-        return 0.0, 2.0 * math.pi
-    raise ValueError(f"unknown noise family {family!r}")
+    return (0.0, 1.0) if FAMILIES[check_family(family)] == "eta" else (0.0, 2.0 * math.pi)
 
 
-def parameter_grid(family: type, grid) -> np.ndarray:
+def parameter_grid(family: str, grid) -> np.ndarray:
     """A noise family's parameters as a flat float array.
 
     Rates outside [0, 1] and non-finite angles are rejected.
     """
-    if family not in _TAGS:
-        raise ValueError(f"unknown noise family {family!r}")
+    rate = FAMILIES[check_family(family)] == "eta"
     p = np.asarray(grid, dtype=float).reshape(-1)
-    if family in (AmplitudeDamping, PhaseDamping):
+    if rate:
         # written so that NaN, which fails every comparison, is rejected too
         valid = (0.0 <= p) & (p <= 1.0)
         problem = "decoherence rate must lie in [0, 1]"
@@ -160,32 +109,32 @@ def parameter_grid(family: type, grid) -> np.ndarray:
 _IZ, _XY, _IY, _XZ = (np.diag(d) for d in ([1.0, 0, 0, 1], [0.0, 1, 1, 0], [1.0, 0, 1, 0], [0.0, 1, 0, 1]))
 
 # A0, A1 and A2 of each family's R_ij = Tr(P_i E(P_j)) / 2, P in the order I, X, Y, Z
-TRANSFER_BASIS: dict[type, np.ndarray] = {
+TRANSFER_BASIS: dict[str, np.ndarray] = {
     # I -> I + eta Z, X -> sqrt(1-eta) X, Y -> sqrt(1-eta) Y, Z -> (1-eta) Z
-    AmplitudeDamping: np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1]]]),
+    "ad": np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1]]]),
     # X -> (1-eta) X, Y -> (1-eta) Y
-    PhaseDamping: np.array([_IZ, _XY]),
+    "pd": np.array([_IZ, _XY]),
     # X -> cos phi X + sin phi Y, Y -> cos phi Y - sin phi X
-    CollectiveDephasing: np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]]),
+    "cd": np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]]),
     # X -> cos 2t X - sin 2t Z, Z -> cos 2t Z + sin 2t X
-    CollectiveRotation: np.array([_IY, _XZ, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0]]]),
+    "cr": np.array([_IY, _XZ, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0]]]),
 }
 for _matrices in TRANSFER_BASIS.values():
     _matrices.setflags(write=False)
 
 
-def transfer_weights(family: type, grid) -> tuple[np.ndarray, np.ndarray | None]:
+def transfer_weights(family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
     """The weights (w1, w2) of a family's TRANSFER_BASIS at every point of a parameter grid.
 
     They are sqrt(1-eta), eta (ad); 1-eta, None (pd, no A2); cos phi, sin phi
     (cd); cos 2t, sin 2t (cr). parameter_grid checks the grid.
     """
     p = parameter_grid(family, grid)
-    if family is AmplitudeDamping:
+    if family == "ad":
         return np.sqrt(1.0 - p), p
-    if family is PhaseDamping:
+    if family == "pd":
         return 1.0 - p, None
-    if family is CollectiveDephasing:
+    if family == "cd":
         return np.cos(p), np.sin(p)
     # cos 2t and sin 2t from t, which stay finite where 2t would overflow
     cos, sin = np.cos(p), np.sin(p)
@@ -194,25 +143,25 @@ def transfer_weights(family: type, grid) -> tuple[np.ndarray, np.ndarray | None]
 
 def kraus_ad(eta: float) -> KrausChannel:
     """Amplitude damping channel with decoherence rate eta in [0, 1]."""
-    eta = AmplitudeDamping(eta).eta
+    eta = float(parameter_grid("ad", [eta])[0])
     return KrausChannel(([[1, 0], [0, math.sqrt(1 - eta)]], [[0, math.sqrt(eta)], [0, 0]]), "amplitude_damping")
 
 
 def kraus_pd(eta: float) -> KrausChannel:
     """Phase damping channel with decoherence rate eta in [0, 1]."""
-    eta = PhaseDamping(eta).eta
+    eta = float(parameter_grid("pd", [eta])[0])
     keep, lose = math.sqrt(1 - eta), math.sqrt(eta)
     return KrausChannel(([[keep, 0], [0, keep]], [[lose, 0], [0, 0]], [[0, 0], [0, lose]]), "phase_damping")
 
 
 def unitary_cd(phi: float) -> np.ndarray:
     """Collective dephasing phase gate diag(1, exp(i phi))."""
-    return np.diag([1.0, np.exp(1j * CollectiveDephasing(phi).phi)])
+    return np.diag([1.0, np.exp(1j * float(parameter_grid("cd", [phi])[0]))])
 
 
 def unitary_cr(theta: float) -> np.ndarray:
     """Collective rotation by angle theta in the real plane."""
-    theta = CollectiveRotation(theta).theta
+    theta = float(parameter_grid("cr", [theta])[0])
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]], dtype=complex)
 
 
@@ -244,15 +193,15 @@ def apply_collective(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return conjugate_apply(tensor_power(u, rho.n_qubits), rho)
 
 
-def apply_noise(rho: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
-    """Send rho through the given noise model."""
-    match noise:
-        case AmplitudeDamping(eta=eta):
-            return apply_kraus_channel(rho, kraus_ad(eta))
-        case PhaseDamping(eta=eta):
-            return apply_kraus_channel(rho, kraus_pd(eta))
-        case CollectiveDephasing(phi=phi):
-            return apply_collective(rho, unitary_cd(phi))
-        case CollectiveRotation(theta=theta):
-            return apply_collective(rho, unitary_cr(theta))
-    raise ValueError(f"unknown noise model {noise!r}")
+def apply_noise(rho: DensityMatrix, family: str, value: float) -> DensityMatrix:
+    """Send rho through one noise family at one parameter value."""
+    match family:
+        case "ad":
+            return apply_kraus_channel(rho, kraus_ad(value))
+        case "pd":
+            return apply_kraus_channel(rho, kraus_pd(value))
+        case "cd":
+            return apply_collective(rho, unitary_cd(value))
+        case "cr":
+            return apply_collective(rho, unitary_cr(value))
+    raise ValueError(f"unknown noise family {family!r}")

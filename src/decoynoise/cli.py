@@ -51,8 +51,6 @@ CSV_ROWS = 2**14
 
 SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
 
-_PARAM_FLAGS = {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}
-
 
 class CliError(Exception):
     """Bad command-line usage."""
@@ -123,8 +121,8 @@ def _parse_schemes(text: str):
 
 
 def _noise_value(args) -> float:
-    wanted = _PARAM_FLAGS[args.noise]
-    for flag in ("eta", "phi", "theta"):
+    wanted = FAMILIES[args.noise]
+    for flag in dict.fromkeys(FAMILIES.values()):
         if flag != wanted and getattr(args, flag) is not None:
             raise CliError(f"--{flag} does not apply to noise {args.noise}")
     value = getattr(args, wanted)
@@ -143,7 +141,7 @@ def _cmd_verify_table(args):
     at = worst.grid[abs(worst.simulated - worst.closed_form).argmax()]
     print(
         f"{len(reports)} cells checked, worst deviation {worst.max_abs_deviation:.3e} at "
-        f"{worst.scheme} {worst.noise} {_PARAM_FLAGS[worst.noise]}={_fmt(at)}",
+        f"{worst.scheme} {worst.noise} {FAMILIES[worst.noise]}={_fmt(at)}",
         file=sys.stderr,
     )
     rows = [["scheme", "noise", "max_abs_deviation"]]
@@ -200,17 +198,15 @@ def _cmd_sweep(args):
     schemes = _parse_schemes(args.schemes)
     if args.grid * len(schemes) > MAX_SWEEP_VALUES:
         raise CliError(f"grid times number of schemes must be <= {MAX_SWEEP_VALUES}")
-    family = FAMILIES[args.noise]
-    lo, hi = parameter_range(family)
+    lo, hi = parameter_range(args.noise)
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
-    reports = analysis.sweep(analysis.SweepSpec(schemes, family, start, end, args.grid))
+    reports = analysis.sweep(analysis.SweepSpec(schemes, args.noise, start, end, args.grid))
     return 0, itertools.chain.from_iterable(_sweep_blocks(reports))
 
 
 def _cmd_recommend(args):
-    noise = FAMILIES[args.noise](_noise_value(args))
-    ranking = analysis.recommend(noise, SCHEMES if args.include_w else TABLE_SCHEMES)
+    ranking = analysis.recommend(args.noise, _noise_value(args), SCHEMES if args.include_w else TABLE_SCHEMES)
     fid_by_scheme = dict(ranking.ordered)
     rows = [["rank", "scheme", "fidelity"]]
     rank = 1
@@ -221,9 +217,8 @@ def _cmd_recommend(args):
 
 
 def _cmd_crossover(args):
-    family = FAMILIES[args.noise]
     a, b = check_scheme(args.a), check_scheme(args.b)
-    root = analysis.find_crossover(a, b, family, args.lo, args.hi)
+    root = analysis.find_crossover(a, b, args.noise, args.lo, args.hi)
     return 0, [
         ["scheme_a", "scheme_b", "noise", "crossover"],
         [a, b, args.noise, _fmt(root)],

@@ -3,7 +3,8 @@
 The comparison metric throughout is F = <psi| rho_k |psi>, the overlap of the
 prepared pure state with the channel output. For a pure reference this is the
 square of the conventional fidelity F_c(sigma, rho) = Tr sqrt(sqrt(sigma) rho
-sqrt(sigma)). A scheme is its label in states.SCHEMES.
+sqrt(sigma)). A scheme is its label in states.SCHEMES, and a noise family its
+tag in channels.FAMILIES.
 
 Simulation compiles each (scheme, channel family) pair into a polynomial.
 Every channel acts on every qubit with one Pauli transfer matrix R(p) = A0 +
@@ -17,8 +18,9 @@ compile_fidelity is memoised, so each (scheme, family) pair is compiled once
 per process and a one-point evaluation (recommend, each bisection round) pays
 only for the evaluation. The polynomial depends on that pair alone, and the
 key set is finite: 7 schemes x 4 families. Nothing is evicted or
-invalidated; the compiled function holds only its coefficients. An unknown
-scheme or family raises ValueError, which is not memoised.
+invalidated; the compiled function holds only its coefficients. The scheme
+and the family are checked before the memo, so an unknown one, unhashable
+or not, raises ValueError, which is not memoised.
 
 closed_form_grid evaluates the known closed forms over a whole grid, and
 verify_table checks each (scheme, channel family) combination that has one
@@ -46,16 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    FAMILIES,
-    NoiseModel,
-    TRANSFER_BASIS,
-    family_tag,
-    parameter_grid,
-    parameter_of,
-    parameter_range,
-    transfer_weights,
-)
+from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, transfer_weights
 from .linalg import ATOL, MAX_QUBITS, DensityMatrix, PureState
 from .states import AMPLITUDES, SCHEMES, SINGLES, check_scheme
 
@@ -116,20 +109,26 @@ def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     return float(value.real)
 
 
-@functools.cache
-def compile_fidelity(scheme: str, family: type) -> Callable[..., np.ndarray]:
+def compile_fidelity(scheme: str, family: str) -> Callable[..., np.ndarray]:
     """The fidelity of one scheme under one noise family, as a function of the parameter grid.
+
+    Memoised once both are checked; see the module docstring.
+    """
+    return _compile(check_scheme(scheme), check_family(family))
+
+
+@functools.cache
+def _compile(scheme: str, family: str) -> Callable[..., np.ndarray]:
+    """compile_fidelity for a checked scheme and family.
 
     The Pauli vector r_P = <psi|P|psi>, and then the coefficients of F =
     2^-n r^T R^(x n) r, come from one identity: with the n qubits split into
     h = ceil(n/2) and n - h and a vector v on them written as a matrix V,
     v^dag (L x R) v is the sum of the entries of conj(V) * (L V R^T). Each
     product of basis matrices in R^(x n) adds to the coefficient of the
-    monomial w1^j w2^k that its factors A1 and A2 set. Memoised; see the module docstring.
+    monomial w1^j w2^k that its factors A1 and A2 set.
     """
-    if family not in _TRANSFER_POWERS:
-        raise ValueError(f"unknown noise family {family!r}")
-    if check_scheme(scheme) == "bb84":
+    if scheme == "bb84":
         states, power = list(SINGLES.values()), 4
     else:
         states, power = [AMPLITUDES[scheme]], 1
@@ -151,18 +150,18 @@ def compile_fidelity(scheme: str, family: type) -> Callable[..., np.ndarray]:
     return fidelity_over
 
 
-def scheme_fidelity(scheme: str, noise: NoiseModel) -> float:
-    """Simulated fidelity of a scheme under one noise model."""
-    return float(compile_fidelity(scheme, type(noise))([parameter_of(noise)])[0])
+def scheme_fidelity(scheme: str, family: str, value: float) -> float:
+    """Simulated fidelity of a scheme under one noise family at one parameter value."""
+    return float(compile_fidelity(scheme, family)([value])[0])
 
 
-def closed_form_grid(scheme: str, family: type, grid) -> np.ndarray | None:
+def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
     """The known closed-form fidelity of a scheme at every point of a grid.
 
     None for the W state, which is covered by simulation only.
     """
     x = parameter_grid(family, grid)
-    match check_scheme(scheme), family_tag(family):
+    match check_scheme(scheme), family:
         case "bb84", "ad":
             return (3.0 + np.sqrt(1.0 - x) - x) ** 4 / 256.0
         case "bb84", "pd":
@@ -219,11 +218,11 @@ class FidelityReport:
         object.__setattr__(self, "max_abs_deviation", deviation)
 
 
-def grid_report(scheme: str, family: type, grid) -> FidelityReport:
+def grid_report(scheme: str, family: str, grid) -> FidelityReport:
     """Simulate one scheme across a parameter grid, with closed forms when known."""
     return FidelityReport(
         scheme=scheme,
-        noise=family_tag(family),
+        noise=family,
         grid=grid,
         simulated=compile_fidelity(scheme, family)(grid),
         closed_form=closed_form_grid(scheme, family, grid),
@@ -239,7 +238,7 @@ def verify_table(grid_size: int) -> list[FidelityReport]:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     reports = []
-    for family in FAMILIES.values():
+    for family in FAMILIES:
         lo, hi = parameter_range(family)
         grid = np.linspace(lo, hi, grid_size)
         for scheme in TABLE_SCHEMES:

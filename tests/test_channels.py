@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from decoynoise.channels import (
     FAMILIES,
-    AmplitudeDamping,
-    CollectiveDephasing,
-    CollectiveRotation,
     KrausChannel,
-    PhaseDamping,
     apply_collective,
     apply_kraus_channel,
     apply_noise,
+    check_family,
     kraus_ad,
     kraus_pd,
     parameter_grid,
-    parameter_of,
     parameter_range,
     TRANSFER_BASIS,
     transfer_weights,
@@ -110,12 +106,12 @@ def test_pd_damps_coherences_only():
     np.testing.assert_allclose(out.matrix, expected, atol=ATOL)
 
 
-@pytest.mark.parametrize("noise", [AmplitudeDamping(0.0), PhaseDamping(0.0)])
-def test_zero_rate_channels_are_identity(noise):
+@pytest.mark.parametrize("family", ["ad", "pd"])
+def test_zero_rate_channels_are_identity(family):
     rng = np.random.default_rng(5)
     for n in range(1, 5):
         rho = random_density(rng, n)
-        out = apply_noise(rho, noise)
+        out = apply_noise(rho, family, 0.0)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
@@ -135,13 +131,8 @@ def test_maximally_mixed_fixed_by_ad0():
 def test_channel_outputs_are_valid_densities(seed, n, family, frac):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, n)
-    noise = {
-        "ad": AmplitudeDamping(frac),
-        "pd": PhaseDamping(frac),
-        "cd": CollectiveDephasing(2 * np.pi * frac),
-        "cr": CollectiveRotation(2 * np.pi * frac),
-    }[family]
-    out = apply_noise(rho, noise).matrix
+    value = frac if family in ("ad", "pd") else 2 * np.pi * frac
+    out = apply_noise(rho, family, value).matrix
     assert abs(np.trace(out).real - 1.0) <= ATOL
     assert abs(np.trace(out).imag) <= ATOL
     assert np.max(np.abs(out - out.conj().T)) <= ATOL
@@ -185,64 +176,62 @@ def test_antiparallel_rotation_overlap_is_cos_sq_2theta():
         assert overlap == pytest.approx(np.cos(2 * theta) ** 2, abs=1e-12)
 
 
-def test_noise_model_validation_and_helpers():
-    with pytest.raises(ValueError):
-        AmplitudeDamping(1.5)
-    with pytest.raises(ValueError):
-        PhaseDamping(-0.2)
-    assert parameter_of(AmplitudeDamping(0.3)) == 0.3
-    assert parameter_of(CollectiveRotation(1.1)) == 1.1
-    assert parameter_range(PhaseDamping) == (0.0, 1.0)
-    lo, hi = parameter_range(CollectiveDephasing)
+def test_parameter_validation_and_ranges():
+    with pytest.raises(ValueError, match=r"^decoherence rate must lie in \[0, 1\], got 1.5$"):
+        parameter_grid("ad", [0.3, 1.5])
+    with pytest.raises(ValueError, match=r"^decoherence rate must lie in \[0, 1\], got -0.2$"):
+        parameter_grid("pd", -0.2)
+    assert parameter_grid("ad", 0.3).tolist() == [0.3]
+    assert parameter_grid("cr", [[1.1], [-40]]).tolist() == [1.1, -40.0]
+    assert parameter_range("pd") == (0.0, 1.0)
+    lo, hi = parameter_range("cd")
     assert lo == 0.0 and hi == pytest.approx(2 * np.pi)
+    assert [check_family(tag) for tag in FAMILIES] == ["ad", "pd", "cd", "cr"]
+
+
+# each family's density-matrix oracle, which checks its parameter as parameter_grid does
+_ORACLE = {"ad": kraus_ad, "pd": kraus_pd, "cd": unitary_cd, "cr": unitary_cr}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_parameters_are_rejected(bad):
-    for model in (AmplitudeDamping, PhaseDamping):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            model(bad)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            parameter_grid(model, [0.0, 0.5, bad])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            transfer_weights(model, [0.0, 0.5, bad])
-    for model in (CollectiveDephasing, CollectiveRotation):
-        with pytest.raises(ValueError, match="finite"):
-            model(bad)
-        with pytest.raises(ValueError, match="finite"):
-            parameter_grid(model, [0.0, 0.5, bad])
-        with pytest.raises(ValueError, match="finite"):
-            transfer_weights(model, [0.0, 0.5, bad])
+    for family in FAMILIES:
+        problem = r"\[0, 1\]" if family in ("ad", "pd") else "finite"
+        with pytest.raises(ValueError, match=problem):
+            _ORACLE[family](bad)
+        with pytest.raises(ValueError, match=problem):
+            parameter_grid(family, [0.0, 0.5, bad])
+        with pytest.raises(ValueError, match=problem):
+            transfer_weights(family, [0.0, 0.5, bad])
 
 
 def test_transfer_basis_shape_and_family():
-    for family, count in ((AmplitudeDamping, 3), (PhaseDamping, 2), (CollectiveDephasing, 3), (CollectiveRotation, 3)):
+    for family, count in (("ad", 3), ("pd", 2), ("cd", 3), ("cr", 3)):
         basis = TRANSFER_BASIS[family]
         assert basis.shape == (count, 4, 4) and not basis.flags.writeable
         weights = transfer_weights(family, [0.0, 0.3, 1.0])
         assert len(weights) == 2 and weights[0].shape == (3,)
         assert (weights[1] is None) == (count == 2)
-    assert set(TRANSFER_BASIS) == {AmplitudeDamping, PhaseDamping, CollectiveDephasing, CollectiveRotation}
+    assert list(TRANSFER_BASIS) == list(FAMILIES)
     with pytest.raises(ValueError, match="unknown noise family"):
         transfer_weights(KrausChannel, [0.5])
 
 
 def _channel_written_here(family, p):
     """Kraus operators or the collective unitary of a family, independent of the package."""
-    if family is AmplitudeDamping:
+    if family == "ad":
         return [np.array([[1, 0], [0, np.sqrt(1 - p)]]), np.array([[0, np.sqrt(p)], [0, 0]])]
-    if family is PhaseDamping:
+    if family == "pd":
         return [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.diag([1, 0]), np.sqrt(p) * np.diag([0, 1])]
-    if family is CollectiveDephasing:
+    if family == "cd":
         return [np.diag([1, np.exp(1j * p)])]
     return [np.array([[np.cos(p), -np.sin(p)], [np.sin(p), np.cos(p)]])]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(FAMILIES)), st.floats(0.0, 1.0))
-def test_transfer_basis_reproduces_the_transfer_matrix(tag, frac):
-    family = FAMILIES[tag]
-    p = frac if tag in ("ad", "pd") else 40.0 * (frac - 0.5)
+def test_transfer_basis_reproduces_the_transfer_matrix(family, frac):
+    p = frac if family in ("ad", "pd") else 40.0 * (frac - 0.5)
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
     ops = _channel_written_here(family, p)
     # R_ij = Tr(P_i E(P_j)) / 2

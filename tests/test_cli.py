@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoynoise import analysis, cli
-from decoynoise.channels import FAMILIES, AmplitudeDamping, parameter_range
+from decoynoise.channels import FAMILIES, parameter_range
 from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
 from decoynoise.fidelity import FidelityReport, grid_report
 
@@ -53,7 +53,7 @@ def test_verify_table_passes_and_reports_every_cell(capsys):
     assert deviations[label, noise] == max(deviations.values())
     assert worst == f"{deviations[label, noise]:.3e}"
     assert flag == {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
-    report = grid_report(label, FAMILIES[noise], np.linspace(*parameter_range(FAMILIES[noise]), 5))
+    report = grid_report(label, noise, np.linspace(*parameter_range(noise), 5))
     assert float(param) == report.grid[np.argmax(np.abs(report.simulated - report.closed_form))]
 
 
@@ -62,7 +62,7 @@ def test_verify_table_flags_perturbed_closed_form(monkeypatch, capsys):
 
     def skewed(scheme, family, grid):
         value = true_form(scheme, family, grid)
-        if scheme == "cluster" and family is AmplitudeDamping:
+        if scheme == "cluster" and family == "ad":
             value += 1e-6
         return value
 
@@ -114,8 +114,7 @@ def _reference_sweep_csv(reports):
     grid=st.integers(2, 9),
 )
 def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
-    family = FAMILIES[noise]
-    expected = _reference_sweep_csv(analysis.sweep(analysis.SweepSpec(tuple(labels), family, *parameter_range(family), grid)))
+    expected = _reference_sweep_csv(analysis.sweep(analysis.SweepSpec(tuple(labels), noise, *parameter_range(noise), grid)))
     assert len(expected.splitlines()) == 1 + len(labels) * grid
     # 3 rows split a report of more than 3 points, 7 hold one whole report of
     # up to 7, 14 two, and the default all of them
@@ -199,6 +198,7 @@ def test_unknown_scheme_is_rejected(capsys):
 @pytest.mark.parametrize("noise,wrong", [("ad", "phi"), ("pd", "theta"), ("cd", "eta"), ("cr", "eta")])
 def test_recommend_needs_the_right_parameter_flag(capsys, noise, wrong):
     flag = {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
+    assert flag == FAMILIES[noise]
     assert run(["recommend", "--noise", noise]) == 1
     assert capsys.readouterr().err == f"error: --{flag} is required for noise {noise}\n"
     assert run(["recommend", "--noise", noise, f"--{wrong}", "0.5"]) == 1
@@ -341,10 +341,10 @@ def test_eve_sim_defaults_stand_in_for_omitted_flags(capsys):
 def test_a_repeated_query_compiles_nothing(args, capsys):
     assert run(args) == 0
     first = capsys.readouterr().out
-    misses = fidelity_mod.compile_fidelity.cache_info().misses
+    misses = fidelity_mod._compile.cache_info().misses
     assert run(args) == 0
     assert capsys.readouterr().out == first
-    assert fidelity_mod.compile_fidelity.cache_info().misses == misses
+    assert fidelity_mod._compile.cache_info().misses == misses
 
 
 def test_repeated_queries_in_one_process_print_what_a_fresh_process_prints(capsys):

@@ -549,6 +549,7 @@ def test_sweep_matches_golden_file(tmp_path, golden, args):
 
 
 _TWO_PI = "6.283185307179586"
+_MC_FLAGS = ["--method", "mc", "--trials", "1000", "--seed", "7"]
 
 
 @pytest.mark.parametrize(
@@ -568,6 +569,16 @@ _TWO_PI = "6.283185307179586"
         ("crossover_ad_golden.csv", ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"]),
         ("crossover_cr_golden.csv", ["crossover", "--a", "psi-", "--b", "bb84", "--noise", "cr", "--lo", "0.1", "--hi", "1.4"]),
         ("verify_table_golden.csv", ["verify-table", "--grid", "21"]),
+        ("eve_intercept_golden.csv", ["eve-sim", "--attack", "intercept"]),
+        *(
+            (f"eve_wrong_pair_{bell}_{pair}_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--bell", bell, "--eve-pair", pair])
+            for bell in ("psi+", "psi-", "phi+", "phi-")
+            for pair in ("12", "23")
+        ),
+        *(
+            (f"eve_{attack.replace('-', '_')}_mc_golden.csv", ["eve-sim", "--attack", attack, *_MC_FLAGS])
+            for attack in ("intercept", "wrong-pair")
+        ),
     ],
 )
 def test_command_matches_golden_file(capsys, golden, argv):

@@ -7,27 +7,35 @@ qubit cluster state and the W state), verifies the closed-form fidelity
 expressions against a pure-state simulation kernel, and ranks the schemes per
 channel. A scheme is its label, one of SCHEMES, and a noise family its tag,
 one of FAMILIES ('ad', 'pd', 'cd', 'cr'); a noise setting is a (family,
-value) pair, as in scheme_fidelity("psi-", "cr", 0.7).
+value) pair, as in scheme_fidelity("psi-", "cr", 0.7). The submodules and
+the names below are imported on first use, so importing the package imports
+no numpy.
 """
 
-from .analysis import Ranking, SweepSpec, find_crossover, recommend, sweep
-from .channels import (
-    FAMILIES,
-    KrausChannel,
-    apply_collective,
-    apply_kraus_channel,
-    apply_noise,
-    kraus_ad,
-    kraus_pd,
-    unitary_cd,
-    unitary_cr,
-)
-from .eavesdrop import AttackOutcome, intercept_resend_bb84, wrong_pair_bell_attack
+import importlib
 
-# the overlap metric itself lives at decoynoise.fidelity.fidelity; re-exporting
-# the bare name here would shadow the submodule
-from .fidelity import FidelityReport, scheme_fidelity, verify_table
-from .linalg import DensityMatrix, PureState, conjugate_apply, tensor_product
-from .states import SCHEMES
-
+# Each submodule and the names re-exported from it. The overlap metric itself
+# lives at decoynoise.fidelity.fidelity; re-exporting the bare name here would
+# shadow the submodule.
+_EXPORTS = {
+    "analysis": ("Ranking", "SweepSpec", "find_crossover", "recommend", "sweep"),
+    "channels": ("FAMILIES", "KrausChannel", "apply_collective", "apply_kraus_channel", "apply_noise", "kraus_ad",
+                 "kraus_pd", "unitary_cd", "unitary_cr"),
+    "cli": (),
+    "eavesdrop": ("AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"),
+    "fidelity": ("FidelityReport", "scheme_fidelity", "verify_table"),
+    "linalg": ("DensityMatrix", "PureState", "conjugate_apply", "tensor_product"),
+    "states": ("SCHEMES",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return globals()[name]

@@ -11,20 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channels import parameter_grid
+from .channels import parameter_value
 from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_report, scheme_fidelity
 
 # Fidelities closer than this are reported as a tie; well above simulation
 # noise (~1e-15) and well below any genuine fidelity gap between schemes.
 TIE_TOL = 1e-9
-
-# Halvings find_crossover evaluates per round, as one grid of
-# 2**BISECT_DEPTH - 1 midpoints. 4 to 6 measured fastest, within 7% of each
-# other: below, the two evaluations per round cost more than their points,
-# and from 8 on the tree of 2**BISECT_DEPTH brackets built per round does.
-BISECT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -48,6 +40,7 @@ class SweepSpec:
 
 def sweep(spec: SweepSpec) -> list[FidelityReport]:
     """Evaluate every scheme on the same endpoint-inclusive uniform grid."""
+    import numpy as np
     grid = np.linspace(spec.start, spec.end, spec.points)
     return [grid_report(scheme, spec.family, grid) for scheme in spec.schemes]
 
@@ -67,15 +60,13 @@ def find_crossover(
     also stops when the bracket holds no float between its ends, so tol=0
     bisects down to neighbouring floats.
 
-    Both fidelities are compiled once, before the first round. Each round
-    evaluates them at the midpoints of the next BISECT_DEPTH halvings
-    whichever way they go (a binary tree in heap order), then walks the tree.
-    The midpoints and the polynomials' values are those of one-point-at-a-time
-    bisection, so the root is the same float.
+    Both fidelities are compiled once, before the first step, and each step
+    evaluates them at its midpoint as floats, which have the bits of the same
+    point of a grid.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    # so that no midpoint of the batch overflows, visited by the walk or not
+    # so that no midpoint overflows
     if not max(abs(lo), abs(hi)) < 2.0**1023:
         raise ValueError(f"need |lo|, |hi| < 2**1023, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -83,30 +74,23 @@ def find_crossover(
 
     fidelity_a, fidelity_b = compile_fidelity(a, family), compile_fidelity(b, family)
 
-    def gap(points: list[float]) -> np.ndarray:
-        return fidelity_a(points) - fidelity_b(points)
+    def gap(p: float) -> float:
+        return fidelity_a.at(p) - fidelity_b.at(p)
 
-    gap_lo, gap_hi = gap([lo, hi])
+    gap_lo, gap_hi = gap(lo), gap(hi)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
         raise ValueError(f"no crossover in interval [{lo}, {hi}]")
     while hi - lo > tol:
-        brackets, mids = [(lo, hi)], []
-        for node in range(2**BISECT_DEPTH - 1):
-            left, right = brackets[node]
-            mids.append(0.5 * (left + right))
-            brackets += [(left, mids[node]), (mids[node], right)]
-        gaps = gap(mids)
-        node = 0
-        for _ in range(BISECT_DEPTH):
-            mid, gap_mid = mids[node], gaps[node]
-            if gap_mid == 0.0 or mid in (lo, hi):
-                return mid
-            if (gap_mid < 0.0) == (gap_lo < 0.0):
-                lo, gap_lo, node = mid, gap_mid, 2 * node + 2
-            else:
-                hi, node = mid, 2 * node + 1
-            if not hi - lo > tol:
-                break
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        gap_mid = gap(mid)
+        if gap_mid == 0.0:
+            return mid
+        if (gap_mid < 0.0) == (gap_lo < 0.0):
+            lo, gap_lo = mid, gap_mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -136,7 +120,7 @@ def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None)
     The ordering is canonical (fidelity descending, then scheme label), so it
     does not depend on the order schemes are passed in.
     """
-    value = float(parameter_grid(family, [value])[0])
+    value = parameter_value(family, value)
     if schemes is None:
         schemes = TABLE_SCHEMES
     scored = [(scheme, scheme_fidelity(scheme, family, value)) for scheme in schemes]

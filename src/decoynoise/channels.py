@@ -23,10 +23,11 @@ noise setting is a (family, value) pair; FAMILIES maps each tag to the name
 of its parameter (eta, phi or theta).
 
 The fidelity kernel in `fidelity` sees a channel only through its Pauli
-transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2 (TRANSFER_BASIS and
-transfer_weights). The Kraus operators and unitaries, written out apart from
-it, and the density-matrix maps (apply_noise and the two below it) are the
-tests' oracle for that kernel.
+transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2: integer TRANSFER_BASIS
+matrices, and weights from numpy over a grid (transfer_weights) or from math
+at one value (point_weights). The Kraus operators and unitaries, written out
+apart from it, and the density-matrix maps (apply_noise and the two below it)
+are the tests' oracle for that kernel; like every grid, they import numpy.
 """
 
 from __future__ import annotations
@@ -34,17 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import (
-    ATOL,
-    DensityMatrix,
-    conjugate_apply,
-    dagger,
-    is_unitary,
-    tensor_power,
-    tensor_product,
-)
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # numpy is imported where a grid or the oracle needs it
+    import numpy as np
+    from .linalg import DensityMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +52,8 @@ class KrausChannel:
     name: str
 
     def __post_init__(self):
+        import numpy as np
+        from .linalg import ATOL, dagger
         ops = tuple(np.asarray(op, dtype=complex).copy() for op in self.operators)
         if not ops or any(op.shape != (2, 2) for op in ops):
             raise ValueError("Kraus operators must be a non-empty set of 2x2 matrices")
@@ -87,40 +83,56 @@ def parameter_range(family: str) -> tuple[float, float]:
     return (0.0, 1.0) if FAMILIES[check_family(family)] == "eta" else (0.0, 2.0 * math.pi)
 
 
-def parameter_grid(family: str, grid) -> np.ndarray:
-    """A noise family's parameters as a flat float array.
-
-    Rates outside [0, 1] and non-finite angles are rejected.
-    """
-    rate = FAMILIES[check_family(family)] == "eta"
-    p = np.asarray(grid, dtype=float).reshape(-1)
-    if rate:
+def parameter_value(family: str, value: float) -> float:
+    """One parameter of a noise family as a float; a rate outside [0, 1] or a non-finite angle is rejected."""
+    value = float(value)
+    if FAMILIES[check_family(family)] == "eta":
         # written so that NaN, which fails every comparison, is rejected too
-        valid = (0.0 <= p) & (p <= 1.0)
-        problem = "decoherence rate must lie in [0, 1]"
-    else:
-        valid = np.isfinite(p)
-        problem = "noise angle must be finite"
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"decoherence rate must lie in [0, 1], got {value}")
+    elif not math.isfinite(value):
+        raise ValueError(f"noise angle must be finite, got {value}")
+    return value
+
+
+def parameter_grid(family: str, grid) -> np.ndarray:
+    """A noise family's parameters as a flat float array, each checked as by parameter_value."""
+    import numpy as np
+    p = np.asarray(grid, dtype=float).reshape(-1)
+    valid = (0.0 <= p) & (p <= 1.0) if FAMILIES[check_family(family)] == "eta" else np.isfinite(p)
     if not valid.all():
-        raise ValueError(f"{problem}, got {p[~valid][0]}")
+        parameter_value(family, p[~valid][0])  # raises for the first value outside
     return p
 
 
-_IZ, _XY, _IY, _XZ = (np.diag(d) for d in ([1.0, 0, 0, 1], [0.0, 1, 1, 0], [1.0, 0, 1, 0], [0.0, 1, 0, 1]))
-
 # A0, A1 and A2 of each family's R_ij = Tr(P_i E(P_j)) / 2, P in the order I, X, Y, Z
-TRANSFER_BASIS: dict[str, np.ndarray] = {
+_IZ = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))
+_XY = ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))
+_IY = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))
+_XZ = ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))
+TRANSFER_BASIS: dict[str, tuple[tuple[tuple[int, ...], ...], ...]] = {
     # I -> I + eta Z, X -> sqrt(1-eta) X, Y -> sqrt(1-eta) Y, Z -> (1-eta) Z
-    "ad": np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1]]]),
+    "ad": (_IZ, _XY, ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, -1))),
     # X -> (1-eta) X, Y -> (1-eta) Y
-    "pd": np.array([_IZ, _XY]),
+    "pd": (_IZ, _XY),
     # X -> cos phi X + sin phi Y, Y -> cos phi Y - sin phi X
-    "cd": np.array([_IZ, _XY, [[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]]),
+    "cd": (_IZ, _XY, ((0, 0, 0, 0), (0, 0, -1, 0), (0, 1, 0, 0), (0, 0, 0, 0))),
     # X -> cos 2t X - sin 2t Z, Z -> cos 2t Z + sin 2t X
-    "cr": np.array([_IY, _XZ, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0]]]),
+    "cr": (_IY, _XZ, ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, -1, 0, 0))),
 }
-for _matrices in TRANSFER_BASIS.values():
-    _matrices.setflags(write=False)
+
+
+def _weights(family: str, p, xp):
+    """(w1, w2) at a checked parameter p: a float with xp = math, an array with xp = numpy."""
+    if family == "ad":
+        return xp.sqrt(1.0 - p), p
+    if family == "pd":
+        return 1.0 - p, None
+    if family == "cd":
+        return xp.cos(p), xp.sin(p)
+    # cos 2t and sin 2t from t, which stay finite where 2t would overflow
+    cos, sin = xp.cos(p), xp.sin(p)
+    return (cos - sin) * (cos + sin), 2.0 * sin * cos
 
 
 def transfer_weights(family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
@@ -129,39 +141,38 @@ def transfer_weights(family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
     They are sqrt(1-eta), eta (ad); 1-eta, None (pd, no A2); cos phi, sin phi
     (cd); cos 2t, sin 2t (cr). parameter_grid checks the grid.
     """
-    p = parameter_grid(family, grid)
-    if family == "ad":
-        return np.sqrt(1.0 - p), p
-    if family == "pd":
-        return 1.0 - p, None
-    if family == "cd":
-        return np.cos(p), np.sin(p)
-    # cos 2t and sin 2t from t, which stay finite where 2t would overflow
-    cos, sin = np.cos(p), np.sin(p)
-    return (cos - sin) * (cos + sin), 2.0 * sin * cos
+    import numpy as np
+    return _weights(family, parameter_grid(family, grid), np)
+
+
+def point_weights(family: str, value: float) -> tuple[float, float | None]:
+    """transfer_weights at one parameter value, as floats from math; parameter_value checks it."""
+    return _weights(family, parameter_value(family, value), math)
 
 
 def kraus_ad(eta: float) -> KrausChannel:
     """Amplitude damping channel with decoherence rate eta in [0, 1]."""
-    eta = float(parameter_grid("ad", [eta])[0])
+    eta = parameter_value("ad", eta)
     return KrausChannel(([[1, 0], [0, math.sqrt(1 - eta)]], [[0, math.sqrt(eta)], [0, 0]]), "amplitude_damping")
 
 
 def kraus_pd(eta: float) -> KrausChannel:
     """Phase damping channel with decoherence rate eta in [0, 1]."""
-    eta = float(parameter_grid("pd", [eta])[0])
+    eta = parameter_value("pd", eta)
     keep, lose = math.sqrt(1 - eta), math.sqrt(eta)
     return KrausChannel(([[keep, 0], [0, keep]], [[lose, 0], [0, 0]], [[0, 0], [0, lose]]), "phase_damping")
 
 
 def unitary_cd(phi: float) -> np.ndarray:
     """Collective dephasing phase gate diag(1, exp(i phi))."""
-    return np.diag([1.0, np.exp(1j * float(parameter_grid("cd", [phi])[0]))])
+    import numpy as np
+    return np.diag([1.0, np.exp(1j * parameter_value("cd", phi))])
 
 
 def unitary_cr(theta: float) -> np.ndarray:
     """Collective rotation by angle theta in the real plane."""
-    theta = float(parameter_grid("cr", [theta])[0])
+    import numpy as np
+    theta = parameter_value("cr", theta)
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]], dtype=complex)
 
 
@@ -172,6 +183,8 @@ def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     operator E is embedded as I x E x I and the terms E rho E^dag are summed.
     The result is validated as a density matrix.
     """
+    import numpy as np
+    from .linalg import DensityMatrix, dagger, tensor_product
     n = rho.n_qubits
     state = rho.matrix
     for q in range(n):
@@ -185,6 +198,8 @@ def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
 
 def apply_collective(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """Apply the same single-qubit unitary u to every qubit of rho."""
+    import numpy as np
+    from .linalg import conjugate_apply, is_unitary, tensor_power
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"collective noise needs a 2x2 unitary, got shape {u.shape}")

@@ -20,10 +20,9 @@ import argparse
 import functools
 import itertools
 import os
+import re
 import stat
 import sys
-
-import numpy as np
 
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
@@ -57,6 +56,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-1e-05" and "-.5" are values, not flags, as newer CPython releases read them
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 
@@ -175,6 +179,7 @@ def _sweep_blocks(reports):
     many of their fidelities tie and abs_err takes few values. Floats are told
     apart by their bits, so 0.0 and -0.0 each keep their own repr.
     """
+    import numpy as np
     yield [SWEEP_HEADER]
     for block in _blocks(reports):
         pieces = []

@@ -22,8 +22,9 @@ Monte Carlo sampling exists only to exercise the statistical pathway; it
 requires an explicit seed and is bit-reproducible for a fixed seed.
 
 The receiver's joint Bell-outcome distribution is built once per process for
-each of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome), and
-stored read-only. Every call still returns a fresh AttackOutcome with its own
+each of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome), in
+plain integer arithmetic, and stored as nested tuples. Only Monte Carlo
+imports numpy. Every call still returns a fresh AttackOutcome with its own
 outcome_distribution, and Monte Carlo samples the same joint with the same
 random stream. A zero-probability eve_outcome raises on every call, as
 exceptions are not memoised.
@@ -35,17 +36,14 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, SINGLE_LABELS
 
 # Born probabilities |<a|b>|^2 between the four single-qubit states, in
 # SINGLE_LABELS order: the squared dot product of the integer vectors over
 # the product of their squared norms.
-_SINGLE = np.array([INT_SINGLES[label] for label in SINGLE_LABELS])
-_DOTS = (_SINGLE @ _SINGLE.T).tolist()
+_SINGLE = [INT_SINGLES[label] for label in SINGLE_LABELS]
+_DOTS = [[sum(x * y for x, y in zip(a, b)) for b in _SINGLE] for a in _SINGLE]
 _BORN = [[Fraction(_DOTS[a][b] ** 2, _DOTS[a][a] * _DOTS[b][b]) for b in range(4)] for a in range(4)]
-_BORN_FLOAT = np.array(_BORN, dtype=float)
 
 # Eve's two bases hold each of the four labels once, so the sent label s (1/4),
 # Eve's basis (1/2) and her outcome r give the pair (s, r) probability
@@ -53,15 +51,8 @@ _BORN_FLOAT = np.array(_BORN, dtype=float)
 # 1 - Born(s, r). Exactly 1/4.
 _DISAGREEMENT = sum(Fraction(1, 8) * _BORN[r][s] * (1 - _BORN[s][r]) for s in range(4) for r in range(4))
 
-# Integer Bell tensors, _BELL[label, a, b] for the qubit values a, b.
-_BELL = np.array([INT_BELLS[label] for label in BELL_LABELS]).reshape(4, 2, 2)
-
-# For each pair Eve may measure (1-indexed; the sender entangles (1,2) and
-# (3,4)): the integer amplitude <x|_12 <y|_34 (|e><e| on Eve's pair) |abcd> of
-# the receiver's outcomes x, y after Eve finds e, over the sent block's qubits
-# abcd; capitals name the qubits that Eve's bra <e| contracts with.
-_EVE_SUBSCRIPTS = {(1, 2): "xab,ycd,eab,eAB,ABcd->exy", (2, 3): "xab,ycd,ebc,eBC,aBCd->exy"}
-_VALID_EVE_PAIRS = tuple(_EVE_SUBSCRIPTS)
+# The pairs Eve may measure (1-indexed; the sender entangles (1,2) and (3,4)).
+_VALID_EVE_PAIRS = ((1, 2), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -107,13 +98,15 @@ def intercept_resend_bb84(
         return AttackOutcome(float(disagree), dist, "exact")
 
     _require_seeded_mc(trials, seed)
+    import numpy as np
     rng = np.random.default_rng(seed)
+    born = np.array(_BORN, dtype=float)
     sent = rng.integers(0, 4, size=trials)
     if eve_present:
         basis_first = 2 * rng.integers(0, 2, size=trials)  # first label of Eve's basis
-        take_second = rng.random(size=trials) >= _BORN_FLOAT[basis_first, sent]
+        take_second = rng.random(size=trials) >= born[basis_first, sent]
         eve_outcome_idx = basis_first + take_second
-        wrong = rng.random(size=trials) >= _BORN_FLOAT[sent, eve_outcome_idx]
+        wrong = rng.random(size=trials) >= born[sent, eve_outcome_idx]
     else:
         wrong = np.zeros(trials, dtype=bool)
     disagreements = int(np.count_nonzero(wrong))
@@ -125,25 +118,31 @@ def intercept_resend_bb84(
 
 
 @functools.cache
-def _attack_joint(bell: str, eve_pair: tuple[int, int], eve_outcome: str | None) -> np.ndarray:
-    """The receiver's joint Bell-outcome distribution, read-only and built once per key.
+def _attack_joint(bell: str, eve_pair: tuple[int, int], eve_outcome: str | None) -> tuple[tuple[float, ...], ...]:
+    """The receiver's joint Bell-outcome distribution, as rows of floats, built once per key.
 
-    The weights are squared integer amplitudes far below 2**53, so they and
-    their total convert to float exactly and one division rounds each exact
-    probability correctly.
+    Qubit q (1-indexed) is bit 4 - q of a basis index of the sent block. The
+    receiver's integer amplitude <x|_12 <y|_34 (|e><e| on Eve's pair) |block>
+    is a sum over the 16 basis states. Its square is an exact integer weight,
+    so one true division by the integer total rounds each probability once.
     """
-    sent = _BELL[BELL_LABELS.index(bell)]
-    block = np.multiply.outer(sent, sent)
-    weights = np.einsum(_EVE_SUBSCRIPTS[eve_pair], _BELL, _BELL, _BELL, _BELL, block) ** 2
-    if eve_outcome is None:
-        weights = weights.sum(axis=0)
-    else:
-        weights = weights[BELL_LABELS.index(eve_outcome)]
-        if not weights.any():
-            raise ValueError(f"Eve outcome {eve_outcome!r} has zero probability")
-    joint = weights / weights.sum()
-    joint.setflags(write=False)
-    return joint
+    sent = INT_BELLS[bell]
+    block = [sent[k >> 2] * sent[k & 3] for k in range(16)]
+    first, second = (4 - q for q in eve_pair)
+    on_pair = [2 * (k >> first & 1) + (k >> second & 1) for k in range(16)]
+    rest = [k & ~(1 << first | 1 << second) for k in range(16)]
+    weights = [[0] * 4 for _ in range(4)]
+    for eve in (INT_BELLS[label] for label in (BELL_LABELS if eve_outcome is None else (eve_outcome,))):
+        # <e| on Eve's pair for each value of the other two qubits, then the block after her projection
+        overlap = [sum(eve[on_pair[k]] * block[k] for k in range(16) if rest[k] == other) for other in range(16)]
+        after = [eve[on_pair[k]] * overlap[rest[k]] for k in range(16)]
+        for i, x in enumerate(BELL_LABELS):
+            for j, y in enumerate(BELL_LABELS):
+                weights[i][j] += sum(INT_BELLS[x][k >> 2] * INT_BELLS[y][k & 3] * after[k] for k in range(16)) ** 2
+    total = sum(map(sum, weights))
+    if not total:
+        raise ValueError(f"Eve outcome {eve_outcome!r} has zero probability")
+    return tuple(tuple(weight / total for weight in row) for row in weights)
 
 
 def wrong_pair_bell_attack(
@@ -181,17 +180,14 @@ def wrong_pair_bell_attack(
     prep = BELL_LABELS.index(bell)
 
     if method == "exact":
-        dist = {
-            f"{a};{b}": float(joint[i, j])
-            for i, a in enumerate(BELL_LABELS)
-            for j, b in enumerate(BELL_LABELS)
-        }
-        detection = float(1.0 - joint[prep, prep])
+        dist = {f"{a};{b}": joint[i][j] for i, a in enumerate(BELL_LABELS) for j, b in enumerate(BELL_LABELS)}
+        detection = 1.0 - joint[prep][prep]
         return AttackOutcome(detection, dist, "exact")
 
     _require_seeded_mc(trials, seed)
+    import numpy as np
     rng = np.random.default_rng(seed)
-    flat = joint.reshape(16)
+    flat = np.array(joint).reshape(16)
     # Inverse-CDF sampling on the uniforms and CDF of Generator.choice(16, p=...),
     # counted per outcome instead of drawn one by one: outcome k is drawn by
     # the uniforms u with cdf[k-1] <= u < cdf[k], and cdf[15] is exactly 1.

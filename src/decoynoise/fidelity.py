@@ -8,19 +8,25 @@ tag in channels.FAMILIES.
 
 Simulation compiles each (scheme, channel family) pair into a polynomial.
 Every channel acts on every qubit with one Pauli transfer matrix R(p) = A0 +
-w1(p) A1 + w2(p) A2 (see `channels`), so a decoy state of n qubits with Pauli
-vector r_P = <psi|P|psi> has F = 2^-n r^T R^(x n) r, a polynomial in w1 and
-w2 of degree at most n, evaluated over a whole grid in arrays of its length.
-The BB84 average over all 256 product strings is exactly (the mean of the four
-single-qubit polynomials over 0, 1, +, -)^4.
+w1(p) A1 + w2(p) A2 with integer A0, A1, A2 (see `channels`), so a decoy
+state of n qubits with Pauli vector r_P = <psi|P|psi> has F = 2^-n r^T
+R^(x n) r, a polynomial in w1 and w2 of degree at most n. The compile is
+exact integer arithmetic on the state's integer vector (states.INT_*) of
+squared norm N: N r_P is an integer, and so is each coefficient times 2^n N^2.
+Each coefficient is rounded once to the nearest float, and one that is
+exactly 0 is dropped. The BB84 average over all 256 product strings is
+exactly (the mean of the four single-qubit polynomials over 0, 1, +, -)^4.
 
-compile_fidelity is memoised, so each (scheme, family) pair is compiled once
-per process and a one-point evaluation (recommend, each bisection round) pays
-only for the evaluation. The polynomial depends on that pair alone, and the
-key set is finite: 7 schemes x 4 families. Nothing is evicted or
-invalidated; the compiled function holds only its coefficients. The scheme
-and the family are checked before the memo, so an unknown one, unhashable
-or not, raises ValueError, which is not memoised.
+One routine evaluates a Polynomial, at one float through math (its `at`) or
+over a grid through numpy (calling it), in the same operations and order;
+powers are repeated products, never **. A one-point value, as recommend and
+each bisection step take it, therefore has the bits of the same point of a
+sweep, and only a grid imports numpy.
+
+compile_fidelity is memoised: the polynomial depends on the (scheme, family)
+pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
+The scheme and the family are checked before the memo, so an unknown one,
+unhashable or not, raises ValueError, which is not memoised.
 
 closed_form_grid evaluates the known closed forms over a whole grid, and
 verify_table checks each (scheme, channel family) combination that has one
@@ -43,56 +49,31 @@ Simulation never uses these expressions, so verify_table compares two derivation
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-import numpy as np
+from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights
+from .channels import transfer_weights
+from .states import INT_BELLS, INT_CLUSTER, INT_SINGLES, INT_W, SCHEMES, check_scheme
 
-from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, transfer_weights
-from .linalg import ATOL, MAX_QUBITS, DensityMatrix, PureState
-from .states import AMPLITUDES, SCHEMES, SINGLES, check_scheme
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # numpy is imported where a grid needs it
+    import numpy as np
+    from .linalg import DensityMatrix, PureState
 
 # Schemes that have a closed-form fidelity for every channel family, all but
 # w; also the default set that analysis.recommend ranks.
 TABLE_SCHEMES = SCHEMES[:-1]
 
-# A compiled fidelity keeps its coefficient c_jk at index j * _DEGREES + k.
-_DEGREES = MAX_QUBITS + 1
-
-
-def _kron_power(stack: np.ndarray, count: int) -> np.ndarray:
-    """Every product of count matrices of a stack of square matrices, first factor major."""
-    products = np.ones((1, 1, 1))
-    for _ in range(count):
-        outer = np.multiply.outer(products, stack).transpose(0, 3, 1, 4, 2, 5)
-        products = outer.reshape(len(products) * len(stack), len(products[0]) * len(stack[0]), -1)
-    return products
-
-
-def _transfer_powers(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Products of 0, 1 and 2 basis matrices, each with the index j * _DEGREES + k of its j A1 and k A2."""
-    steps = np.array([0, _DEGREES, 1][: len(basis)])
-    monomials = (np.zeros(1, dtype=np.intp), steps, np.add.outer(steps, steps).ravel())
-    return [(_kron_power(basis, count), monomials[count]) for count in range(3)]
-
-
-# Products over 0, 1 and 2 qubits, enough for either half of up to four: the
-# Pauli strings, from I, X, Y, Z in that order, and each family's transfer basis.
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI_STRINGS = [_kron_power(_PAULIS, count) for count in range(3)]
-_TRANSFER_POWERS = {family: _transfer_powers(basis) for family, basis in TRANSFER_BASIS.items()}
-
-
-def _bilinear(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum over i, j of conj(x_ij) (L x R^T)_ij for each matrix x of a stack and every L and R of two stacks.
-
-    That is the sum over i, j of (L x)_ij (conj(x) R)_ij, so two matrix
-    products give L x for every L and conj(x) R for every R.
-    """
-    count, rows, columns = x.shape
-    left_x = (left.reshape(-1, rows) @ x).reshape(count, len(left), -1)
-    x_right = (x.conj() @ right.transpose(1, 0, 2).reshape(columns, -1)).reshape(count, rows, len(right), columns)
-    return left_x @ x_right.transpose(0, 1, 3, 2).reshape(count, -1, len(right))
+# The integer vector of the state each scheme but bb84 sends; a Bell pair is
+# the Bell vector's outer product with itself.
+_INT_STATES = {
+    **{label: tuple(x * y for x in bell for y in bell) for label, bell in INT_BELLS.items()},
+    "cluster": INT_CLUSTER,
+    "w": INT_W,
+}
 
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:
@@ -101,6 +82,7 @@ def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     The imaginary part must be below 1e-12; anything larger fails loudly
     instead of being silently discarded.
     """
+    from .linalg import ATOL
     if psi.n_qubits != rho.n_qubits:
         raise ValueError(f"qubit count mismatch: state has {psi.n_qubits}, density matrix {rho.n_qubits}")
     value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
@@ -109,50 +91,91 @@ def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     return float(value.real)
 
 
-def compile_fidelity(scheme: str, family: str) -> Callable[..., np.ndarray]:
-    """The fidelity of one scheme under one noise family, as a function of the parameter grid.
+@dataclass(frozen=True)
+class Polynomial:
+    """A compiled fidelity, (sum of c w1^j w2^k over its terms (j, k, c))^power in the family's transfer weights."""
+
+    family: str
+    terms: tuple[tuple[int, int, float], ...]
+    power: int
+
+    def at(self, value: float) -> float:
+        """The fidelity at one parameter value, as a float."""
+        return self._evaluate(*point_weights(self.family, value), 0.0)
+
+    def __call__(self, grid) -> np.ndarray:
+        """The fidelity at every point of a parameter grid, as an array."""
+        import numpy as np
+        w1, w2 = transfer_weights(self.family, grid)
+        return self._evaluate(w1, w2, np.zeros_like(w1))
+
+    def _evaluate(self, w1, w2, total):
+        """The same operations for floats and for arrays; total starts as a zero of the result's type."""
+        w1_powers, w2_powers = [1.0, w1], [1.0, w2]
+        for j, k, c in self.terms:
+            while len(w1_powers) <= j:
+                w1_powers.append(w1_powers[-1] * w1)
+            while len(w2_powers) <= k:
+                w2_powers.append(w2_powers[-1] * w2)
+            total = total + c * w1_powers[j] * w2_powers[k]
+        result = total
+        for _ in range(self.power - 1):
+            result = result * total
+        return result
+
+
+def compile_fidelity(scheme: str, family: str) -> Polynomial:
+    """The fidelity of one scheme under one noise family, as a Polynomial in its parameter.
 
     Memoised once both are checked; see the module docstring.
     """
     return _compile(check_scheme(scheme), check_family(family))
 
 
-@functools.cache
-def _compile(scheme: str, family: str) -> Callable[..., np.ndarray]:
-    """compile_fidelity for a checked scheme and family.
+def _pauli_vector(vec: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """N <psi|P|psi> for each Pauli string P (0 to 3 for I, X, Y, Z on each qubit) where it is not 0.
 
-    The Pauli vector r_P = <psi|P|psi>, and then the coefficients of F =
-    2^-n r^T R^(x n) r, come from one identity: with the n qubits split into
-    h = ceil(n/2) and n - h and a vector v on them written as a matrix V,
-    v^dag (L x R) v is the sum of the entries of conj(V) * (L V R^T). Each
-    product of basis matrices in R^(x n) adds to the coefficient of the
-    monomial w1^j w2^k that its factors A1 and A2 set.
+    With f the qubits where P has X or Y, z those where it has Y or Z and m
+    its number of Y, <a|P|b> = i^m (-1)^(b.z) for a = b ^ f. For a real
+    vector the sum is 0 for odd m, and an integer for even m.
     """
-    if scheme == "bb84":
-        states, power = list(SINGLES.values()), 4
-    else:
-        states, power = [AMPLITUDES[scheme]], 1
-    count, n = len(states), len(states[0]).bit_length() - 1
-    half = (n + 1) // 2
-    psi = np.array(states, dtype=complex).reshape(count, 2**half, -1)
-    r = _bilinear(psi, _PAULI_STRINGS[half], _PAULI_STRINGS[n - half]).real
-    (left, left_monomials), (right, right_monomials) = (_TRANSFER_POWERS[family][c] for c in (half, n - half))
-    products = _bilinear(r, left, right).sum(axis=0) / (count * 2**n)
-    coefficients = np.bincount(np.add.outer(left_monomials, right_monomials).ravel(), products.ravel())
-    terms = tuple((*divmod(index, _DEGREES), c) for index, c in enumerate(coefficients.tolist()) if c)
+    n, support = len(vec).bit_length() - 1, [(b, x) for b, x in enumerate(vec) if x]
+    r = {}
+    # <a|P|b> is not 0 only for a = b ^ f, so only f = a ^ b of two nonzero amplitudes can give one
+    for f, z in itertools.product(sorted({a ^ b for a, _ in support for b, _ in support}), range(2**n)):
+        total = sum(-x * vec[b ^ f] if (b & z).bit_count() % 2 else x * vec[b ^ f] for b, x in support)
+        if total:
+            paulis = tuple((0, 3, 1, 2)[2 * (f >> q & 1) + (z >> q & 1)] for q in reversed(range(n)))
+            r[paulis] = -total if (f & z).bit_count() % 4 else total
+    return r
 
-    def fidelity_over(grid) -> np.ndarray:
-        """The fidelity at every point of a parameter grid."""
-        w1, w2 = transfer_weights(family, grid)
-        terms_over = (c * (w1**j if j else 1.0) * (w2**k if k else 1.0) for j, k, c in terms)
-        return sum(terms_over, start=np.zeros_like(w1)) ** power
 
-    return fidelity_over
+@functools.cache
+def _compile(scheme: str, family: str) -> Polynomial:
+    """compile_fidelity for a checked scheme and family; see the module docstring."""
+    vectors, power = (list(INT_SINGLES.values()), 4) if scheme == "bb84" else ([_INT_STATES[scheme]], 1)
+    basis = TRANSFER_BASIS[family]
+    # each row of R as (column, basis matrix 0, 1 or 2 for A0, A1, A2, its integer entry) where not 0
+    rows = [[(b, m, basis[m][a][b]) for b in range(4) for m in range(len(basis)) if basis[m][a][b]] for a in range(4)]
+    exact: dict[tuple[int, int], Fraction] = {}
+    for vec in vectors:
+        r, scaled = _pauli_vector(vec), {}
+        for left, r_left in r.items():
+            # each way to pick an entry of R in every qubit's row adds to the coefficient of w1^#A1 w2^#A2
+            for picks in itertools.product(*(rows[a] for a in left)):
+                r_right = r.get(tuple(b for b, _, _ in picks))
+                if r_right:
+                    matrices = [m for _, m, _ in picks]
+                    key = (matrices.count(1), matrices.count(2))
+                    scaled[key] = scaled.get(key, 0) + r_left * r_right * math.prod(a for _, _, a in picks)
+        for key, c in scaled.items():
+            exact[key] = exact.get(key, 0) + Fraction(c, len(vectors) * len(vec) * sum(x * x for x in vec) ** 2)
+    return Polynomial(family, tuple((j, k, float(c)) for (j, k), c in sorted(exact.items()) if c), power)
 
 
 def scheme_fidelity(scheme: str, family: str, value: float) -> float:
     """Simulated fidelity of a scheme under one noise family at one parameter value."""
-    return float(compile_fidelity(scheme, family)([value])[0])
+    return compile_fidelity(scheme, family).at(value)
 
 
 def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
@@ -160,6 +183,7 @@ def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
 
     None for the W state, which is covered by simulation only.
     """
+    import numpy as np
     x = parameter_grid(family, grid)
     match check_scheme(scheme), family:
         case "bb84", "ad":
@@ -204,6 +228,8 @@ class FidelityReport:
     max_abs_deviation: float | None = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+        from .linalg import ATOL
         for name in ("grid", "simulated", "closed_form"):
             if getattr(self, name) is not None:
                 values = np.array(getattr(self, name), dtype=float)
@@ -235,6 +261,7 @@ def verify_table(grid_size: int) -> list[FidelityReport]:
     One report per (scheme, channel family) combination; eta runs over [0, 1]
     and the collective angles over [0, 2 pi], endpoints included.
     """
+    import numpy as np
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     reports = []

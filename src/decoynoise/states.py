@@ -22,35 +22,39 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 SINGLE_LABELS = ("0", "1", "+", "-")
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 SCHEMES = ("bb84", *BELL_LABELS, "cluster", "w")
 
-# Each single-qubit and Bell state as an integer vector; its amplitudes are the
-# vector divided by the square root of its squared norm. eavesdrop reads these
-# integers directly, so its Born probabilities are exact rationals.
+# Each state as an integer vector; its amplitudes are the vector divided by
+# the square root of its squared norm. The fidelity compile and eavesdrop read
+# these integers directly, so their coefficients and Born probabilities are
+# exact rationals.
 INT_SINGLES = {"0": (1, 0), "1": (0, 1), "+": (1, 1), "-": (1, -1)}
 INT_BELLS = {"psi+": (1, 0, 0, 1), "psi-": (1, 0, 0, -1), "phi+": (0, 1, 1, 0), "phi-": (0, 1, -1, 0)}
+INT_CLUSTER = (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1)
+INT_W = (0, 1, 1, 0, 1, 0, 0, 0)
 
 
-def _normalised(vec: tuple[int, ...]) -> np.ndarray:
-    return np.array(vec, dtype=float) / math.sqrt(sum(x * x for x in vec))
+def __getattr__(name: str):
+    """SINGLES and AMPLITUDES, built on first use, so that importing states imports no numpy.
 
-
-# The amplitudes of the four single-qubit states, and of the state each scheme
-# but bb84 sends, read-only. A Bell pair is the outer product of the
-# normalised Bell vector with itself, so its entries are 0.4999999999999999.
-SINGLES = {label: _normalised(vec) for label, vec in INT_SINGLES.items()}
-_BELLS = {label: _normalised(vec) for label, vec in INT_BELLS.items()}
-AMPLITUDES = {
-    **{label: np.outer(bell, bell).ravel() for label, bell in _BELLS.items()},
-    "cluster": np.array([0.5, 0, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0, 0, -0.5]),
-    "w": np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0),
-}
-for _amps in (*SINGLES.values(), *AMPLITUDES.values()):
-    _amps.setflags(write=False)
+    The read-only amplitudes of the four single-qubit states and of the state
+    each scheme but bb84 sends. A Bell pair is the outer product of the
+    normalised Bell vector with itself, so its entries are 0.4999999999999999.
+    """
+    if name not in ("SINGLES", "AMPLITUDES"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    normalised = {label: np.array(vec, dtype=float) / math.sqrt(sum(x * x for x in vec))
+                  for label, vec in {**INT_SINGLES, **INT_BELLS, "cluster": INT_CLUSTER, "w": INT_W}.items()}
+    singles = {label: normalised[label] for label in SINGLE_LABELS}
+    amplitudes = {**{label: np.outer(normalised[label], normalised[label]).ravel() for label in BELL_LABELS},
+                  "cluster": normalised["cluster"], "w": normalised["w"]}
+    for amps in (*singles.values(), *amplitudes.values()):
+        amps.setflags(write=False)
+    globals().update(SINGLES=singles, AMPLITUDES=amplitudes)
+    return globals()[name]
 
 
 def check_scheme(label: str) -> str:

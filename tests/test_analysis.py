@@ -87,16 +87,17 @@ def test_crossover_rejects_empty_interval():
 
 
 def scalar_crossover(a, b, family, lo, hi, tol=1e-9):
-    """Reference: bisection one scheme_fidelity call at a time, as find_crossover was.
+    """Reference: bisection one point at a time, each evaluated as a one-point grid.
 
     Hangs when tol is below the float spacing of the bracket, so callers keep
     tol well above it.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    fidelity_a, fidelity_b = compile_fidelity(a, family), compile_fidelity(b, family)
 
     def gap(p: float) -> float:
-        return scheme_fidelity(a, family, p) - scheme_fidelity(b, family, p)
+        return float(fidelity_a(np.array([p]))[0] - fidelity_b(np.array([p]))[0])
 
     gap_lo, gap_hi = gap(lo), gap(hi)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
@@ -152,7 +153,7 @@ def test_scan_finds_crossings_on_every_family():
 @pytest.mark.parametrize("family,kind", sorted(CROSSING_CELLS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_batched_bisection_returns_the_scalar_loops_root(family, kind, data):
+def test_bisection_returns_the_grid_paths_root(family, kind, data):
     a, b, left, right = data.draw(st.sampled_from(CROSSING_CELLS[family, kind]))
     if data.draw(st.booleans()):
         a, b = b, a
@@ -164,6 +165,27 @@ def test_batched_bisection_returns_the_scalar_loops_root(family, kind, data):
     tol = (hi - lo) * 10.0 ** -data.draw(st.floats(0.5, 10.0))
     expected = _outcome(scalar_crossover, a, b, family, lo, hi, tol)
     assert _outcome(find_crossover, a, b, family, lo, hi, tol) == expected
+
+
+# Crossings that the benchmark's query workload brackets: the cr roots where
+# cos^8 t = cos^4 2t, and a bb84 crossing under ad.
+_CR_ROOT = math.acos(1.0 / math.sqrt(3.0))
+QUERY_CROSSINGS = [
+    *((a, b, "cr", root) for a, b in (("psi-", "cluster"), ("phi+", "cluster"), ("cluster", "psi-"))
+      for root in (_CR_ROOT, math.pi - _CR_ROOT, math.pi + _CR_ROOT, 2.0 * math.pi - _CR_ROOT)),
+    ("bb84", "psi+", "ad", 0.5804),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossing=st.sampled_from(QUERY_CROSSINGS), share=st.floats(0.15, 0.85))
+def test_bisection_of_a_query_bracket_returns_the_grid_paths_root(crossing, share):
+    # the bracket the query workload draws: width 0.25, the root a share of the way in
+    a, b, family, root = crossing
+    lo = root - 0.25 * share
+    hi = lo + 0.25
+    expected = scalar_crossover(a, b, family, lo, hi)
+    assert find_crossover(a, b, family, lo, hi).hex() == expected.hex()
 
 
 def _count_compiles(monkeypatch):

@@ -208,7 +208,9 @@ def test_non_finite_parameters_are_rejected(bad):
 def test_transfer_basis_shape_and_family():
     for family, count in (("ad", 3), ("pd", 2), ("cd", 3), ("cr", 3)):
         basis = TRANSFER_BASIS[family]
-        assert basis.shape == (count, 4, 4) and not basis.flags.writeable
+        # integer matrices, as nested tuples, so that no one can change them
+        assert np.array(basis).shape == (count, 4, 4) and np.array(basis).dtype.kind == "i"
+        assert isinstance(basis, tuple) and all(isinstance(row, tuple) for matrix in basis for row in matrix)
         weights = transfer_weights(family, [0.0, 0.3, 1.0])
         assert len(weights) == 2 and weights[0].shape == (3,)
         assert (weights[1] is None) == (count == 2)
@@ -237,7 +239,7 @@ def test_transfer_basis_reproduces_the_transfer_matrix(family, frac):
     # R_ij = Tr(P_i E(P_j)) / 2
     expected = np.array([[np.trace(pi @ sum(e @ pj @ e.conj().T for e in ops)) / 2 for pj in paulis] for pi in paulis])
     assert np.abs(expected.imag).max() <= 1e-15
-    basis, (w1, w2) = TRANSFER_BASIS[family], transfer_weights(family, [p])
+    basis, (w1, w2) = np.array(TRANSFER_BASIS[family]), transfer_weights(family, [p])
     transfer = basis[0] + w1[0] * basis[1] + (0.0 if w2 is None else w2[0] * basis[2])
     assert np.abs(transfer - expected.real).max() <= 1e-15
 

@@ -195,6 +195,41 @@ def test_unknown_scheme_is_rejected(capsys):
     assert code == 1 and "ghz" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recommend", "--noise", "ad", "--eta", "-1e-3"],
+        ["recommend", "--noise", "cd", "--phi", "-1e-3"],
+        ["recommend", "--noise", "cr", "--theta", "-1e-5"],
+        ["sweep", "--noise", "cd", "--from", "-1e-3", "--grid", "3"],
+        ["sweep", "--noise", "cr", "--from", "-2.5e-1", "--to", "-.5e-2", "--grid", "3"],
+        ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "-2.5e-1", "--hi", "1.2"],
+        ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "-1.2E0", "--hi", "-5e-1"],
+    ],
+)
+def test_a_negative_number_in_exponent_form_is_a_value(argv, capsys):
+    # the same as writing it after "=", which every Python version reads as a value
+    code = run(argv)
+    spaced = capsys.readouterr()
+    joined = []
+    for arg in argv:
+        if re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(argv)
+    assert (code, spaced) == (run(joined), capsys.readouterr())
+    assert "expected one argument" not in spaced.err
+
+
+def test_a_negative_rate_in_exponent_form_is_out_of_range(capsys):
+    assert run(["recommend", "--noise", "ad", "--eta", "-1e-3"]) == 1
+    assert capsys.readouterr() == ("", "error: decoherence rate must lie in [0, 1], got -0.001\n")
+    # a flag is still a flag
+    assert run(["recommend", "--noise", "ad", "--eta", "--include-w"]) == 1
+    assert capsys.readouterr().err == "error: argument --eta: expected one argument\n"
+
+
 @pytest.mark.parametrize("noise,wrong", [("ad", "phi"), ("pd", "theta"), ("cd", "eta"), ("cr", "eta")])
 def test_recommend_needs_the_right_parameter_flag(capsys, noise, wrong):
     flag = {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
@@ -604,6 +639,58 @@ def test_non_finite_parameters_fail_cleanly(args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "Warning" not in proc.stderr
+
+
+# Runs `python -m decoynoise` and then says on its last stderr line whether numpy was imported.
+_REPORT_NUMPY = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('decoynoise', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
+)
+_WITHOUT_NUMPY = [
+    *(["recommend", "--noise", noise, f"--{flag}", "0.3", *w] for noise, flag in FAMILIES.items() for w in ([], ["--include-w"])),
+    ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "0.8", "--hi", "1.1"],
+    ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"],
+    ["eve-sim", "--attack", "intercept"],
+    ["eve-sim", "--attack", "wrong-pair", "--bell", "phi-", "--eve-pair", "12"],
+    ["--help"],
+    ["sweep", "--help"],
+    # usage errors
+    [],
+    ["teleport"],
+    ["sweep", "--noise", "ad", "--turbo"],
+    ["sweep", "--noise", "ad", "--grid", "1"],
+    ["sweep", "--noise", "ad", "--schemes", "ghz"],
+    ["verify-table", "--grid", "100001"],
+    ["recommend", "--noise", "xx", "--eta", "0.5"],
+    ["recommend", "--noise", "ad"],
+    ["recommend", "--noise", "ad", "--phi", "0.5"],
+    ["recommend", "--noise", "ad", "--eta", "-1e-3"],
+    ["recommend", "--noise", "cr", "--theta", "nan"],
+    ["crossover", "--a", "phi-", "--b", "phi-", "--noise", "cr", "--lo", "0", "--hi", "3"],
+    ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.9", "--hi", "0.3"],
+    ["eve-sim", "--attack", "wrong-pair", "--bell", "ghz"],
+    ["eve-sim", "--attack", "intercept", "--bell", "psi+"],
+    ["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", "100"],
+    ["eve-sim", "--attack", "intercept", "--method", "mc", "--seed", "1", "--trials", "100000000"],
+]
+_WITH_NUMPY = [
+    ["sweep", "--noise", "ad", "--grid", "3"],
+    ["verify-table", "--grid", "3"],
+    ["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", "100", "--seed", "1"],
+    ["eve-sim", "--attack", "wrong-pair", "--method", "mc", "--trials", "100", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv,imports", [(argv, False) for argv in _WITHOUT_NUMPY] + [(argv, True) for argv in _WITH_NUMPY])
+def test_only_a_grid_or_a_random_stream_imports_numpy(argv, imports):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *argv], env=env, capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1] == f"numpy imported: {imports}"
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == (1 if proc.stderr.startswith("error: ") else 0)
 
 
 def test_module_entrypoint_keeps_streams_separate():

@@ -1,6 +1,8 @@
 """Fidelity metric, closed forms, BB84 averaging and the table verifier."""
 
 import math
+import struct
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -282,3 +284,142 @@ _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
 def test_memoised_compile_gives_the_bits_of_a_fresh_compile(scheme, family, fractions):
     _assert_memo_matches_a_fresh_compile(scheme, family, fractions)
 
+
+
+# The exact oracle for the compiled coefficients: stdlib fractions only, and
+# nothing from the package but the compiled result. A polynomial is a dict
+# {(j, k, m): Fraction} for the monomial w1^j w2^k i^m, i the imaginary unit.
+_ORACLE_BELLS = {"psi+": (1, 0, 0, 1), "psi-": (1, 0, 0, -1), "phi+": (0, 1, 1, 0), "phi-": (0, 1, -1, 0)}
+_ORACLE_STATES = {
+    # two copies of the Bell state, on qubits (1, 2) and (3, 4)
+    **{label: tuple(x * y for x in bell for y in bell) for label, bell in _ORACLE_BELLS.items()},
+    "cluster": (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1),
+    "w": (0, 1, 1, 0, 1, 0, 0, 0),
+}
+_ORACLE_SINGLES = ((1, 0), (0, 1), (1, 1), (1, -1))
+_ONE, _W1, _W2, _I = ((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)
+
+# Each family's Kraus operators, or its one unitary, with symbolic entries;
+# and the product of an entry with the conjugate of another, written in the
+# weights w1 and w2 of the channels docstring by an exact identity: for ad,
+# r = sqrt(1-eta) = w1 and s = sqrt(eta), so r r = 1 - w2 and s s = w2; for
+# pd, k = sqrt(1-eta), so k k = w1 and s s = 1 - w1; for cd, e = exp(i phi)
+# = w1 + i w2 and e conj(e) = 1; for cr, cos^2 t = (1 + w1)/2,
+# sin^2 t = (1 - w1)/2 and cos t sin t = w2/2.
+_ORACLE_CHANNELS = {
+    "ad": ([["1", "0"], ["0", "r"]], [["0", "s"], ["0", "0"]]),
+    "pd": ([["k", "0"], ["0", "k"]], [["s", "0"], ["0", "0"]], [["0", "0"], ["0", "s"]]),
+    "cd": ([["1", "0"], ["0", "e"]],),
+    "cr": ([["c", "-s"], ["s", "c"]],),
+}
+_HALF = Fraction(1, 2)
+_ORACLE_PRODUCTS = {
+    "ad": {("1", "1"): [_ONE], ("1", "r"): [_W1], ("r", "1"): [_W1], ("r", "r"): [_ONE, (_W2[0], -1)], ("s", "s"): [_W2]},
+    "pd": {("k", "k"): [_W1], ("s", "s"): [_ONE, (_W1[0], -1)]},
+    "cd": {("1", "1"): [_ONE], ("e", "e"): [_ONE], ("e", "1"): [_W1, ((0, 1, 1), 1)], ("1", "e"): [_W1, ((0, 1, 1), -1)]},
+    "cr": {
+        ("c", "c"): [(_ONE[0], _HALF), (_W1[0], _HALF)],
+        ("s", "s"): [(_ONE[0], _HALF), (_W1[0], -_HALF)],
+        ("c", "s"): [(_W2[0], _HALF)],
+        ("s", "c"): [(_W2[0], _HALF)],
+    },
+}
+
+
+def _oracle_product(p, q):
+    out = {}
+    for (j1, k1, m1), a in p.items():
+        for (j2, k2, m2), b in q.items():
+            key, sign = (j1 + j2, k1 + k2, (m1 + m2) % 2), -1 if m1 + m2 == 2 else 1
+            out[key] = out.get(key, 0) + sign * a * b
+    return out
+
+
+def _entry_product(family, x, y):
+    """x conj(y) for two symbolic entries, as a polynomial."""
+    if "0" in (x, y):
+        return {}
+    sign = (-1 if x.startswith("-") else 1) * (-1 if y.startswith("-") else 1)
+    return {monomial: sign * Fraction(c) for monomial, c in _ORACLE_PRODUCTS[family][x.lstrip("-"), y.lstrip("-")]}
+
+
+def _oracle_polynomial(vec, family):
+    """<psi| E^(x n)(|psi><psi|) |psi> for the integer vector psi, exactly, as {(j, k): Fraction}."""
+    n = len(vec).bit_length() - 1
+    bit = lambda index, q: index >> (n - 1 - q) & 1  # noqa: E731
+    # S[(i, j), (k, l)] = sum over branches E of E_ik conj(E_jl), one qubit's map rho'_ij = S rho_kl
+    transfer = {}
+    for i, j, k, l in product(range(2), repeat=4):
+        total = {}
+        for op in _ORACLE_CHANNELS[family]:
+            for monomial, c in _entry_product(family, op[i][k], op[j][l]).items():
+                total[monomial] = total.get(monomial, 0) + c
+        transfer[i, j, k, l] = total
+    support = [index for index, x in enumerate(vec) if x]
+    result = {}
+    for i, j, k, l in product(support, repeat=4):
+        term = {(0, 0, 0): Fraction(vec[i] * vec[j] * vec[k] * vec[l])}
+        for q in range(n):
+            term = _oracle_product(term, transfer[bit(i, q), bit(j, q), bit(k, q), bit(l, q)])
+        for monomial, c in term.items():
+            result[monomial] = result.get(monomial, 0) + c
+    norm = sum(x * x for x in vec)
+    assert not any(c for (_, _, m), c in result.items() if m), "imaginary part left over"
+    return {(j, k): c / norm**2 for (j, k, m), c in result.items() if not m}
+
+
+def _exact_coefficients(scheme, family):
+    """The exact coefficients of the polynomial that is raised to the compiled power: bb84's is the mean single one."""
+    vectors = _ORACLE_SINGLES if scheme == "bb84" else [_ORACLE_STATES[scheme]]
+    exact = {}
+    for vec in vectors:
+        for monomial, c in _oracle_polynomial(vec, family).items():
+            exact[monomial] = exact.get(monomial, 0) + c / len(vectors)
+    return exact
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_compiled_coefficients_are_the_exact_rationals_rounded_once(scheme, family):
+    exact = _exact_coefficients(scheme, family)
+    compiled = compile_fidelity(scheme, family)
+    assert compiled.power == (4 if scheme == "bb84" else 1)
+    # every nonzero rational, correctly rounded, and no coefficient that is exactly 0
+    expected = sorted((j, k, float(c)) for (j, k), c in exact.items() if c)
+    assert [(j, k, c) for j, k, c in compiled.terms] == expected
+    assert all(c != 0.0 for _, _, c in compiled.terms)
+
+
+def test_exact_oracle_matches_the_closed_forms():
+    # the oracle's own check, against two closed forms of the table
+    exact = _exact_coefficients("cluster", "pd")
+    w1 = Fraction(1, 2)  # 1 - eta at eta = 1/2
+    assert sum(c * w1**j for (j, _), c in exact.items()) == Fraction(25, 64)  # (2 - 1 + 1/4)^2 / 4
+    # (1 - eta)^2 at eta = 1/4, where w1 = sqrt(3/4) enters in even powers only
+    exact = _exact_coefficients("phi+", "ad")
+    assert all(j % 2 == 0 for j, _ in exact)
+    assert sum(c * Fraction(3, 4) ** (j // 2) * Fraction(1, 4) ** k for (j, k), c in exact.items()) == Fraction(9, 16)
+
+
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.floats(0.0, 1.0), max_size=20), angles=st.lists(st.floats(-20.0, 20.0), max_size=20))
+def test_a_float_has_the_bits_of_the_same_point_of_a_grid(scheme, family, points, angles):
+    grid = [0.0, 1.0, *points] if FAMILIES[family] == "eta" else [0.0, *angles]
+    compiled = compile_fidelity(scheme, family)
+    at_each = [compiled.at(value) for value in grid]
+    assert all(type(value) is float for value in at_each)
+    assert _bits(at_each) == _bits(compiled(np.array(grid)).tolist())
+    assert _bits(at_each) == _bits(scheme_fidelity(scheme, family, value) for value in grid)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_is_exactly_one_without_noise(scheme, family):
+    assert scheme_fidelity(scheme, family, 0.0) == 1.0
+    assert compile_fidelity(scheme, family)([0.0, 0.0]).tolist() == [1.0, 1.0]

@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .states import ATOL
+
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # numpy is imported where a grid or the oracle needs it
     import numpy as np
@@ -53,7 +55,7 @@ class KrausChannel:
 
     def __post_init__(self):
         import numpy as np
-        from .linalg import ATOL, dagger
+        from .linalg import dagger
         ops = tuple(np.asarray(op, dtype=complex).copy() for op in self.operators)
         if not ops or any(op.shape != (2, 2) for op in ops):
             raise ValueError("Kraus operators must be a non-empty set of 2x2 matrices")

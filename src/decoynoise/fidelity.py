@@ -54,9 +54,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights
-from .channels import transfer_weights
-from .states import INT_BELLS, INT_CLUSTER, INT_SINGLES, INT_W, SCHEMES, check_scheme
+from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
+                       transfer_weights)
+from .states import ATOL, INT_BELLS, INT_CLUSTER, INT_SINGLES, INT_W, SCHEMES, check_scheme
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # numpy is imported where a grid needs it
@@ -69,11 +69,8 @@ TABLE_SCHEMES = SCHEMES[:-1]
 
 # The integer vector of the state each scheme but bb84 sends; a Bell pair is
 # the Bell vector's outer product with itself.
-_INT_STATES = {
-    **{label: tuple(x * y for x in bell for y in bell) for label, bell in INT_BELLS.items()},
-    "cluster": INT_CLUSTER,
-    "w": INT_W,
-}
+_INT_STATES = {label: tuple(x * y for x in bell for y in bell) for label, bell in INT_BELLS.items()}
+_INT_STATES.update(cluster=INT_CLUSTER, w=INT_W)
 
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:
@@ -82,7 +79,6 @@ def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     The imaginary part must be below 1e-12; anything larger fails loudly
     instead of being silently discarded.
     """
-    from .linalg import ATOL
     if psi.n_qubits != rho.n_qubits:
         raise ValueError(f"qubit count mismatch: state has {psi.n_qubits}, density matrix {rho.n_qubits}")
     value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
@@ -167,7 +163,7 @@ def _compile(scheme: str, family: str) -> Polynomial:
                 if r_right:
                     matrices = [m for _, m, _ in picks]
                     key = (matrices.count(1), matrices.count(2))
-                    scaled[key] = scaled.get(key, 0) + r_left * r_right * math.prod(a for _, _, a in picks)
+                    scaled[key] = scaled.get(key, 0) + r_left * r_right * math.prod(entry for _, _, entry in picks)
         for key, c in scaled.items():
             exact[key] = exact.get(key, 0) + Fraction(c, len(vectors) * len(vec) * sum(x * x for x in vec) ** 2)
     return Polynomial(family, tuple((j, k, float(c)) for (j, k), c in sorted(exact.items()) if c), power)
@@ -229,7 +225,6 @@ class FidelityReport:
 
     def __post_init__(self):
         import numpy as np
-        from .linalg import ATOL
         for name in ("grid", "simulated", "closed_form"):
             if getattr(self, name) is not None:
                 values = np.array(getattr(self, name), dtype=float)

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute entrywise tolerance for all structural checks (norm, Hermiticity,
-# unitarity, trace). Double precision leaves ample headroom at dimension 16.
-ATOL = 1e-12
+from .states import ATOL
 
 # Eigenvalues of a density matrix may dip slightly below zero from rounding.
 EIG_FLOOR = -1e-10

@@ -26,9 +26,10 @@ SINGLE_LABELS = ("0", "1", "+", "-")
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 SCHEMES = ("bb84", *BELL_LABELS, "cluster", "w")
 
-# Absolute entrywise tolerance for all structural checks (norm, Hermiticity, unitarity, trace) and
-# for a fidelity outside [0, 1]; double precision leaves ample headroom at dimension 16. It is
-# defined in the module that every other imports, so that no check imports numpy.
+# Absolute entrywise tolerance for all structural checks (norm, Hermiticity,
+# unitarity, trace) and for a fidelity outside [0, 1]; double precision leaves
+# ample headroom at dimension 16. Defined here, in the module every other
+# imports, so that no check imports numpy.
 ATOL = 1e-12
 
 # Each state as an integer vector; its amplitudes are the vector divided by

@@ -9,22 +9,22 @@ channel. A scheme is its label, one of SCHEMES, and a noise family its tag,
 one of FAMILIES ('ad', 'pd', 'cd', 'cr'); a noise setting is a (family,
 value) pair, as in scheme_fidelity("psi-", "cr", 0.7). The submodules and
 the names below are imported on first use, so importing the package imports
-no numpy.
+no numpy. The density-matrix oracle that the tests check the compile against
+is one submodule, the only one that imports numpy at the top.
 """
 
 import importlib
 
-# Each submodule and the names re-exported from it. The overlap metric itself
-# lives at decoynoise.fidelity.fidelity; re-exporting the bare name here would
-# shadow the submodule.
+# Each submodule and the names re-exported from it. The overlap metric is not
+# re-exported: its bare name, fidelity, would shadow the fidelity submodule.
 _EXPORTS = {
     "analysis": ("Ranking", "SweepSpec", "find_crossover", "recommend", "sweep"),
-    "channels": ("FAMILIES", "KrausChannel", "apply_collective", "apply_kraus_channel", "apply_noise", "kraus_ad",
-                 "kraus_pd", "unitary_cd", "unitary_cr"),
+    "channels": ("FAMILIES",),
     "cli": (),
     "eavesdrop": ("AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"),
     "fidelity": ("FidelityReport", "scheme_fidelity", "verify_table"),
-    "linalg": ("DensityMatrix", "PureState", "conjugate_apply", "tensor_product"),
+    "linalg": ("DensityMatrix", "KrausChannel", "PureState", "apply_collective", "apply_kraus_channel", "apply_noise",
+               "conjugate_apply", "kraus_ad", "kraus_pd", "tensor_product", "unitary_cd", "unitary_cr"),
     "states": ("SCHEMES",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

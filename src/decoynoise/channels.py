@@ -1,22 +1,10 @@
-"""The four noise channels, as Pauli transfer matrices and as density-matrix maps.
+"""The four noise channels, as Pauli transfer matrices.
 
-Every channel acts qubit by qubit. Kraus channels (amplitude damping, phase
-damping) apply the same set of single-qubit Kraus operators independently to
-every travel qubit; collective channels (dephasing, rotation) apply one and
-the same single-qubit unitary to all qubits traveling simultaneously.
-
-Amplitude damping models energy loss into a zero-temperature bath:
-
-    E0 = [[1, 0], [0, sqrt(1-eta)]],   E1 = [[0, sqrt(eta)], [0, 0]]
-
-Phase damping destroys coherences without energy loss:
-
-    E0 = sqrt(1-eta) I,   E1 = sqrt(eta) |0><0|,   E2 = sqrt(eta) |1><1|
-
-Collective dephasing is the phase gate diag(1, exp(i phi)); collective
-rotation is the real rotation [[cos t, -sin t], [sin t, cos t]]. The angle
-parameters may be any finite real (they drift with time); eta is a
-decoherence probability and must lie in [0, 1].
+Every channel acts qubit by qubit: amplitude damping and phase damping apply
+one set of Kraus operators to each travel qubit independently, collective
+dephasing and collective rotation one and the same unitary to all qubits
+traveling simultaneously. The angle parameters may be any finite real (they
+drift with time); eta is a decoherence probability and must lie in [0, 1].
 
 A noise family is its tag, one of FAMILIES ('ad', 'pd', 'cd', 'cr'), and a
 noise setting is a (family, value) pair; FAMILIES maps each tag to the name
@@ -25,47 +13,17 @@ of its parameter (eta, phi or theta).
 The fidelity kernel in `fidelity` sees a channel only through its Pauli
 transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2: integer TRANSFER_BASIS
 matrices, and weights from numpy over a grid (transfer_weights) or from math
-at one value (point_weights). The Kraus operators and unitaries, written out
-apart from it, and the density-matrix maps (apply_noise and the two below it)
-are the tests' oracle for that kernel; like every grid, they import numpy.
+at one value (point_weights). The tests check it against density-matrix
+evolution under the Kraus operators and unitaries written out apart from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .states import ATOL
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # numpy is imported where a grid or the oracle needs it
+if TYPE_CHECKING:  # numpy is imported where a grid needs it
     import numpy as np
-    from .linalg import DensityMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """A set of single-qubit Kraus operators with the completeness invariant.
-
-    Completeness (sum of E^dag E = I) is checked at construction.
-    """
-
-    operators: tuple[np.ndarray, ...]
-    name: str
-
-    def __post_init__(self):
-        import numpy as np
-        from .linalg import dagger
-        ops = tuple(np.asarray(op, dtype=complex).copy() for op in self.operators)
-        if not ops or any(op.shape != (2, 2) for op in ops):
-            raise ValueError("Kraus operators must be a non-empty set of 2x2 matrices")
-        total = sum(dagger(op) @ op for op in ops)
-        if float(np.max(np.abs(total - np.eye(2)))) > ATOL:
-            raise ValueError(f"Kraus set {self.name!r} is not complete: sum E^dag E != I")
-        for op in ops:
-            op.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-
 
 # Each noise family's tag, as the CLI and every report write it, and the name
 # of its one parameter, which is also its CLI flag.
@@ -151,74 +109,3 @@ def point_weights(family: str, value: float) -> tuple[float, float | None]:
     """transfer_weights at one parameter value, as floats from math; parameter_value checks it."""
     return _weights(family, parameter_value(family, value), math)
 
-
-def kraus_ad(eta: float) -> KrausChannel:
-    """Amplitude damping channel with decoherence rate eta in [0, 1]."""
-    eta = parameter_value("ad", eta)
-    return KrausChannel(([[1, 0], [0, math.sqrt(1 - eta)]], [[0, math.sqrt(eta)], [0, 0]]), "amplitude_damping")
-
-
-def kraus_pd(eta: float) -> KrausChannel:
-    """Phase damping channel with decoherence rate eta in [0, 1]."""
-    eta = parameter_value("pd", eta)
-    keep, lose = math.sqrt(1 - eta), math.sqrt(eta)
-    return KrausChannel(([[keep, 0], [0, keep]], [[lose, 0], [0, 0]], [[0, 0], [0, lose]]), "phase_damping")
-
-
-def unitary_cd(phi: float) -> np.ndarray:
-    """Collective dephasing phase gate diag(1, exp(i phi))."""
-    import numpy as np
-    return np.diag([1.0, np.exp(1j * parameter_value("cd", phi))])
-
-
-def unitary_cr(theta: float) -> np.ndarray:
-    """Collective rotation by angle theta in the real plane."""
-    import numpy as np
-    theta = parameter_value("cr", theta)
-    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]], dtype=complex)
-
-
-def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    """Apply the channel independently to each qubit of rho.
-
-    Plain density-matrix evolution, one qubit at a time: on qubit q each Kraus
-    operator E is embedded as I x E x I and the terms E rho E^dag are summed.
-    The result is validated as a density matrix.
-    """
-    import numpy as np
-    from .linalg import DensityMatrix, dagger, tensor_product
-    n = rho.n_qubits
-    state = rho.matrix
-    for q in range(n):
-        embedded = [
-            tensor_product(tensor_product(np.eye(2**q), op), np.eye(2 ** (n - q - 1)))
-            for op in ch.operators
-        ]
-        state = sum(e @ state @ dagger(e) for e in embedded)
-    return DensityMatrix(state)
-
-
-def apply_collective(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """Apply the same single-qubit unitary u to every qubit of rho."""
-    import numpy as np
-    from .linalg import conjugate_apply, is_unitary, tensor_power
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"collective noise needs a 2x2 unitary, got shape {u.shape}")
-    if not is_unitary(u):
-        raise ValueError("collective noise operator is not unitary within tolerance")
-    return conjugate_apply(tensor_power(u, rho.n_qubits), rho)
-
-
-def apply_noise(rho: DensityMatrix, family: str, value: float) -> DensityMatrix:
-    """Send rho through one noise family at one parameter value."""
-    match family:
-        case "ad":
-            return apply_kraus_channel(rho, kraus_ad(value))
-        case "pd":
-            return apply_kraus_channel(rho, kraus_pd(value))
-        case "cd":
-            return apply_collective(rho, unitary_cd(value))
-        case "cr":
-            return apply_collective(rho, unitary_cr(value))
-    raise ValueError(f"unknown noise family {family!r}")

@@ -61,7 +61,6 @@ from .states import ATOL, INT_BELLS, INT_CLUSTER, INT_SINGLES, INT_W, SCHEMES, c
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # numpy is imported where a grid needs it
     import numpy as np
-    from .linalg import DensityMatrix, PureState
 
 # Schemes that have a closed-form fidelity for every channel family, all but
 # w; also the default set that analysis.recommend ranks.
@@ -71,20 +70,6 @@ TABLE_SCHEMES = SCHEMES[:-1]
 # the Bell vector's outer product with itself.
 _INT_STATES = {label: tuple(x * y for x in bell for y in bell) for label, bell in INT_BELLS.items()}
 _INT_STATES.update(cluster=INT_CLUSTER, w=INT_W)
-
-
-def fidelity(psi: PureState, rho: DensityMatrix) -> float:
-    """Overlap <psi| rho |psi> of a pure reference with a density matrix.
-
-    The imaginary part must be below 1e-12; anything larger fails loudly
-    instead of being silently discarded.
-    """
-    if psi.n_qubits != rho.n_qubits:
-        raise ValueError(f"qubit count mismatch: state has {psi.n_qubits}, density matrix {rho.n_qubits}")
-    value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
-    if abs(value.imag) >= ATOL:
-        raise ArithmeticError(f"fidelity has non-negligible imaginary part {value.imag}")
-    return float(value.real)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,12 @@ textbook Phi/Psi usage):
 
 All closed-form fidelity expressions in `fidelity` are keyed to these labels,
 so do not "fix" the convention. In particular phi- is the singlet here.
+
+Each state is an integer vector (INT_*); the density-matrix oracle
+normalises them to float amplitudes.
 """
 
 from __future__ import annotations
-
-import math
 
 SINGLE_LABELS = ("0", "1", "+", "-")
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
@@ -40,27 +41,6 @@ INT_SINGLES = {"0": (1, 0), "1": (0, 1), "+": (1, 1), "-": (1, -1)}
 INT_BELLS = {"psi+": (1, 0, 0, 1), "psi-": (1, 0, 0, -1), "phi+": (0, 1, 1, 0), "phi-": (0, 1, -1, 0)}
 INT_CLUSTER = (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1)
 INT_W = (0, 1, 1, 0, 1, 0, 0, 0)
-
-
-def __getattr__(name: str):
-    """SINGLES and AMPLITUDES, built on first use, so that importing states imports no numpy.
-
-    The read-only amplitudes of the four single-qubit states and of the state
-    each scheme but bb84 sends. A Bell pair is the outer product of the
-    normalised Bell vector with itself, so its entries are 0.4999999999999999.
-    """
-    if name not in ("SINGLES", "AMPLITUDES"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-    normalised = {label: np.array(vec, dtype=float) / math.sqrt(sum(x * x for x in vec))
-                  for label, vec in {**INT_SINGLES, **INT_BELLS, "cluster": INT_CLUSTER, "w": INT_W}.items()}
-    singles = {label: normalised[label] for label in SINGLE_LABELS}
-    amplitudes = {**{label: np.outer(normalised[label], normalised[label]).ravel() for label in BELL_LABELS},
-                  "cluster": normalised["cluster"], "w": normalised["w"]}
-    for amps in (*singles.values(), *amplitudes.values()):
-        amps.setflags(write=False)
-    globals().update(SINGLES=singles, AMPLITUDES=amplitudes)
-    return globals()[name]
 
 
 def check_scheme(label: str) -> str:

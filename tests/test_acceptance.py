@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from decoynoise.analysis import find_crossover
-from decoynoise.channels import apply_kraus_channel, apply_noise, kraus_ad, kraus_pd
 from decoynoise.cli import run
 from decoynoise.eavesdrop import intercept_resend_bb84, wrong_pair_bell_attack
 from decoynoise.fidelity import closed_form_grid, compile_fidelity, scheme_fidelity, verify_table
+from decoynoise.linalg import apply_kraus_channel, apply_noise, kraus_ad, kraus_pd
 from decoynoise.states import BELL_LABELS
 
 from conftest import random_density

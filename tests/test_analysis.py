@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import decoynoise.analysis
 import decoynoise.fidelity
 from decoynoise.analysis import SweepSpec, find_crossover, recommend, sweep
-from decoynoise.channels import FAMILIES, apply_noise, parameter_range, transfer_weights
+from decoynoise.channels import FAMILIES, parameter_range, transfer_weights
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
     closed_form_grid,
@@ -21,7 +21,7 @@ from decoynoise.fidelity import (
     scheme_fidelity,
     verify_table,
 )
-from decoynoise.linalg import DensityMatrix
+from decoynoise.linalg import DensityMatrix, apply_noise
 from decoynoise.states import SCHEMES
 
 

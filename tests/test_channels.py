@@ -7,22 +7,27 @@ from hypothesis import strategies as st
 
 from decoynoise.channels import (
     FAMILIES,
+    TRANSFER_BASIS,
+    check_family,
+    parameter_grid,
+    parameter_range,
+    transfer_weights,
+)
+from decoynoise.linalg import (
+    ATOL,
+    SINGLES,
+    DensityMatrix,
     KrausChannel,
+    PureState,
     apply_collective,
     apply_kraus_channel,
     apply_noise,
-    check_family,
+    is_unitary,
     kraus_ad,
     kraus_pd,
-    parameter_grid,
-    parameter_range,
-    TRANSFER_BASIS,
-    transfer_weights,
     unitary_cd,
     unitary_cr,
 )
-from decoynoise.linalg import ATOL, DensityMatrix, PureState, is_unitary
-from decoynoise.states import SINGLES
 
 from conftest import bell_state, random_density
 

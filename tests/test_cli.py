@@ -641,13 +641,15 @@ def test_non_finite_parameters_fail_cleanly(args):
     assert "Warning" not in proc.stderr
 
 
-# Runs `python -m decoynoise` and then says on its last stderr line whether numpy was imported.
+# Runs `python -m decoynoise` and then says on its last two stderr lines whether numpy and the
+# density-matrix oracle were imported.
 _REPORT_NUMPY = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('decoynoise', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
     "    print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "    print('oracle imported:', 'decoynoise.linalg' in sys.modules, file=sys.stderr)\n"
 )
 _WITHOUT_NUMPY = [
     *(["recommend", "--noise", noise, f"--{flag}", "0.3", *w] for noise, flag in FAMILIES.items() for w in ([], ["--include-w"])),
@@ -688,7 +690,7 @@ _WITH_NUMPY = [
 def test_only_a_grid_or_a_random_stream_imports_numpy(argv, imports):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *argv], env=env, capture_output=True, text=True)
-    assert proc.stderr.splitlines()[-1] == f"numpy imported: {imports}"
+    assert proc.stderr.splitlines()[-2:] == [f"numpy imported: {imports}", "oracle imported: False"]
     assert "Traceback" not in proc.stderr
     assert proc.returncode == (1 if proc.stderr.startswith("error: ") else 0)
 

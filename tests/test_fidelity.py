@@ -10,20 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoynoise.channels import FAMILIES, apply_noise, parameter_range
+from decoynoise.channels import FAMILIES, parameter_range
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
     FidelityReport,
     _compile,
     closed_form_grid,
     compile_fidelity,
-    fidelity,
     grid_report,
     scheme_fidelity,
     verify_table,
 )
-from decoynoise.linalg import ATOL, PureState, tensor_product
-from decoynoise.states import AMPLITUDES, SCHEMES, SINGLE_LABELS, SINGLES
+from decoynoise.linalg import AMPLITUDES, ATOL, SINGLES, PureState, apply_noise, fidelity, tensor_product
+from decoynoise.states import SCHEMES, SINGLE_LABELS
 
 from conftest import bell_state
 

@@ -1,20 +1,27 @@
 """Kernel tests: tensor products, conjugation, state and density validation."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decoynoise
+import decoynoise.linalg
 from decoynoise.linalg import (
     ATOL,
+    SINGLES,
     DensityMatrix,
+    KrausChannel,
     PureState,
     conjugate_apply,
+    fidelity,
     is_unitary,
     tensor_product,
+    unitary_cd,
 )
-from decoynoise.channels import unitary_cd
-from decoynoise.states import SINGLES
 
 from conftest import bell_state, random_density, random_unitary
 
@@ -154,3 +161,30 @@ def test_density_matrix_rejects_negative_eigenvalue():
 def test_n_qubits_properties():
     assert PureState(SINGLES["0"]).n_qubits == 1
     assert bell_state("phi-").density().n_qubits == 2
+
+
+# The overlap gets a stand-in for rho, since a DensityMatrix with NaN entries cannot be built.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PureState([math.nan, 0]),
+        lambda: DensityMatrix([[math.nan, 0], [0, 1]]),
+        lambda: DensityMatrix(np.full((2, 2), math.nan)),
+        lambda: KrausChannel(([[1, 0], [0, math.nan]],), "x"),
+        lambda: fidelity(PureState(SINGLES["0"]), SimpleNamespace(n_qubits=1, matrix=np.diag([math.nan, 1.0]))),
+    ],
+    ids=["pure_state", "density_one_nan", "density_all_nan", "kraus", "overlap"],
+)
+def test_validators_reject_nan(build):
+    with pytest.raises((ValueError, ArithmeticError)):
+        build()
+
+
+def test_package_exports_resolve():
+    for name in decoynoise.__all__:
+        getattr(decoynoise, name)
+    # the oracle names are linalg's own objects
+    for name in ("KrausChannel", "apply_collective", "apply_kraus_channel", "apply_noise", "kraus_ad", "kraus_pd",
+                 "unitary_cd", "unitary_cr"):
+        assert name in decoynoise.__all__
+        assert getattr(decoynoise, name) is getattr(decoynoise.linalg, name)

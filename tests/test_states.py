@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from decoynoise.linalg import ATOL, tensor_product
-from decoynoise.states import AMPLITUDES, BELL_LABELS, INT_BELLS, SCHEMES, SINGLES, check_scheme
+from decoynoise.linalg import AMPLITUDES, ATOL, SINGLES, tensor_product
+from decoynoise.states import BELL_LABELS, INT_BELLS, SCHEMES, check_scheme
 
 SQ2 = np.sqrt(2.0)
 

@@ -18,7 +18,7 @@ import importlib
 # Each submodule and the names re-exported from it. The overlap metric is not
 # re-exported: its bare name, fidelity, would shadow the fidelity submodule.
 _EXPORTS = {
-    "analysis": ("Ranking", "SweepSpec", "find_crossover", "recommend", "sweep"),
+    "analysis": ("find_crossover", "recommend", "sweep"),
     "channels": ("FAMILIES",),
     "cli": (),
     "eavesdrop": ("AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"),

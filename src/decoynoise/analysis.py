@@ -3,13 +3,13 @@
 All evaluations here go through the simulated fidelity (not the closed
 forms), so schemes without a closed-form expression, like the W state, can
 participate on equal footing. A scheme is its label and a noise family its
-tag; a noise setting is a (family, value) pair.
+tag; a noise setting is a (family, value) pair. A ranking is the list of
+(rank, scheme, fidelity) rows that the CLI prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channels import parameter_value
 from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_report, scheme_fidelity
@@ -19,30 +19,16 @@ from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_repo
 TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A uniform parameter sweep of one noise family over a set of schemes."""
-
-    schemes: tuple[str, ...]
-    family: str
-    start: float
-    end: float
-    points: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        if self.points < 2:
-            raise ValueError(f"sweep needs at least 2 points, got {self.points}")
-        # end - start must be finite too, or linspace overflows into NaN
-        if not (self.start < self.end and math.isfinite(self.end - self.start)):
-            raise ValueError(f"sweep needs finite start < end, got [{self.start}, {self.end}]")
-
-
-def sweep(spec: SweepSpec) -> list[FidelityReport]:
-    """Evaluate every scheme on the same endpoint-inclusive uniform grid."""
+def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, points: int) -> list[FidelityReport]:
+    """Evaluate every scheme on one uniform grid of `points` values from start to end, both included."""
+    if points < 2:
+        raise ValueError(f"sweep needs at least 2 points, got {points}")
+    # end - start must be finite too, or linspace overflows into NaN
+    if not (start < end and math.isfinite(end - start)):
+        raise ValueError(f"sweep needs finite start < end, got [{start}, {end}]")
     import numpy as np
-    grid = np.linspace(spec.start, spec.end, spec.points)
-    return [grid_report(scheme, spec.family, grid) for scheme in spec.schemes]
+    grid = np.linspace(start, end, points)
+    return [grid_report(scheme, family, grid) for scheme in schemes]
 
 
 def find_crossover(
@@ -94,47 +80,22 @@ def find_crossover(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Schemes ordered by fidelity under one noise setting, best first.
-
-    ties partitions the ordered schemes into groups whose fidelities agree
-    to within TIE_TOL, each ordered by scheme label; a group of one is simply
-    untied.
-    """
-
-    family: str
-    value: float
-    ordered: tuple[tuple[str, float], ...]
-    ties: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        values = [f for _, f in self.ordered]
-        if any(x < y for x, y in zip(values, values[1:])):
-            raise ValueError("ranking is not non-increasing in fidelity")
-
-
-def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None) -> Ranking:
+def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None) -> list[tuple[int, str, float]]:
     """Rank schemes by simulated fidelity under one noise family at one parameter value.
 
-    The ordering is canonical (fidelity descending, then scheme label), so it
-    does not depend on the order schemes are passed in.
+    Returns (rank, scheme, fidelity) rows, best first. A scheme less than
+    TIE_TOL below the next better one is tied with it: a group of tied
+    schemes shares the rank of its first row and is ordered by label, so the
+    rows do not depend on the order schemes are passed in.
     """
     value = parameter_value(family, value)
     if schemes is None:
         schemes = TABLE_SCHEMES
-    scored = [(scheme, scheme_fidelity(scheme, family, value)) for scheme in schemes]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    groups: list[list[str]] = []
-    last_fid = None
+    scored = sorted(((scheme, scheme_fidelity(scheme, family, value)) for scheme in schemes),
+                    key=lambda pair: (-pair[1], pair[0]))
+    rows: list[tuple[int, str, float]] = []
     for scheme, fid in scored:
-        if last_fid is None or abs(fid - last_fid) >= TIE_TOL:
-            groups.append([])
-        groups[-1].append(scheme)
-        last_fid = fid
-    return Ranking(
-        family=family,
-        value=value,
-        ordered=tuple(scored),
-        ties=tuple(tuple(sorted(group)) for group in groups),
-    )
+        tied = rows and abs(fid - rows[-1][2]) < TIE_TOL
+        rows.append((rows[-1][0] if tied else len(rows) + 1, scheme, fid))
+    # by rank, and a tied group by label
+    return sorted(rows)

@@ -6,12 +6,6 @@ verify-table finds a deviation at or above the regression threshold.
 
 Floating-point fields use the shortest round-trip decimal representation, so
 identical invocations produce byte-identical output.
-
-Every field is a str that needs no CSV quoting: a fixed header or kind name, a
-scheme label, a noise family tag (one of argparse's choices), a Bell or
-outcome label, a repr of a float, or empty. None holds a comma, a quote or a
-line break, and no row is one empty field, so a row's line is its fields
-joined by commas, the same bytes csv.writer would write for it.
 """
 
 from __future__ import annotations
@@ -206,19 +200,13 @@ def _cmd_sweep(args):
     lo, hi = parameter_range(args.noise)
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
-    reports = analysis.sweep(analysis.SweepSpec(schemes, args.noise, start, end, args.grid))
+    reports = analysis.sweep(schemes, args.noise, start, end, args.grid)
     return 0, itertools.chain.from_iterable(_sweep_blocks(reports))
 
 
 def _cmd_recommend(args):
     ranking = analysis.recommend(args.noise, _noise_value(args), SCHEMES if args.include_w else TABLE_SCHEMES)
-    fid_by_scheme = dict(ranking.ordered)
-    rows = [["rank", "scheme", "fidelity"]]
-    rank = 1
-    for group in ranking.ties:
-        rows += ([str(rank), scheme, _fmt(fid_by_scheme[scheme])] for scheme in group)
-        rank += len(group)
-    return 0, rows
+    return 0, [["rank", "scheme", "fidelity"], *([str(rank), scheme, _fmt(fid)] for rank, scheme, fid in ranking)]
 
 
 def _cmd_crossover(args):
@@ -278,7 +266,13 @@ def _parser() -> _Parser:
 
 
 def _write_rows(stream, rows) -> None:
-    """Write each row as one line of comma-joined fields (see the module docstring).
+    """Write each row as one line of comma-joined fields.
+
+    Every field is a str that needs no CSV quoting: a fixed header or kind
+    name, a scheme label, a noise family tag (one of argparse's choices), a
+    Bell or outcome label, a repr of a float, or empty. None holds a comma, a
+    quote or a line break, and no row is one empty field, so a row's line is
+    its fields joined by commas, the same bytes csv.writer would write for it.
 
     Rows are joined as the stream takes them, so a lazy sweep holds one block
     of rows at a time.

@@ -24,17 +24,18 @@ requires an explicit seed and is bit-reproducible for a fixed seed.
 The receiver's joint Bell-outcome distribution is built once per process for
 each of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome), in
 plain integer arithmetic, and stored as nested tuples. Only Monte Carlo
-imports numpy. Every call still returns a fresh AttackOutcome with its own
-outcome_distribution, and Monte Carlo samples the same joint with the same
-random stream. A zero-probability eve_outcome raises on every call, as
-exceptions are not memoised.
+imports numpy. Every call still returns a fresh AttackOutcome, the named
+tuple (detection_probability, outcome_distribution) with a dict of its own,
+and Monte Carlo samples the same joint with the same random stream. A
+zero-probability eve_outcome raises on every call, as exceptions are not
+memoised.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, SINGLE_LABELS
 
@@ -55,15 +56,11 @@ _DISAGREEMENT = sum(Fraction(1, 8) * _BORN[r][s] * (1 - _BORN[s][r]) for s in ra
 _VALID_EVE_PAIRS = ((1, 2), (2, 3))
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     """Detection probability plus the full measurement-outcome distribution."""
 
     detection_probability: float
     outcome_distribution: dict[str, float]
-    method: str
-    trials: int | None = None
-    seed: int | None = None
 
 
 def _require_seeded_mc(trials, seed):
@@ -95,7 +92,7 @@ def intercept_resend_bb84(
     if method == "exact":
         disagree = _DISAGREEMENT if eve_present else Fraction(0)
         dist = {"agree": float(1 - disagree), "disagree": float(disagree)}
-        return AttackOutcome(float(disagree), dist, "exact")
+        return AttackOutcome(float(disagree), dist)
 
     _require_seeded_mc(trials, seed)
     import numpy as np
@@ -114,7 +111,7 @@ def intercept_resend_bb84(
         "agree": (trials - disagreements) / trials,
         "disagree": disagreements / trials,
     }
-    return AttackOutcome(disagreements / trials, dist, "mc", trials=trials, seed=seed)
+    return AttackOutcome(disagreements / trials, dist)
 
 
 @functools.cache
@@ -182,7 +179,7 @@ def wrong_pair_bell_attack(
     if method == "exact":
         dist = {f"{a};{b}": joint[i][j] for i, a in enumerate(BELL_LABELS) for j, b in enumerate(BELL_LABELS)}
         detection = 1.0 - joint[prep][prep]
-        return AttackOutcome(detection, dist, "exact")
+        return AttackOutcome(detection, dist)
 
     _require_seeded_mc(trials, seed)
     import numpy as np
@@ -204,4 +201,4 @@ def wrong_pair_bell_attack(
         for j, b in enumerate(BELL_LABELS)
     }
     detection = 1.0 - counts[4 * prep + prep] / trials
-    return AttackOutcome(detection, dist, "mc", trials=trials, seed=seed)
+    return AttackOutcome(detection, dist)

@@ -51,8 +51,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
                        transfer_weights)
@@ -72,8 +72,7 @@ _INT_STATES = {label: tuple(x * y for x in bell for y in bell) for label, bell i
 _INT_STATES.update(cluster=INT_CLUSTER, w=INT_W)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """A compiled fidelity, (sum of c w1^j w2^k over its terms (j, k, c))^power in the family's transfer weights."""
 
     family: str
@@ -191,7 +190,6 @@ def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class FidelityReport:
     """Simulated-vs-closed-form fidelities for one scheme over a parameter grid.
 
@@ -201,27 +199,23 @@ class FidelityReport:
     state).
     """
 
-    scheme: str
-    noise: str
-    grid: np.ndarray
-    simulated: np.ndarray
-    closed_form: np.ndarray | None
-    max_abs_deviation: float | None = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, scheme: str, noise: str, grid, simulated, closed_form):
         import numpy as np
-        for name in ("grid", "simulated", "closed_form"):
-            if getattr(self, name) is not None:
-                values = np.array(getattr(self, name), dtype=float)
+        self.scheme, self.noise = scheme, noise
+        arrays = []
+        for values in (grid, simulated, closed_form):
+            if values is not None:
+                values = np.array(values, dtype=float)
                 values.setflags(write=False)
-                object.__setattr__(self, name, values)
+            arrays.append(values)
+        self.grid, self.simulated, self.closed_form = arrays
         outside = ~((-ATOL <= self.simulated) & (self.simulated <= 1.0 + ATOL))
         if outside.any():
             raise ValueError(f"simulated fidelity {self.simulated[outside][0]} outside [0, 1]")
         if len({a.shape for a in (self.grid, self.simulated, self.closed_form) if a is not None}) != 1:
             raise ValueError("grid, simulated and closed_form differ in length")
-        deviation = None if self.closed_form is None else float(np.max(np.abs(self.simulated - self.closed_form)))
-        object.__setattr__(self, "max_abs_deviation", deviation)
+        self.max_abs_deviation = (None if self.closed_form is None
+                                  else float(np.max(np.abs(self.simulated - self.closed_form))))
 
 
 def grid_report(scheme: str, family: str, grid) -> FidelityReport:

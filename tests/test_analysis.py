@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import decoynoise.analysis
 import decoynoise.fidelity
-from decoynoise.analysis import SweepSpec, find_crossover, recommend, sweep
+from decoynoise.analysis import TIE_TOL, find_crossover, recommend, sweep
 from decoynoise.channels import FAMILIES, parameter_range, transfer_weights
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
@@ -26,14 +26,7 @@ from decoynoise.states import SCHEMES
 
 
 def test_sweep_ad_ordering_between_entangled_schemes():
-    spec = SweepSpec(
-        schemes=("bb84", "psi+", "phi+", "cluster"),
-        family="ad",
-        start=0.0,
-        end=1.0,
-        points=101,
-    )
-    by_label = {r.scheme: r for r in sweep(spec)}
+    by_label = {r.scheme: r for r in sweep(("bb84", "psi+", "phi+", "cluster"), "ad", 0.0, 1.0, 101)}
     psi, phi, cluster = by_label["psi+"], by_label["phi+"], by_label["cluster"]
     for i, eta in enumerate(psi.grid):
         if 0.0 < eta < 1.0:
@@ -41,19 +34,18 @@ def test_sweep_ad_ordering_between_entangled_schemes():
 
 
 def test_sweep_reports_closed_forms_and_grid():
-    spec = SweepSpec(("psi+", "w"), "cd", 0.0, np.pi, 5)
-    reports = sweep(spec)
+    reports = sweep(("psi+", "w"), "cd", 0.0, np.pi, 5)
     assert reports[0].grid.tolist() == [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]
     assert reports[0].closed_form is not None
     assert reports[0].simulated[2] == pytest.approx(0.0, abs=1e-12)  # cos^4 at pi/2
     assert reports[1].closed_form is None and reports[1].max_abs_deviation is None
 
 
-def test_sweep_spec_validation():
+def test_sweep_validation():
     with pytest.raises(ValueError, match="points"):
-        SweepSpec(("cluster",), "ad", 0.0, 1.0, 1)
+        sweep(("cluster",), "ad", 0.0, 1.0, 1)
     with pytest.raises(ValueError, match="start"):
-        SweepSpec(("cluster",), "ad", 1.0, 0.0, 5)
+        sweep(("cluster",), "ad", 1.0, 0.0, 5)
 
 
 def test_ad_crossover_between_bb84_and_parallel_bell():
@@ -219,7 +211,7 @@ def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, 
 def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
     compiled = _count_compiles(monkeypatch)
     schemes = SCHEMES
-    assert [report.scheme for report in sweep(SweepSpec(schemes, "pd", 0.0, 1.0, 600))] == list(schemes)
+    assert [report.scheme for report in sweep(schemes, "pd", 0.0, 1.0, 600)] == list(schemes)
     assert compiled == list(schemes)
     compiled.clear()
     assert [report.scheme for report in verify_table(5)] == compiled
@@ -288,42 +280,39 @@ def test_not_decoherence_free(scheme, family):
 
 
 def test_decoherence_free_consistent_with_sweep():
-    spec = SweepSpec(("phi-",), "cd", 0.0, 2 * np.pi, 33)
-    (report,) = sweep(spec)
+    (report,) = sweep(("phi-",), "cd", 0.0, 2 * np.pi, 33)
     assert max(abs(f - 1.0) for f in report.simulated) < 1e-9
 
 
 def test_recommend_cr_top_tie_group():
     ranking = recommend("cr", 0.7)
-    assert (ranking.family, ranking.value) == ("cr", 0.7)
-    top = set(ranking.ties[0])
-    assert top == {"psi+", "phi-"}
-    for scheme, fid in ranking.ordered[:2]:
+    assert [(rank, scheme) for rank, scheme, _ in ranking[:3]] == [(1, "phi-"), (1, "psi+"), (3, "bb84")]
+    for _, _, fid in ranking[:2]:
         assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_recommend_pd_prefers_bb84():
     ranking = recommend("pd", 0.5)
-    assert ranking.ordered[0][0] == "bb84"
-    assert ranking.ordered[0][1] == pytest.approx(0.586181640625, abs=1e-12)
-    entangled_group = ranking.ties[1]
-    assert len(entangled_group) == 5
-    for scheme in entangled_group:
-        assert scheme_fidelity(scheme, "pd", 0.5) == pytest.approx(0.390625, abs=1e-12)
+    assert ranking[0][:2] == (1, "bb84")
+    assert ranking[0][2] == pytest.approx(0.586181640625, abs=1e-12)
+    entangled_group = ranking[1:]
+    assert [rank for rank, _, _ in entangled_group] == [2] * 5
+    for _, scheme, fid in entangled_group:
+        assert fid == scheme_fidelity(scheme, "pd", 0.5) == pytest.approx(0.390625, abs=1e-12)
 
 
 def test_recommend_high_ad_prefers_parallel_bells():
     ranking = recommend("ad", 0.9)
-    top = set(ranking.ties[0])
+    top = {scheme for rank, scheme, _ in ranking if rank == 1}
     assert top == {"psi+", "psi-"}
-    assert ranking.ordered[0][1] == pytest.approx(0.255025, abs=1e-12)
-    labels_in_order = [s for s, _ in ranking.ordered]
+    assert ranking[0][2] == pytest.approx(0.255025, abs=1e-12)
+    labels_in_order = [scheme for _, scheme, _ in ranking]
     assert labels_in_order.index("bb84") > labels_in_order.index("cluster")
 
 
 def test_recommend_can_include_w_state():
     ranking = recommend("cd", 1.1, SCHEMES)
-    top = set(ranking.ties[0])
+    top = {scheme for rank, scheme, _ in ranking if rank == 1}
     assert top == {"phi+", "phi-", "w"}
 
 
@@ -331,9 +320,22 @@ def test_recommend_can_include_w_state():
 @given(st.permutations(list(TABLE_SCHEMES)))
 def test_recommend_invariant_under_scheme_permutation(schemes):
     base = recommend("ad", 0.35)
-    permuted = recommend("ad", 0.35, tuple(schemes))
-    assert permuted.ordered == base.ordered
-    assert permuted.ties == base.ties
+    rows = recommend("ad", 0.35, tuple(schemes))
+    assert rows == base
+    assert sorted(scheme for _, scheme, _ in rows) == sorted(TABLE_SCHEMES)
+    groups = [list(group) for _, group in itertools.groupby(rows, key=lambda row: row[0])]
+    before = 0
+    for group in groups:
+        # each rank is 1 plus the number of rows before its group, and each group is sorted by label
+        assert [rank for rank, _, _ in group] == [before + 1] * len(group)
+        assert [scheme for _, scheme, _ in group] == sorted(scheme for _, scheme, _ in group)
+        # a group is tied: from its best fidelity down, each is within TIE_TOL of the one before
+        fids = sorted((fid for _, _, fid in group), reverse=True)
+        assert all(x - y < TIE_TOL for x, y in itertools.pairwise(fids))
+        before += len(group)
+    for better, worse in itertools.pairwise(groups):
+        # fidelities do not increase from one group to the next, and no two groups tie
+        assert min(fid for _, _, fid in better) - max(fid for _, _, fid in worse) >= TIE_TOL
 
 
 @pytest.mark.parametrize(
@@ -368,7 +370,7 @@ def test_cluster_ad_rises_again_after_its_minimum():
         lambda bad: decoynoise.fidelity.compile_fidelity("psi+", bad),
         lambda bad: scheme_fidelity("psi+", bad, 0.5),
         lambda bad: grid_report("cluster", bad, [0.5]),
-        lambda bad: sweep(SweepSpec(("psi+",), bad, 0.0, 1.0, 5)),
+        lambda bad: sweep(("psi+",), bad, 0.0, 1.0, 5),
         lambda bad: find_crossover("bb84", "psi+", bad, 0.3, 0.9),
         lambda bad: recommend(bad, 0.5),
         lambda bad: closed_form_grid("w", bad, [0.5]),
@@ -402,7 +404,7 @@ def test_unknown_noise_family_is_a_value_error_every_time(call, bad):
     [
         lambda bad: decoynoise.fidelity.compile_fidelity(bad, "ad"),
         lambda bad: scheme_fidelity(bad, "ad", 0.5),
-        lambda bad: sweep(SweepSpec(("psi+", bad), "ad", 0.0, 1.0, 5)),
+        lambda bad: sweep(("psi+", bad), "ad", 0.0, 1.0, 5),
         lambda bad: find_crossover("bb84", bad, "ad", 0.3, 0.9),
         lambda bad: recommend("ad", 0.5, ("psi+", bad)),
         lambda bad: grid_report(bad, "ad", [0.5]),

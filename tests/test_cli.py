@@ -114,7 +114,7 @@ def _reference_sweep_csv(reports):
     grid=st.integers(2, 9),
 )
 def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
-    expected = _reference_sweep_csv(analysis.sweep(analysis.SweepSpec(tuple(labels), noise, *parameter_range(noise), grid)))
+    expected = _reference_sweep_csv(analysis.sweep(tuple(labels), noise, *parameter_range(noise), grid))
     assert len(expected.splitlines()) == 1 + len(labels) * grid
     # 3 rows split a report of more than 3 points, 7 hold one whole report of
     # up to 7, 14 two, and the default all of them
@@ -641,8 +641,8 @@ def test_non_finite_parameters_fail_cleanly(args):
     assert "Warning" not in proc.stderr
 
 
-# Runs `python -m decoynoise` and then says on its last two stderr lines whether numpy and the
-# density-matrix oracle were imported.
+# Runs `python -m decoynoise` and then says on its last three stderr lines whether numpy, the
+# density-matrix oracle and dataclasses were imported.
 _REPORT_NUMPY = (
     "import runpy, sys\n"
     "try:\n"
@@ -650,6 +650,7 @@ _REPORT_NUMPY = (
     "finally:\n"
     "    print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
     "    print('oracle imported:', 'decoynoise.linalg' in sys.modules, file=sys.stderr)\n"
+    "    print('dataclasses imported:', 'dataclasses' in sys.modules, file=sys.stderr)\n"
 )
 _WITHOUT_NUMPY = [
     *(["recommend", "--noise", noise, f"--{flag}", "0.3", *w] for noise, flag in FAMILIES.items() for w in ([], ["--include-w"])),
@@ -690,8 +691,11 @@ _WITH_NUMPY = [
 def test_only_a_grid_or_a_random_stream_imports_numpy(argv, imports):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *argv], env=env, capture_output=True, text=True)
-    assert proc.stderr.splitlines()[-2:] == [f"numpy imported: {imports}", "oracle imported: False"]
+    assert proc.stderr.splitlines()[-3:] == [
+        f"numpy imported: {imports}", "oracle imported: False", "dataclasses imported: False"]
     assert "Traceback" not in proc.stderr
+    # --help describes the commands, not how rows are written
+    assert "csv.writer" not in proc.stdout
     assert proc.returncode == (1 if proc.stderr.startswith("error: ") else 0)
 
 

@@ -78,7 +78,6 @@ def test_intercept_resend_is_exactly_one_quarter():
     outcome = intercept_resend_bb84()
     assert outcome.detection_probability == 0.25
     assert outcome.outcome_distribution == {"agree": 0.75, "disagree": 0.25}
-    assert outcome.method == "exact"
 
 
 def test_intercept_resend_without_eve():

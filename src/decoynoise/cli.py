@@ -27,11 +27,12 @@ from .states import BELL_LABELS, SCHEMES, check_scheme
 REGRESSION_TOL = 1e-9
 
 # Largest accepted sizes, so that a command peaks at about 100 MB (Monte Carlo
-# at about 440 MB) instead of failing with a MemoryError. A sweep keeps a few
+# at about 130 MB) instead of failing with a MemoryError. A sweep keeps a few
 # floats per value: one scheme under pd at --grid 10**6 peaks at 93 MB, seven
 # schemes at 142857 at 70 MB, to stdout or --out alike. verify-table keeps 24
 # fidelities per grid point, 90 MB at --grid 10**5. An intercept-resend Monte
-# Carlo run holds several arrays of one entry per trial (10**7 trials).
+# Carlo run holds 10 bytes per trial, 130 MB at 10**7 trials; a wrong-pair run
+# counts its trials in fixed blocks and peaks at 35 MB.
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7

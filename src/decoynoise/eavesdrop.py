@@ -55,6 +55,9 @@ _DISAGREEMENT = sum(Fraction(1, 8) * _BORN[r][s] * (1 - _BORN[s][r]) for s in ra
 # The pairs Eve may measure (1-indexed; the sender entangles (1,2) and (3,4)).
 _VALID_EVE_PAIRS = ((1, 2), (2, 3))
 
+# Uniforms per wrong-pair Monte Carlo block: 512 KB of doubles.
+_MC_BLOCK = 1 << 16
+
 
 class AttackOutcome(NamedTuple):
     """Detection probability plus the full measurement-outcome distribution."""
@@ -85,6 +88,12 @@ def intercept_resend_bb84(
     measures in the preparation basis and compares with the sent label. The
     exact enumeration yields a disagreement probability of 1/4. With
     eve_present=False the channel is untouched and the rate is 0.
+
+    Monte Carlo keeps the random stream of drawing, for every trial, the sent
+    label, Eve's basis, Eve's outcome uniform and the receiver's uniform. Its
+    count reads only the two bases and the receiver's uniform, so Eve's
+    uniforms are skipped rather than drawn, and at its peak a run holds
+    10 bytes per trial.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
@@ -95,18 +104,24 @@ def intercept_resend_bb84(
         return AttackOutcome(float(disagree), dist)
 
     _require_seeded_mc(trials, seed)
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    born = np.array(_BORN, dtype=float)
-    sent = rng.integers(0, 4, size=trials)
+    disagreements = 0
     if eve_present:
-        basis_first = 2 * rng.integers(0, 2, size=trials)  # first label of Eve's basis
-        take_second = rng.random(size=trials) >= born[basis_first, sent]
-        eve_outcome_idx = basis_first + take_second
-        wrong = rng.random(size=trials) >= born[sent, eve_outcome_idx]
-    else:
-        wrong = np.zeros(trials, dtype=bool)
-    disagreements = int(np.count_nonzero(wrong))
+        import numpy as np
+        rng = np.random.default_rng(seed)
+        # int32 draws the labels of the default int64 (int8 and int16 would
+        # not) in half the memory
+        sent = rng.integers(0, 4, size=trials, dtype=np.int32)
+        basis = rng.integers(0, 2, size=trials, dtype=np.int32)
+        sent >>= 1  # the sent label's basis, in SINGLE_LABELS order
+        wrong = sent != basis
+        del sent, basis
+        # Every Born probability between the four labels is 0, 1/2 or 1: in
+        # the sent label's basis Eve finds that label and the receiver agrees;
+        # in the other, whatever Eve found, the receiver disagrees exactly
+        # when its uniform is >= 1/2.
+        rng.bit_generator.advance(trials)  # Eve's uniforms, one 64-bit output each
+        wrong &= rng.random(trials) >= 0.5
+        disagreements = int(np.count_nonzero(wrong))
     dist = {
         "agree": (trials - disagreements) / trials,
         "disagree": disagreements / trials,
@@ -161,6 +176,10 @@ def wrong_pair_bell_attack(
 
     With eve_outcome set, the returned statistics are conditioned on Eve
     obtaining that Bell result.
+
+    Monte Carlo draws one uniform per trial and counts the uniforms against
+    the joint's CDF in blocks of 2**16, so its memory does not grow with
+    the trial count.
     """
     if bell not in BELL_LABELS:
         raise ValueError(f"unknown Bell label {bell!r}, expected one of {BELL_LABELS}")
@@ -187,13 +206,19 @@ def wrong_pair_bell_attack(
     flat = np.array(joint).reshape(16)
     # Inverse-CDF sampling on the uniforms and CDF of Generator.choice(16, p=...),
     # counted per outcome instead of drawn one by one: outcome k is drawn by
-    # the uniforms u with cdf[k-1] <= u < cdf[k], and cdf[15] is exactly 1.
-    # Zero-probability outcomes repeat an edge, which is counted once.
+    # the uniforms u with cdf[k-1] <= u < cdf[k], and cdf[15] is exactly 1,
+    # which no uniform reaches. Zero-probability outcomes repeat an edge,
+    # which is counted once. The uniforms are drawn and counted in blocks
+    # that stay in cache; consecutive blocks are the stream of one draw.
     cdf = (flat / flat.sum()).cumsum()
     cdf /= cdf[-1]
-    uniforms = rng.random(trials)
     edges, edge_of = np.unique(cdf, return_inverse=True)
-    at_or_above = np.array([np.count_nonzero(uniforms >= edge) for edge in edges])
+    at_or_above = np.zeros(len(edges), dtype=np.int64)
+    buffer = np.empty(min(trials, _MC_BLOCK))
+    for start in range(0, trials, _MC_BLOCK):
+        uniforms = rng.random(out=buffer[: trials - start])
+        for k, edge in enumerate(edges[:-1]):
+            at_or_above[k] += np.count_nonzero(uniforms >= edge)
     counts = -np.diff(at_or_above[edge_of], prepend=trials)
     dist = {
         f"{a};{b}": counts[4 * i + j] / trials

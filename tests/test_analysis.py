@@ -316,6 +316,16 @@ def test_recommend_can_include_w_state():
     assert top == {"phi+", "phi-", "w"}
 
 
+def test_recommend_ranks_apart_fidelities_just_past_a_crossing():
+    # 1e-5 past the bb84/psi+ crossing under ad they differ by about 3e-6,
+    # well above TIE_TOL, so a looser tie tolerance would merge their ranks
+    eta = find_crossover("bb84", "psi+", "ad", 0.5, 0.65) + 1e-5
+    rows = {scheme: (rank, fid) for rank, scheme, fid in recommend("ad", eta)}
+    assert 0 < rows["psi+"][1] - rows["bb84"][1] < 1e-5
+    assert rows["psi+"][0] == 1
+    assert rows["bb84"][0] == 3
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(list(TABLE_SCHEMES)))
 def test_recommend_invariant_under_scheme_permutation(schemes):

@@ -6,13 +6,16 @@ construction from the implementation's integer sums over the 16 basis states.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoynoise import eavesdrop
 from decoynoise.eavesdrop import intercept_resend_bb84, wrong_pair_bell_attack
-from decoynoise.states import BELL_LABELS
+from decoynoise.states import BELL_LABELS, SINGLE_LABELS
 
 from conftest import bell_state
 
@@ -70,6 +73,25 @@ def _oracle_given_eve(prepared, eve_pair, eve_label):
     return float(np.vdot(collapsed, collapsed).real), joint
 
 
+def born_table_intercept_resend(trials, seed):
+    """Intercept-resend Monte Carlo that samples Eve's outcome from the Born table.
+
+    Eve measures each sent label in a random basis and resends her outcome; the
+    receiver measures that in the sent label's basis. Same random stream as the
+    implementation, which counts by the 0, 1/2 or 1 rule instead.
+    """
+    rng = np.random.default_rng(seed)
+    born = np.array(eavesdrop._BORN, dtype=float)
+    sent = rng.integers(0, 4, size=trials)
+    basis_first = 2 * rng.integers(0, 2, size=trials)  # first label of Eve's basis
+    take_second = rng.random(size=trials) >= born[basis_first, sent]
+    eve_outcome_idx = basis_first + take_second
+    wrong = rng.random(size=trials) >= born[sent, eve_outcome_idx]
+    disagreements = int(np.count_nonzero(wrong))
+    dist = {"agree": (trials - disagreements) / trials, "disagree": disagreements / trials}
+    return eavesdrop.AttackOutcome(disagreements / trials, dist)
+
+
 # ---------------------------------------------------------------------------
 # intercept-resend
 # ---------------------------------------------------------------------------
@@ -98,6 +120,34 @@ def test_intercept_resend_mc_is_reproducible():
     assert a == b
     c = intercept_resend_bb84(method="mc", trials=5000, seed=10)
     assert c.detection_probability != a.detection_probability
+
+
+def test_born_probabilities_are_zero_half_or_one():
+    # the premise of the Monte Carlo count: the receiver's agreement depends
+    # only on whether Eve's basis is the sent label's basis
+    for a, x in enumerate(SINGLE_LABELS):
+        for b, y in enumerate(SINGLE_LABELS):
+            if a >> 1 != b >> 1:
+                assert eavesdrop._BORN[a][b] == Fraction(1, 2), (x, y)
+            else:
+                assert eavesdrop._BORN[a][b] == (a == b), (x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("trials", [1, 2, 3, 17, 65535, 65536, 65537, 10**5 + 1, 10**6])
+def test_intercept_resend_mc_matches_born_table_sampler(trials, seed):
+    assert intercept_resend_bb84(method="mc", trials=trials, seed=seed) == born_table_intercept_resend(trials, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300_000), st.integers(0, 2**64 - 1))
+def test_drawn_intercept_resend_mc_matches_born_table_sampler(trials, seed):
+    assert intercept_resend_bb84(method="mc", trials=trials, seed=seed) == born_table_intercept_resend(trials, seed)
+
+
+def test_intercept_resend_mc_without_eve_never_disagrees():
+    outcome = intercept_resend_bb84(eve_present=False, method="mc", trials=1000, seed=3)
+    assert outcome == (0.0, {"agree": 1.0, "disagree": 0.0})
 
 
 def test_intercept_resend_mc_needs_seed_and_trials():
@@ -205,7 +255,8 @@ def test_wrong_pair_mc_counts_match_generator_choice(bell, eve_pair):
             continue
         flat = np.array(list(exact.outcome_distribution.values()))
         for seed in (0, 7, 2024):
-            for trials in (1, 17, 20000):
+            # 65536 uniforms are counted per block
+            for trials in (1, 17, 20000, 65535, 65536, 65537, 131073):
                 draws = np.random.default_rng(seed).choice(16, size=trials, p=flat / flat.sum())
                 counts = np.bincount(draws, minlength=16)
                 mc = wrong_pair_bell_attack(bell, eve_pair, "mc", trials, seed, eve_outcome)

@@ -22,7 +22,7 @@ _EXPORTS = {
     "channels": ("FAMILIES",),
     "cli": (),
     "eavesdrop": ("AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"),
-    "fidelity": ("FidelityReport", "scheme_fidelity", "verify_table"),
+    "fidelity": ("scheme_fidelity", "verify_table"),
     "linalg": ("DensityMatrix", "KrausChannel", "PureState", "apply_collective", "apply_kraus_channel", "apply_noise",
                "conjugate_apply", "kraus_ad", "kraus_pd", "tensor_product", "unitary_cd", "unitary_cr"),
     "states": ("SCHEMES",),

@@ -1,10 +1,11 @@
 """Parameter sweeps, crossover finding and per-channel scheme ranking.
 
-All evaluations here go through the simulated fidelity (not the closed
-forms), so schemes without a closed-form expression, like the W state, can
-participate on equal footing. A scheme is its label and a noise family its
-tag; a noise setting is a (family, value) pair. A ranking is the list of
-(rank, scheme, fidelity) rows that the CLI prints.
+Crossovers and rankings go through the simulated fidelity alone, so schemes
+without a closed-form expression, like the W state, take part on equal
+footing; a sweep returns each scheme's closed forms beside its simulation,
+None for the W state. A scheme is its label and a noise family its tag; a
+noise setting is a (family, value) pair. A ranking is the list of (rank,
+scheme, fidelity) rows that the CLI prints.
 """
 
 from __future__ import annotations
@@ -12,15 +13,19 @@ from __future__ import annotations
 import math
 
 from .channels import parameter_value
-from .fidelity import TABLE_SCHEMES, FidelityReport, compile_fidelity, grid_report, scheme_fidelity
+from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report, scheme_fidelity
 
 # Fidelities closer than this are reported as a tie; well above simulation
 # noise (~1e-15) and well below any genuine fidelity gap between schemes.
 TIE_TOL = 1e-9
 
 
-def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, points: int) -> list[FidelityReport]:
-    """Evaluate every scheme on one uniform grid of `points` values from start to end, both included."""
+def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, points: int) -> tuple:
+    """Evaluate every scheme on one uniform grid of `points` values from start to end, both included.
+
+    Returns (grid, [(scheme, simulated, closed_form), ...]), the arrays of
+    fidelity.grid_report, in the order of schemes.
+    """
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
     # end - start must be finite too, or linspace overflows into NaN
@@ -28,7 +33,7 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
         raise ValueError(f"sweep needs finite start < end, got [{start}, {end}]")
     import numpy as np
     grid = np.linspace(start, end, points)
-    return [grid_report(scheme, family, grid) for scheme in schemes]
+    return grid, [(scheme, *grid_report(scheme, family, grid)) for scheme in schemes]
 
 
 def find_crossover(

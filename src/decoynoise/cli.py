@@ -28,9 +28,9 @@ REGRESSION_TOL = 1e-9
 
 # Largest accepted sizes, so that a command peaks at about 100 MB (Monte Carlo
 # at about 130 MB) instead of failing with a MemoryError. A sweep keeps a few
-# floats per value: one scheme under pd at --grid 10**6 peaks at 93 MB, seven
-# schemes at 142857 at 70 MB, to stdout or --out alike. verify-table keeps 24
-# fidelities per grid point, 90 MB at --grid 10**5. An intercept-resend Monte
+# floats per value: one scheme under pd at --grid 10**6 peaks at 84 MB, seven
+# schemes at 142857 at 60 MB, to stdout or --out alike. verify-table keeps one
+# cell's fidelities at a time, 41 MB at --grid 10**5. An intercept-resend Monte
 # Carlo run holds 10 bytes per trial, 130 MB at 10**7 trials; a wrong-pair run
 # counts its trials in fixed blocks and peaks at 35 MB.
 MAX_TABLE_GRID = 10**5
@@ -135,39 +135,36 @@ def _cmd_verify_table(args):
         raise CliError("grid must be >= 2")
     if args.grid > MAX_TABLE_GRID:
         raise CliError(f"grid must be <= {MAX_TABLE_GRID}")
-    reports = verify_table(args.grid)
-    worst = max(reports, key=lambda report: report.max_abs_deviation)
-    at = worst.grid[abs(worst.simulated - worst.closed_form).argmax()]
+    cells = verify_table(args.grid)
+    scheme, family, worst, at = max(cells, key=lambda cell: cell[2])
     print(
-        f"{len(reports)} cells checked, worst deviation {worst.max_abs_deviation:.3e} at "
-        f"{worst.scheme} {worst.noise} {FAMILIES[worst.noise]}={_fmt(at)}",
+        f"{len(cells)} cells checked, worst deviation {worst:.3e} at {scheme} {family} {FAMILIES[family]}={_fmt(at)}",
         file=sys.stderr,
     )
-    rows = [["scheme", "noise", "max_abs_deviation"]]
-    rows += ([r.scheme, r.noise, _fmt(r.max_abs_deviation)] for r in reports)
-    return 2 if worst.max_abs_deviation >= REGRESSION_TOL else 0, rows
+    rows = [["scheme", "noise", "max_abs_deviation"], *([s, f, _fmt(d)] for s, f, d, _ in cells)]
+    return 2 if worst >= REGRESSION_TOL else 0, rows
 
 
-def _blocks(reports):
-    """The reports as blocks: lists of (report, row slice) of at most CSV_ROWS rows.
+def _blocks(grid, results):
+    """A sweep's results as blocks: lists of (result, row slice) of at most CSV_ROWS rows.
 
-    A block holds whole reports while they fit; a longer report is cut into
-    pieces of CSV_ROWS rows. Rows keep their order.
+    A block holds whole results while they fit; a result longer than that is
+    cut into pieces of CSV_ROWS rows. Rows keep their order.
     """
     block, size = [], 0
-    for report in reports:
-        for start in range(0, len(report.grid), CSV_ROWS):
-            rows = min(CSV_ROWS, len(report.grid) - start)
+    for result in results:
+        for start in range(0, len(grid), CSV_ROWS):
+            rows = min(CSV_ROWS, len(grid) - start)
             if size + rows > CSV_ROWS:
                 yield block
                 block, size = [], 0
-            block.append((report, slice(start, start + rows)))
+            block.append((result, slice(start, start + rows)))
             size += rows
     if block:
         yield block
 
 
-def _sweep_blocks(reports):
+def _sweep_blocks(grid, family, results):
     """The sweep's CSV rows, formatted one block of at most CSV_ROWS rows at a time.
 
     Each distinct float of a block is repr-ed once: the schemes share one grid,
@@ -176,19 +173,19 @@ def _sweep_blocks(reports):
     """
     import numpy as np
     yield [SWEEP_HEADER]
-    for block in _blocks(reports):
+    for block in _blocks(grid, results):
         pieces = []
-        for report, rows in block:
-            columns = [report.grid[rows], report.simulated[rows]]
-            if report.closed_form is not None:
-                columns += [report.closed_form[rows], abs(columns[1] - report.closed_form[rows])]
+        for (_, simulated, closed_form), rows in block:
+            columns = [grid[rows], simulated[rows]]
+            if closed_form is not None:
+                columns += [closed_form[rows], abs(columns[1] - closed_form[rows])]
             pieces.append(columns)
         values = np.concatenate([column for columns in pieces for column in columns])
         distinct, index = np.unique(values.view(np.int64), return_inverse=True)
         text = iter(np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[index].tolist())
-        for (report, _), columns in zip(block, pieces):
+        for ((scheme, _, _), _), columns in zip(block, pieces):
             fields = [list(itertools.islice(text, len(column))) for column in columns]
-            lead = [itertools.repeat(report.scheme), itertools.repeat(report.noise)]
+            lead = [itertools.repeat(scheme), itertools.repeat(family)]
             yield zip(*lead, *fields, *[itertools.repeat("")] * (4 - len(columns)))
 
 
@@ -201,8 +198,8 @@ def _cmd_sweep(args):
     lo, hi = parameter_range(args.noise)
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
-    reports = analysis.sweep(schemes, args.noise, start, end, args.grid)
-    return 0, itertools.chain.from_iterable(_sweep_blocks(reports))
+    grid, results = analysis.sweep(schemes, args.noise, start, end, args.grid)
+    return 0, itertools.chain.from_iterable(_sweep_blocks(grid, args.noise, results))
 
 
 def _cmd_recommend(args):

@@ -12,7 +12,7 @@ Two quantitative facts are reproduced here:
   prepared label.
 
 Both attacks are computed exactly from the integer state vectors of
-states.INT_SINGLES and states.INT_BELLS. Every amplitude is then an integer
+states.INT_SINGLES, INT_BELLS and INT_STATES. Every amplitude is then an integer
 times one known normalisation, so every probability is an exact rational: the
 intercept-resend rate is a Fraction, and each wrong-pair probability is a
 ratio of squared integer amplitudes, rounded once to the nearest float. An
@@ -37,7 +37,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, SINGLE_LABELS
+from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, INT_STATES, SINGLE_LABELS
 
 # Born probabilities |<a|b>|^2 between the four single-qubit states, in
 # SINGLE_LABELS order: the squared dot product of the integer vectors over
@@ -138,8 +138,7 @@ def _attack_joint(bell: str, eve_pair: tuple[int, int], eve_outcome: str | None)
     is a sum over the 16 basis states. Its square is an exact integer weight,
     so one true division by the integer total rounds each probability once.
     """
-    sent = INT_BELLS[bell]
-    block = [sent[k >> 2] * sent[k & 3] for k in range(16)]
+    block = INT_STATES[bell]
     first, second = (4 - q for q in eve_pair)
     on_pair = [2 * (k >> first & 1) + (k >> second & 1) for k in range(16)]
     rest = [k & ~(1 << first | 1 << second) for k in range(16)]

@@ -28,10 +28,11 @@ pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
 The scheme and the family are checked before the memo, so an unknown one,
 unhashable or not, raises ValueError, which is not memoised.
 
-closed_form_grid evaluates the known closed forms over a whole grid, and
-verify_table checks each (scheme, channel family) combination that has one
-against simulation. The closed forms, keyed by the Bell labeling documented
-in `states`:
+closed_form_grid evaluates the known closed forms over a whole grid.
+grid_report returns one scheme's simulated and closed-form arrays over a grid,
+and verify_table reduces each (scheme, channel family) combination that has a
+closed form to one row: its largest deviation from simulation and where it
+lies. The closed forms, keyed by the Bell labeling documented in `states`:
 
     scheme      AD                              PD                  CD                  CR
     bb84 avg    (3+sqrt(1-e)-e)^4/256           (e-4)^4/256         (3+cos p)^4/256     cos^8 t
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
                        transfer_weights)
-from .states import ATOL, INT_BELLS, INT_CLUSTER, INT_SINGLES, INT_W, SCHEMES, check_scheme
+from .states import ATOL, INT_SINGLES, INT_STATES, SCHEMES, check_scheme
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # numpy is imported where a grid needs it
@@ -65,11 +66,6 @@ if TYPE_CHECKING:  # numpy is imported where a grid needs it
 # Schemes that have a closed-form fidelity for every channel family, all but
 # w; also the default set that analysis.recommend ranks.
 TABLE_SCHEMES = SCHEMES[:-1]
-
-# The integer vector of the state each scheme but bb84 sends; a Bell pair is
-# the Bell vector's outer product with itself.
-_INT_STATES = {label: tuple(x * y for x in bell for y in bell) for label, bell in INT_BELLS.items()}
-_INT_STATES.update(cluster=INT_CLUSTER, w=INT_W)
 
 
 class Polynomial(NamedTuple):
@@ -133,7 +129,7 @@ def _pauli_vector(vec: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 @functools.cache
 def _compile(scheme: str, family: str) -> Polynomial:
     """compile_fidelity for a checked scheme and family; see the module docstring."""
-    vectors, power = (list(INT_SINGLES.values()), 4) if scheme == "bb84" else ([_INT_STATES[scheme]], 1)
+    vectors, power = (list(INT_SINGLES.values()), 4) if scheme == "bb84" else ([INT_STATES[scheme]], 1)
     basis = TRANSFER_BASIS[family]
     # each row of R as (column, basis matrix 0, 1 or 2 for A0, A1, A2, its integer entry) where not 0
     rows = [[(b, m, basis[m][a][b]) for b in range(4) for m in range(len(basis)) if basis[m][a][b]] for a in range(4)]
@@ -183,65 +179,46 @@ def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
         case ("phi+" | "phi-", "cd") | ("psi+" | "phi-", "cr"):
             return np.ones_like(x)
         case "psi-" | "phi+", "cr":
-            return np.cos(2.0 * x) ** 4
+            # 2t overflows from |t| = 2**1023 on; there cos 2t = (cos t - sin t)(cos t + sin t)
+            small, cos, sin = np.abs(x) < 2.0**1023, np.cos(x), np.sin(x)
+            return np.where(small, np.cos(2.0 * np.where(small, x, 0.0)), (cos - sin) * (cos + sin)) ** 4
         case "cluster", "ad":
             return (4.0 - 8.0 * x + 6.0 * x**2 - 2.0 * x**3 + x**4) / 4.0
     # the W state, the one scheme left
     return None
 
 
-class FidelityReport:
-    """Simulated-vs-closed-form fidelities for one scheme over a parameter grid.
+def grid_report(scheme: str, family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
+    """One scheme simulated across a parameter grid, as (simulated, closed_form) arrays.
 
-    grid, simulated and closed_form are stored as read-only float arrays, and
-    max_abs_deviation is derived from the last two. closed_form and
-    max_abs_deviation are None for schemes without a known expression (the W
-    state).
+    closed_form is None for the W state. A simulated fidelity outside [0, 1]
+    by more than ATOL, or NaN, is a fault and raises ValueError.
     """
-
-    def __init__(self, scheme: str, noise: str, grid, simulated, closed_form):
-        import numpy as np
-        self.scheme, self.noise = scheme, noise
-        arrays = []
-        for values in (grid, simulated, closed_form):
-            if values is not None:
-                values = np.array(values, dtype=float)
-                values.setflags(write=False)
-            arrays.append(values)
-        self.grid, self.simulated, self.closed_form = arrays
-        outside = ~((-ATOL <= self.simulated) & (self.simulated <= 1.0 + ATOL))
-        if outside.any():
-            raise ValueError(f"simulated fidelity {self.simulated[outside][0]} outside [0, 1]")
-        if len({a.shape for a in (self.grid, self.simulated, self.closed_form) if a is not None}) != 1:
-            raise ValueError("grid, simulated and closed_form differ in length")
-        self.max_abs_deviation = (None if self.closed_form is None
-                                  else float(np.max(np.abs(self.simulated - self.closed_form))))
+    simulated = compile_fidelity(scheme, family)(grid)
+    outside = ~((-ATOL <= simulated) & (simulated <= 1.0 + ATOL))
+    if outside.any():
+        raise ValueError(f"simulated fidelity {simulated[outside][0]} outside [0, 1]")
+    return simulated, closed_form_grid(scheme, family, grid)
 
 
-def grid_report(scheme: str, family: str, grid) -> FidelityReport:
-    """Simulate one scheme across a parameter grid, with closed forms when known."""
-    return FidelityReport(
-        scheme=scheme,
-        noise=family,
-        grid=grid,
-        simulated=compile_fidelity(scheme, family)(grid),
-        closed_form=closed_form_grid(scheme, family, grid),
-    )
-
-
-def verify_table(grid_size: int) -> list[FidelityReport]:
+def verify_table(grid_size: int) -> list[tuple[str, str, float, float]]:
     """Check every closed form against simulation on a uniform grid.
 
-    One report per (scheme, channel family) combination; eta runs over [0, 1]
-    and the collective angles over [0, 2 pi], endpoints included.
+    One (scheme, family, max_abs_deviation, parameter) row per (scheme,
+    channel family) combination, where parameter is the grid value of the
+    largest deviation; eta runs over [0, 1] and the collective angles over
+    [0, 2 pi], endpoints included. Each cell is reduced to its row as soon as
+    it is computed.
     """
     import numpy as np
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    reports = []
+    rows = []
     for family in FAMILIES:
-        lo, hi = parameter_range(family)
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(*parameter_range(family), grid_size)
         for scheme in TABLE_SCHEMES:
-            reports.append(grid_report(scheme, family, grid))
-    return reports
+            simulated, closed_form = grid_report(scheme, family, grid)
+            deviation = np.abs(simulated - closed_form)
+            worst = deviation.argmax()
+            rows.append((scheme, family, float(deviation[worst]), float(grid[worst])))
+    return rows

@@ -41,6 +41,10 @@ INT_SINGLES = {"0": (1, 0), "1": (0, 1), "+": (1, 1), "-": (1, -1)}
 INT_BELLS = {"psi+": (1, 0, 0, 1), "psi-": (1, 0, 0, -1), "phi+": (0, 1, 1, 0), "phi-": (0, 1, -1, 0)}
 INT_CLUSTER = (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1)
 INT_W = (0, 1, 1, 0, 1, 0, 0, 0)
+# The vector each scheme but bb84 sends; a Bell pair's is its Bell vector's
+# outer product with itself, qubits (1, 2) then (3, 4).
+INT_STATES = {label: tuple(x * y for x in bell for y in bell) for label, bell in INT_BELLS.items()}
+INT_STATES.update(cluster=INT_CLUSTER, w=INT_W)
 
 
 def check_scheme(label: str) -> str:

@@ -26,19 +26,21 @@ from decoynoise.states import SCHEMES
 
 
 def test_sweep_ad_ordering_between_entangled_schemes():
-    by_label = {r.scheme: r for r in sweep(("bb84", "psi+", "phi+", "cluster"), "ad", 0.0, 1.0, 101)}
+    grid, results = sweep(("bb84", "psi+", "phi+", "cluster"), "ad", 0.0, 1.0, 101)
+    by_label = {scheme: simulated for scheme, simulated, _ in results}
     psi, phi, cluster = by_label["psi+"], by_label["phi+"], by_label["cluster"]
-    for i, eta in enumerate(psi.grid):
+    for i, eta in enumerate(grid):
         if 0.0 < eta < 1.0:
-            assert psi.simulated[i] > cluster.simulated[i] > phi.simulated[i]
+            assert psi[i] > cluster[i] > phi[i]
 
 
 def test_sweep_reports_closed_forms_and_grid():
-    reports = sweep(("psi+", "w"), "cd", 0.0, np.pi, 5)
-    assert reports[0].grid.tolist() == [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]
-    assert reports[0].closed_form is not None
-    assert reports[0].simulated[2] == pytest.approx(0.0, abs=1e-12)  # cos^4 at pi/2
-    assert reports[1].closed_form is None and reports[1].max_abs_deviation is None
+    grid, [(psi, psi_simulated, psi_closed), (w, _, w_closed)] = sweep(("psi+", "w"), "cd", 0.0, np.pi, 5)
+    assert grid.tolist() == [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]
+    assert (psi, w) == ("psi+", "w")
+    assert psi_closed.tolist() == closed_form_grid("psi+", "cd", grid).tolist()
+    assert psi_simulated[2] == pytest.approx(0.0, abs=1e-12)  # cos^4 at pi/2
+    assert w_closed is None
 
 
 def test_sweep_validation():
@@ -211,10 +213,10 @@ def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, 
 def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
     compiled = _count_compiles(monkeypatch)
     schemes = SCHEMES
-    assert [report.scheme for report in sweep(schemes, "pd", 0.0, 1.0, 600)] == list(schemes)
+    assert [scheme for scheme, _, _ in sweep(schemes, "pd", 0.0, 1.0, 600)[1]] == list(schemes)
     assert compiled == list(schemes)
     compiled.clear()
-    assert [report.scheme for report in verify_table(5)] == compiled
+    assert [scheme for scheme, _, _, _ in verify_table(5)] == compiled
     compiled.clear()
     recommend("ad", 0.4, schemes)
     assert compiled == list(schemes)
@@ -280,8 +282,8 @@ def test_not_decoherence_free(scheme, family):
 
 
 def test_decoherence_free_consistent_with_sweep():
-    (report,) = sweep(("phi-",), "cd", 0.0, 2 * np.pi, 33)
-    assert max(abs(f - 1.0) for f in report.simulated) < 1e-9
+    _, [(_, simulated, _)] = sweep(("phi-",), "cd", 0.0, 2 * np.pi, 33)
+    assert max(abs(f - 1.0) for f in simulated) < 1e-9
 
 
 def test_recommend_cr_top_tie_group():

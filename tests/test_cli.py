@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from decoynoise import analysis, cli
 from decoynoise.channels import FAMILIES, parameter_range
 from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
-from decoynoise.fidelity import FidelityReport, grid_report
+from decoynoise.fidelity import grid_report
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
@@ -53,8 +53,9 @@ def test_verify_table_passes_and_reports_every_cell(capsys):
     assert deviations[label, noise] == max(deviations.values())
     assert worst == f"{deviations[label, noise]:.3e}"
     assert flag == {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
-    report = grid_report(label, noise, np.linspace(*parameter_range(noise), 5))
-    assert float(param) == report.grid[np.argmax(np.abs(report.simulated - report.closed_form))]
+    grid = np.linspace(*parameter_range(noise), 5)
+    simulated, closed_form = grid_report(label, noise, grid)
+    assert float(param) == grid[np.argmax(np.abs(simulated - closed_form))]
 
 
 def test_verify_table_flags_perturbed_closed_form(monkeypatch, capsys):
@@ -92,16 +93,16 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
     assert path_a.read_bytes().startswith(b"scheme,noise,parameter")
 
 
-def _reference_sweep_csv(reports):
+def _reference_sweep_csv(grid, family, results):
     """A sweep's CSV formatted value by value, with no block and no dedupe."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for report in reports:
-        columns, tail = [report.grid, report.simulated], [itertools.repeat("")] * 2
-        if report.closed_form is not None:
-            columns, tail = columns + [report.closed_form, abs(report.simulated - report.closed_form)], []
-        lead = [itertools.repeat(report.scheme), itertools.repeat(report.noise)]
+    for scheme, simulated, closed_form in results:
+        columns, tail = [grid, simulated], [itertools.repeat("")] * 2
+        if closed_form is not None:
+            columns, tail = columns + [closed_form, abs(simulated - closed_form)], []
+        lead = [itertools.repeat(scheme), itertools.repeat(family)]
         writer.writerows(zip(*lead, *(map(repr, column.tolist()) for column in columns), *tail))
     return out.getvalue()
 
@@ -114,7 +115,8 @@ def _reference_sweep_csv(reports):
     grid=st.integers(2, 9),
 )
 def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
-    expected = _reference_sweep_csv(analysis.sweep(tuple(labels), noise, *parameter_range(noise), grid))
+    points, results = analysis.sweep(tuple(labels), noise, *parameter_range(noise), grid)
+    expected = _reference_sweep_csv(points, noise, results)
     assert len(expected.splitlines()) == 1 + len(labels) * grid
     # 3 rows split a report of more than 3 points, 7 hold one whole report of
     # up to 7, 14 two, and the default all of them
@@ -128,12 +130,12 @@ def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
 def test_sweep_formats_each_float_by_its_bits():
     # value-equal but distinct floats must each print their own repr
     above = float(np.nextafter(0.5, 1.0))
-    grid = [0.0, -0.0, 0.5, above]
-    reports = [
-        FidelityReport("psi+", "ad", grid, [-0.0, 0.0, above, 0.5], [0.0, -0.0, 0.5, 0.5]),
-        FidelityReport("w", "ad", grid, [0.0, -0.0, 0.5, above], None),
+    grid = np.array([0.0, -0.0, 0.5, above])
+    results = [
+        ("psi+", np.array([-0.0, 0.0, above, 0.5]), np.array([0.0, -0.0, 0.5, 0.5])),
+        ("w", np.array([0.0, -0.0, 0.5, above]), None),
     ]
-    rows = [list(row) for row in itertools.chain.from_iterable(cli._sweep_blocks(reports))]
+    rows = [list(row) for row in itertools.chain.from_iterable(cli._sweep_blocks(grid, "ad", results))]
     assert rows[1:] == [
         ["psi+", "ad", "0.0", "-0.0", "0.0", "0.0"],
         ["psi+", "ad", "-0.0", "0.0", "-0.0", "0.0"],
@@ -146,7 +148,20 @@ def test_sweep_formats_each_float_by_its_bits():
     ]
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
-    assert text.getvalue() == _reference_sweep_csv(reports)
+    assert text.getvalue() == _reference_sweep_csv(grid, "ad", results)
+
+
+def test_sweep_at_rotation_angles_where_2_theta_overflows():
+    # 2 theta overflows from theta = 2**1023 on; the closed forms of psi- and
+    # phi+ must stay finite there, with no numpy warning on stderr
+    argv = ["sweep", "--noise", "cr", "--schemes", "psi-,phi+", "--from", "1e308", "--to", "1.7e308", "--grid", "3"]
+    proc = run_module(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr and "nan" not in proc.stdout
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["psi-"] * 3 + ["phi+"] * 3
+    for row in rows:
+        assert float(row[5]) < REGRESSION_TOL, row
 
 
 def test_sweep_w_state_has_empty_closed_form_fields(capsys):

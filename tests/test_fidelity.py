@@ -1,6 +1,8 @@
 """Fidelity metric, closed forms, BB84 averaging and the table verifier."""
 
+import importlib
 import math
+import re
 import struct
 from fractions import Fraction
 from itertools import product
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from decoynoise.channels import FAMILIES, parameter_range
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
-    FidelityReport,
     _compile,
     closed_form_grid,
     compile_fidelity,
@@ -25,6 +26,8 @@ from decoynoise.linalg import AMPLITUDES, ATOL, SINGLES, PureState, apply_noise,
 from decoynoise.states import SCHEMES, SINGLE_LABELS
 
 from conftest import bell_state
+
+fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
 # The 256 four-qubit BB84 product strings, built qubit by qubit.
 BB84_STRINGS = [
@@ -174,29 +177,39 @@ def test_closed_form_grid_rejects_parameters_outside_the_family_range():
         closed_form_grid("cluster", "cr", [0.5, np.nan])
 
 
-def test_fidelity_report_arrays_are_read_only_copies():
+def test_grid_report_is_the_simulated_and_closed_form_arrays():
     grid = np.linspace(0.0, 1.0, 5)
-    report = grid_report("cluster", "ad", grid)
-    for values in (report.grid, report.simulated, report.closed_form):
+    simulated, closed_form = grid_report("cluster", "ad", grid)
+    assert simulated.tolist() == compile_fidelity("cluster", "ad")(grid).tolist()
+    assert closed_form.tolist() == closed_form_grid("cluster", "ad", grid).tolist()
+    for values in (simulated, closed_form):
         assert values.dtype == np.float64 and values.shape == (5,)
-        assert not values.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.5
-    assert grid.flags.writeable
-    assert grid_report("w", "ad", grid).closed_form is None
+    assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    simulated, closed_form = grid_report("w", "ad", grid)
+    assert simulated.shape == (5,) and closed_form is None
 
 
-def test_fidelity_report_checks_its_arrays():
-    fields = dict(scheme="cluster", noise="ad", grid=[0.0, 1.0], closed_form=[1.0, 0.25])
-    with pytest.raises(ValueError, match="outside"):
-        FidelityReport(simulated=[1.0, 1.5], **fields)
-    with pytest.raises(ValueError, match="length"):
-        FidelityReport(simulated=[1.0, 0.25, 0.5], **fields)
-    # the deviation is derived from the arrays, not passed in
-    with pytest.raises(TypeError):
-        FidelityReport(simulated=[1.0, 0.5], max_abs_deviation=0.25, **fields)
-    assert FidelityReport(simulated=[1.0, 0.5], **fields).max_abs_deviation == 0.25
-    assert FidelityReport("w", "ad", [0.0, 1.0], [1.0, 0.5], None).max_abs_deviation is None
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, 1.0 + 2 * ATOL, -2 * ATOL])
+def test_grid_report_rejects_a_simulated_fidelity_outside_the_unit_interval(monkeypatch, bad):
+    monkeypatch.setattr(fidelity_mod, "compile_fidelity", lambda scheme, family: lambda grid: np.array([1.0, bad]))
+    with pytest.raises(ValueError, match=f"^simulated fidelity {re.escape(str(bad))} outside \\[0, 1\\]$"):
+        grid_report("cluster", "ad", [0.0, 1.0])
+
+
+def test_grid_report_allows_rounding_within_atol_of_the_unit_interval(monkeypatch):
+    edges = np.array([-ATOL, 0.0, 1.0, 1.0 + ATOL])
+    monkeypatch.setattr(fidelity_mod, "compile_fidelity", lambda scheme, family: lambda grid: edges)
+    simulated, _ = grid_report("cluster", "ad", [0.0, 0.25, 0.5, 1.0])
+    assert simulated is edges
+
+
+def test_cr_closed_form_keeps_cos_2t_bits_until_2t_overflows():
+    below = np.array([0.0, 0.7, -3.0, 1e300, np.nextafter(2.0**1023, 0.0), -np.nextafter(2.0**1023, 0.0)])
+    huge = np.array([2.0**1023, 1e308, -1.7e308, np.finfo(float).max])
+    for scheme in ("psi-", "phi+"):
+        assert closed_form_grid(scheme, "cr", below).tobytes() == (np.cos(2.0 * below) ** 4).tobytes()
+        closed = closed_form_grid(scheme, "cr", huge)
+        assert np.all(np.abs(closed - compile_fidelity(scheme, "cr")(huge)) < 1e-15), closed
 
 
 def test_closed_form_spot_values():
@@ -245,19 +258,31 @@ def test_simulated_fidelities_stay_in_unit_interval():
 
 
 def test_verify_table_oracle_equivalence():
-    reports = verify_table(11)
-    assert len(reports) == 24
-    for report in reports:
-        assert report.max_abs_deviation < 1e-12
+    rows = verify_table(11)
+    assert len(rows) == 24
+    for _, _, deviation, _ in rows:
+        assert deviation < 1e-12
+
+
+@pytest.mark.parametrize("grid_size", [2, 7, 101])
+def test_verify_table_rows_are_each_cell_reduced(grid_size):
+    rows = verify_table(grid_size)
+    assert [row[:2] for row in rows] == [(scheme, family) for family in FAMILIES for scheme in TABLE_SCHEMES]
+    for scheme, family, deviation, parameter in rows:
+        grid = np.linspace(*parameter_range(family), grid_size)
+        gap = np.abs(compile_fidelity(scheme, family)(grid) - closed_form_grid(scheme, family, grid))
+        assert type(deviation) is float and type(parameter) is float
+        assert deviation == np.max(gap)
+        assert parameter == grid[np.argmax(gap)]
 
 
 def test_verify_table_endpoint_grid():
-    reports = verify_table(2)
-    ad_reports = [r for r in reports if r.noise == "ad"]
-    assert len(ad_reports) == 6
-    for report in ad_reports:
-        assert report.grid[0] == 0.0 and report.grid[-1] == 1.0
-        assert report.simulated[0] == pytest.approx(1.0, abs=1e-12)
+    ad_rows = [row for row in verify_table(2) if row[1] == "ad"]
+    assert len(ad_rows) == 6
+    for scheme, _, _, parameter in ad_rows:
+        assert parameter in (0.0, 1.0)
+        simulated, _ = grid_report(scheme, "ad", np.linspace(0.0, 1.0, 2))
+        assert simulated[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_table_rejects_degenerate_grid():

@@ -29,7 +29,7 @@ REGRESSION_TOL = 1e-9
 # Largest accepted sizes, so that a command peaks at about 100 MB (Monte Carlo
 # at about 130 MB) instead of failing with a MemoryError. A sweep keeps a few
 # floats per value: one scheme under pd at --grid 10**6 peaks at 84 MB, seven
-# schemes at 142857 at 60 MB, to stdout or --out alike. verify-table keeps one
+# schemes at 142857 at 64 MB, to stdout or --out alike. verify-table keeps one
 # cell's fidelities at a time, 41 MB at --grid 10**5. An intercept-resend Monte
 # Carlo run holds 10 bytes per trial, 130 MB at 10**7 trials; a wrong-pair run
 # counts its trials in fixed blocks and peaks at 35 MB.
@@ -39,8 +39,8 @@ MAX_TRIALS = 10**7
 DEFAULT_TRIALS = 10**6
 
 # Sweep rows formatted per block, so that only one block's Python floats and
-# strings are held at a time. A block holds all its strings at once; at this
-# size the largest sweeps peak at the sizes given above.
+# strings are held at a time. A block holds all its strings and its joined
+# lines at once; at this size the largest sweeps peak at the sizes given above.
 CSV_ROWS = 2**14
 
 SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
@@ -62,6 +62,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _lines(rows) -> list[str]:
+    """Each row as one line of comma-joined fields.
+
+    Every field is a str that needs no CSV quoting: a fixed header or kind
+    name, a scheme label, a noise family tag (one of argparse's choices), a
+    Bell or outcome label, a repr of a float, or empty. None holds a comma, a
+    quote or a line break, and no row is one empty field, so a row's line is
+    its fields joined by commas, the same bytes csv.writer would write for it.
+    """
+    return [",".join(row) + "\n" for row in rows]
 
 
 def build_parser() -> _Parser:
@@ -142,7 +154,7 @@ def _cmd_verify_table(args):
         file=sys.stderr,
     )
     rows = [["scheme", "noise", "max_abs_deviation"], *([s, f, _fmt(d)] for s, f, d, _ in cells)]
-    return 2 if worst >= REGRESSION_TOL else 0, rows
+    return 2 if worst >= REGRESSION_TOL else 0, _lines(rows)
 
 
 def _blocks(grid, results):
@@ -165,14 +177,15 @@ def _blocks(grid, results):
 
 
 def _sweep_blocks(grid, family, results):
-    """The sweep's CSV rows, formatted one block of at most CSV_ROWS rows at a time.
+    """The sweep's CSV, formatted one block of at most CSV_ROWS rows at a time.
 
     Each distinct float of a block is repr-ed once: the schemes share one grid,
     many of their fidelities tie and abs_err takes few values. Floats are told
-    apart by their bits, so 0.0 and -0.0 each keep their own repr.
+    apart by their bits, so 0.0 and -0.0 each keep their own repr. Each
+    (scheme, row slice) piece of a block is one chunk, its lines joined in C.
     """
     import numpy as np
-    yield [SWEEP_HEADER]
+    yield from _lines([SWEEP_HEADER])
     for block in _blocks(grid, results):
         pieces = []
         for (_, simulated, closed_form), rows in block:
@@ -185,8 +198,9 @@ def _sweep_blocks(grid, family, results):
         text = iter(np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[index].tolist())
         for ((scheme, _, _), _), columns in zip(block, pieces):
             fields = [list(itertools.islice(text, len(column))) for column in columns]
-            lead = [itertools.repeat(scheme), itertools.repeat(family)]
-            yield zip(*lead, *fields, *[itertools.repeat("")] * (4 - len(columns)))
+            fields += [itertools.repeat("")] * (4 - len(columns))
+            lead = f"{scheme},{family},"
+            yield lead + ("\n" + lead).join(map(",".join, zip(*fields))) + "\n"
 
 
 def _cmd_sweep(args):
@@ -199,21 +213,18 @@ def _cmd_sweep(args):
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
     grid, results = analysis.sweep(schemes, args.noise, start, end, args.grid)
-    return 0, itertools.chain.from_iterable(_sweep_blocks(grid, args.noise, results))
+    return 0, _sweep_blocks(grid, args.noise, results)
 
 
 def _cmd_recommend(args):
     ranking = analysis.recommend(args.noise, _noise_value(args), SCHEMES if args.include_w else TABLE_SCHEMES)
-    return 0, [["rank", "scheme", "fidelity"], *([str(rank), scheme, _fmt(fid)] for rank, scheme, fid in ranking)]
+    return 0, _lines([["rank", "scheme", "fidelity"], *([str(r), s, _fmt(f)] for r, s, f in ranking)])
 
 
 def _cmd_crossover(args):
     a, b = check_scheme(args.a), check_scheme(args.b)
     root = analysis.find_crossover(a, b, args.noise, args.lo, args.hi)
-    return 0, [
-        ["scheme_a", "scheme_b", "noise", "crossover"],
-        [a, b, args.noise, _fmt(root)],
-    ]
+    return 0, _lines([["scheme_a", "scheme_b", "noise", "crossover"], [a, b, args.noise, _fmt(root)]])
 
 
 def _cmd_eve_sim(args):
@@ -238,15 +249,14 @@ def _cmd_eve_sim(args):
     else:
         pair = (1, 2) if args.eve_pair == "12" else (2, 3)
         outcome = eavesdrop.wrong_pair_bell_attack(args.bell or "psi+", pair, **kwargs)
-    rows = [["kind", "label", "value"]]
-    rows.append(["summary", "detection_probability", _fmt(outcome.detection_probability)])
+    rows = [["kind", "label", "value"], ["summary", "detection_probability", _fmt(outcome.detection_probability)]]
     rows += (["outcome", label, _fmt(prob)] for label, prob in outcome.outcome_distribution.items())
-    return 0, rows
+    return 0, _lines(rows)
 
 
 # Each command does all its work and every check that can fail, then returns
-# its exit code (0 or 2) and its CSV rows, which only format computed values;
-# run alone writes them.
+# its exit code (0 or 2) and its CSV as str chunks, each ending in a line
+# break, which only format computed values; run alone writes them.
 _COMMANDS = {
     "verify-table": _cmd_verify_table,
     "sweep": _cmd_sweep,
@@ -263,23 +273,13 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _write_rows(stream, rows) -> None:
-    """Write each row as one line of comma-joined fields.
-
-    Every field is a str that needs no CSV quoting: a fixed header or kind
-    name, a scheme label, a noise family tag (one of argparse's choices), a
-    Bell or outcome label, a repr of a float, or empty. None holds a comma, a
-    quote or a line break, and no row is one empty field, so a row's line is
-    its fields joined by commas, the same bytes csv.writer would write for it.
-
-    Rows are joined as the stream takes them, so a lazy sweep holds one block
-    of rows at a time.
-    """
-    stream.writelines(",".join(row) + "\n" for row in rows)
+def _write_rows(stream, chunks) -> None:
+    """Write a command's CSV chunks as the stream takes them: a lazy sweep holds one block."""
+    stream.writelines(chunks)
 
 
-def _write_out(path: str, rows) -> None:
-    """Write the rows to the file at path, opened for writing like any file.
+def _write_out(path: str, chunks) -> None:
+    """Write the chunks to the file at path, opened for writing like any file.
 
     A symlink, a device or a FIFO is written through. If the write fails, a
     regular file is emptied rather than left ending in a partial row.
@@ -287,7 +287,7 @@ def _write_out(path: str, rows) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         with open(fd, "w", newline="", closefd=False) as stream:
-            _write_rows(stream, rows)
+            _write_rows(stream, chunks)
     except BaseException:
         # the text stream is closed here, so no buffered row can follow
         if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -305,11 +305,11 @@ def run(argv: list[str]) -> int:
     """
     try:
         args = _parser().parse_args(argv)
-        code, rows = _COMMANDS[args.command](args)
+        code, chunks = _COMMANDS[args.command](args)
         if args.out is None:
-            _write_rows(sys.stdout, rows)
+            _write_rows(sys.stdout, chunks)
         else:
-            _write_out(args.out, rows)
+            _write_out(args.out, chunks)
         return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

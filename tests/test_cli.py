@@ -118,9 +118,10 @@ def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
     points, results = analysis.sweep(tuple(labels), noise, *parameter_range(noise), grid)
     expected = _reference_sweep_csv(points, noise, results)
     assert len(expected.splitlines()) == 1 + len(labels) * grid
-    # 3 rows split a report of more than 3 points, 7 hold one whole report of
-    # up to 7, 14 two, and the default all of them
-    for block in (3, 7, 14, cli.CSV_ROWS):
+    # 1 and 2 rows cut every report, w's too, into one- and two-row pieces,
+    # 3 split a report of more than 3 points, 7 hold one whole report of up to
+    # 7, 14 two, and the default all of them
+    for block in (1, 2, 3, 7, 14, cli.CSV_ROWS):
         out = io.StringIO()
         with mock.patch.object(cli, "CSV_ROWS", block), contextlib.redirect_stdout(out):
             assert run(["sweep", "--noise", noise, "--schemes", ",".join(labels), "--grid", str(grid)]) == 0
@@ -135,8 +136,8 @@ def test_sweep_formats_each_float_by_its_bits():
         ("psi+", np.array([-0.0, 0.0, above, 0.5]), np.array([0.0, -0.0, 0.5, 0.5])),
         ("w", np.array([0.0, -0.0, 0.5, above]), None),
     ]
-    rows = [list(row) for row in itertools.chain.from_iterable(cli._sweep_blocks(grid, "ad", results))]
-    assert rows[1:] == [
+    text = "".join(cli._sweep_blocks(grid, "ad", results))
+    assert [line.split(",") for line in text.splitlines()[1:]] == [
         ["psi+", "ad", "0.0", "-0.0", "0.0", "0.0"],
         ["psi+", "ad", "-0.0", "0.0", "-0.0", "0.0"],
         ["psi+", "ad", "0.5", repr(above), "0.5", repr(above - 0.5)],
@@ -146,9 +147,7 @@ def test_sweep_formats_each_float_by_its_bits():
         ["w", "ad", "0.5", "0.5", "", ""],
         ["w", "ad", repr(above), repr(above), "", ""],
     ]
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    assert text.getvalue() == _reference_sweep_csv(grid, "ad", results)
+    assert text == _reference_sweep_csv(grid, "ad", results)
 
 
 def test_sweep_at_rotation_angles_where_2_theta_overflows():
@@ -506,7 +505,7 @@ def test_a_write_that_fails_partway_leaves_no_partial_rows(tmp_path):
 
 @pytest.mark.parametrize("device", [False, True])
 def test_a_failed_write_empties_a_regular_file_and_leaves_a_device(device, tmp_path, monkeypatch, capsys):
-    def write_then_fail(stream, rows):
+    def write_then_fail(stream, chunks):
         stream.write("kind,label,value\nsummary,detection")
         stream.flush()
         raise OSError(28, "No space left on device")

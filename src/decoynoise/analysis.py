@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .channels import parameter_value
+from .channels import parameter_value, point_weights
 from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report, scheme_fidelity
 
 # Fidelities closer than this are reported as a tie; well above simulation
@@ -52,8 +52,8 @@ def find_crossover(
     bisects down to neighbouring floats.
 
     Both fidelities are compiled once, before the first step, and each step
-    evaluates them at its midpoint as floats, which have the bits of the same
-    point of a grid.
+    takes the transfer weights of its midpoint once and evaluates both at
+    them as floats, which have the bits of the same point of a grid.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -63,10 +63,11 @@ def find_crossover(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
-    fidelity_a, fidelity_b = compile_fidelity(a, family), compile_fidelity(b, family)
+    evaluate_a, evaluate_b = compile_fidelity(a, family).evaluate, compile_fidelity(b, family).evaluate
 
     def gap(p: float) -> float:
-        return fidelity_a.at(p) - fidelity_b.at(p)
+        w1, w2 = point_weights(family, p)
+        return evaluate_a(w1, w2, 0.0) - evaluate_b(w1, w2, 0.0)
 
     gap_lo, gap_hi = gap(lo), gap(hi)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):

@@ -79,6 +79,7 @@ def _lines(rows) -> list[str]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="decoynoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser by name, as add_parser fills it in
 
     p = sub.add_parser("verify-table", help="check every closed form against simulation")
     p.add_argument("--grid", type=int, default=21, help="grid points per parameter range")
@@ -273,6 +274,14 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as build_parser() parses it; when argv[0] names a command, its parser alone reads the rest, in one scan."""
+    command = _parser().commands.get(argv[0]) if argv else None
+    if command is None:  # no command, --help or an unknown name: the whole parser's help and usage errors
+        return _parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def _write_rows(stream, chunks) -> None:
     """Write a command's CSV chunks as the stream takes them: a lazy sweep holds one block."""
     stream.writelines(chunks)
@@ -304,7 +313,7 @@ def run(argv: list[str]) -> int:
     command writes no CSV and leaves an --out path as it was.
     """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         code, chunks = _COMMANDS[args.command](args)
         if args.out is None:
             _write_rows(sys.stdout, chunks)

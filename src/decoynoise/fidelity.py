@@ -17,11 +17,12 @@ Each coefficient is rounded once to the nearest float, and one that is
 exactly 0 is dropped. The BB84 average over all 256 product strings is
 exactly (the mean of the four single-qubit polynomials over 0, 1, +, -)^4.
 
-One routine evaluates a Polynomial, at one float through math (its `at`) or
-over a grid through numpy (calling it), in the same operations and order;
-powers are repeated products, never **. A one-point value, as recommend and
-each bisection step take it, therefore has the bits of the same point of a
-sweep, and only a grid imports numpy.
+A Polynomial is evaluated by straight-line code built from its terms: powers
+of w1 and w2 as repeated products (never **), one addition per term in order,
+each coefficient as its repr, which reads back as the same float, and no
+factor w^0 = 1.0, which changes no bit; then the sum to its power by repeated
+products. Floats from math (`at`) and arrays from numpy (calling it) take that
+one function, so a one-point value has the bits of the same point of a sweep.
 
 compile_fidelity is memoised: the polynomial depends on the (scheme, family)
 pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
@@ -53,7 +54,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
                        transfer_weights)
@@ -74,30 +75,28 @@ class Polynomial(NamedTuple):
     family: str
     terms: tuple[tuple[int, int, float], ...]
     power: int
+    evaluate: Callable  # (w1, w2, total) -> F, for floats or arrays; total is a zero of the result's type
 
     def at(self, value: float) -> float:
         """The fidelity at one parameter value, as a float."""
-        return self._evaluate(*point_weights(self.family, value), 0.0)
+        return self.evaluate(*point_weights(self.family, value), 0.0)
 
     def __call__(self, grid) -> np.ndarray:
         """The fidelity at every point of a parameter grid, as an array."""
         import numpy as np
         w1, w2 = transfer_weights(self.family, grid)
-        return self._evaluate(w1, w2, np.zeros_like(w1))
+        return self.evaluate(w1, w2, np.zeros_like(w1))
 
-    def _evaluate(self, w1, w2, total):
-        """The same operations for floats and for arrays; total starts as a zero of the result's type."""
-        w1_powers, w2_powers = [1.0, w1], [1.0, w2]
-        for j, k, c in self.terms:
-            while len(w1_powers) <= j:
-                w1_powers.append(w1_powers[-1] * w1)
-            while len(w2_powers) <= k:
-                w2_powers.append(w2_powers[-1] * w2)
-            total = total + c * w1_powers[j] * w2_powers[k]
-        result = total
-        for _ in range(self.power - 1):
-            result = result * total
-        return result
+
+def _straight_line(terms, power: int) -> Callable:
+    """Polynomial.evaluate, from source text of ints and float reprs alone; see the module docstring."""
+    body = [f"w{i}_{n} = w{i}_{n - 1} * w{i}_1" for i in (1, 2) for n in range(2, max(t[i - 1] for t in terms) + 1)]
+    for j, k, c in terms:
+        body.append(" * ".join([f"total = total + {c!r}", *[f"w1_{j}"] * (j > 0), *[f"w2_{k}"] * (k > 0)]))
+    body.append("return " + " * ".join(["total"] * power))
+    namespace = {}
+    exec(compile("def evaluate(w1_1, w2_1, total):\n    " + "\n    ".join(body), "<fidelity>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 def compile_fidelity(scheme: str, family: str) -> Polynomial:
@@ -146,7 +145,8 @@ def _compile(scheme: str, family: str) -> Polynomial:
                     scaled[key] = scaled.get(key, 0) + r_left * r_right * math.prod(entry for _, _, entry in picks)
         for key, c in scaled.items():
             exact[key] = exact.get(key, 0) + Fraction(c, len(vectors) * len(vec) * sum(x * x for x in vec) ** 2)
-    return Polynomial(family, tuple((j, k, float(c)) for (j, k), c in sorted(exact.items()) if c), power)
+    terms = tuple((j, k, float(c)) for (j, k), c in sorted(exact.items()) if c)
+    return Polynomial(family, terms, power, _straight_line(terms, power))
 
 
 def scheme_fidelity(scheme: str, family: str, value: float) -> float:

@@ -1,5 +1,6 @@
 """CLI behavior: CSV schemas, exit codes, determinism, stream separation."""
 
+import argparse
 import contextlib
 import csv
 import importlib
@@ -819,3 +820,60 @@ def test_any_argv_ends_in_csv_or_a_one_line_error(command, data):
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)
         assert text.getvalue() == out
+
+
+def _nested_parse(argv):
+    """The reference: the whole parser reads argv and runs the command's parser inside its own scan."""
+    return cli.build_parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv):
+    """What one parse of argv ends in: its Namespace, its usage error, or its exit code and stdout.
+
+    The Namespace is its sorted (name, repr) pairs: a repr counts NaN as equal
+    to NaN and -0.0 as different from 0.0.
+    """
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return sorted((name, repr(value)) for name, value in vars(parse(argv)).items())
+    except cli.CliError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_command_parses_as_the_nested_parse_does(command, data):
+    argv = data.draw(_ARGV[command], label="argv")
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(_nested_parse, argv)
+
+
+@pytest.mark.parametrize("argv", _WITHOUT_NUMPY)
+def test_usage_errors_and_help_are_those_of_the_nested_parse(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(_nested_parse, argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["recommend", "--help"]])
+def test_help_is_byte_identical_on_both_routes(argv):
+    code, out = _parse_outcome(cli._parse, argv)
+    assert (code, out) == _parse_outcome(_nested_parse, argv)
+    assert code == 0 and out.startswith(" ".join(["usage: decoynoise", *argv[:-1]]) + " [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv,prog",
+    [
+        (["recommend", "--noise", "ad", "--eta", "0.3"], "decoynoise recommend"),
+        (["eve-sim", "--attack", "teleport"], "decoynoise eve-sim"),
+        (["teleport"], "decoynoise"),
+        ([], "decoynoise"),
+    ],
+)
+def test_a_command_is_parsed_by_its_own_parser_alone(argv, prog):
+    parse_args = argparse.ArgumentParser.parse_args
+    with mock.patch.object(cli._Parser, "parse_args", autospec=True, side_effect=parse_args) as spy:
+        _parse_outcome(cli._parse, argv)
+    assert [call.args[0].prog for call in spy.call_args_list] == [prog]

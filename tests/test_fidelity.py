@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoynoise.channels import FAMILIES, parameter_range
+from decoynoise.channels import FAMILIES, parameter_range, point_weights, transfer_weights
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
     _compile,
@@ -440,6 +440,42 @@ def test_a_float_has_the_bits_of_the_same_point_of_a_grid(scheme, family, points
     assert all(type(value) is float for value in at_each)
     assert _bits(at_each) == _bits(compiled(np.array(grid)).tolist())
     assert _bits(at_each) == _bits(scheme_fidelity(scheme, family, value) for value in grid)
+
+
+def _loop_evaluate(compiled, w1, w2, total):
+    """The reference evaluator: one generic loop over a Polynomial's terms, for floats and arrays alike."""
+    w1_powers, w2_powers = [1.0, w1], [1.0, w2]
+    for j, k, c in compiled.terms:
+        while len(w1_powers) <= j:
+            w1_powers.append(w1_powers[-1] * w1)
+        while len(w2_powers) <= k:
+            w2_powers.append(w2_powers[-1] * w2)
+        total = total + c * w1_powers[j] * w2_powers[k]
+    result = total
+    for _ in range(compiled.power - 1):
+        result = result * total
+    return result
+
+
+# each family's parameters: both signed zeros, the rate endpoints, and the drawn ones
+_EDGES = {"eta": [0.0, -0.0, 1.0], "phi": [0.0, -0.0], "theta": [0.0, -0.0]}
+_VALUES = {"eta": st.floats(0.0, 1.0), "phi": st.floats(-20.0, 20.0), "theta": st.floats(-20.0, 20.0)}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_straight_line_code_has_the_bits_of_the_loop_over_the_terms(scheme, family, data):
+    edges, values = _EDGES[FAMILIES[family]], _VALUES[FAMILIES[family]]
+    value = data.draw(st.one_of(st.sampled_from(edges), values), label="value")
+    grid = edges + data.draw(st.lists(values, max_size=20), label="grid")
+    compiled = compile_fidelity(scheme, family)
+    assert _bits([compiled.at(value)]) == _bits([_loop_evaluate(compiled, *point_weights(family, value), 0.0)])
+    w1, w2 = transfer_weights(family, grid)
+    expected = _loop_evaluate(compiled, w1, w2, np.zeros_like(w1))
+    assert compiled(np.array(grid)).tobytes() == expected.tobytes()
+    assert _bits(compiled.at(p) for p in grid) == _bits(expected.tolist())
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))

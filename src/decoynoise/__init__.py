@@ -10,7 +10,8 @@ one of FAMILIES ('ad', 'pd', 'cd', 'cr'); a noise setting is a (family,
 value) pair, as in scheme_fidelity("psi-", "cr", 0.7). The submodules and
 the names below are imported on first use, so importing the package imports
 no numpy. The density-matrix oracle that the tests check the compile against
-is one submodule, the only one that imports numpy at the top.
+is one submodule, decoynoise.linalg, the only one that imports numpy at the
+top; none of its names is re-exported here.
 """
 
 import importlib
@@ -23,8 +24,7 @@ _EXPORTS = {
     "cli": (),
     "eavesdrop": ("AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"),
     "fidelity": ("scheme_fidelity", "verify_table"),
-    "linalg": ("DensityMatrix", "KrausChannel", "PureState", "apply_collective", "apply_kraus_channel", "apply_noise",
-               "conjugate_apply", "kraus_ad", "kraus_pd", "tensor_product", "unitary_cd", "unitary_cr"),
+    "linalg": (),
     "states": ("SCHEMES",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -71,7 +71,9 @@ def find_crossover(
 
     gap_lo, gap_hi = gap(lo), gap(hi)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
-        raise ValueError(f"no crossover in interval [{lo}, {hi}]")
+        # at a tied end (every scheme is 1.0 at zero noise) the message says so
+        tie = next((f": {a} and {b} are equal at {p}" for p, g in ((lo, gap_lo), (hi, gap_hi)) if g == 0.0), "")
+        raise ValueError(f"no crossover in interval [{lo}, {hi}]{tie}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -237,19 +237,20 @@ def _cmd_eve_sim(args):
     ):
         if not applies and getattr(args, flag.replace("-", "_")) is not None:
             raise CliError(f"--{flag} does not apply to {scope}")
-    kwargs = {"method": args.method}
+    trials = args.trials
     if args.method == "mc":
         if args.seed is None:
             raise CliError("--seed is required for --method mc")
-        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        trials = DEFAULT_TRIALS if trials is None else trials
         if trials > MAX_TRIALS:
             raise CliError(f"trials must be <= {MAX_TRIALS}")
-        kwargs.update(trials=trials, seed=args.seed)
+    # keywords, which a caller wrapping the attacks can read by name
     if args.attack == "intercept":
-        outcome = eavesdrop.intercept_resend_bb84(**kwargs)
+        outcome = eavesdrop.intercept_resend_bb84(method=args.method, trials=trials, seed=args.seed)
     else:
         pair = (1, 2) if args.eve_pair == "12" else (2, 3)
-        outcome = eavesdrop.wrong_pair_bell_attack(args.bell or "psi+", pair, **kwargs)
+        outcome = eavesdrop.wrong_pair_bell_attack(args.bell or "psi+", pair, method=args.method, trials=trials,
+                                                   seed=args.seed)
     rows = [["kind", "label", "value"], ["summary", "detection_probability", _fmt(outcome.detection_probability)]]
     rows += (["outcome", label, _fmt(prob)] for label, prob in outcome.outcome_distribution.items())
     return 0, _lines(rows)

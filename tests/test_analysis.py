@@ -75,6 +75,19 @@ def test_crossover_requires_sign_change():
         find_crossover("phi-", "phi-", "cr", 0.0, np.pi)
 
 
+def test_no_crossover_message_names_a_tied_end():
+    cases = [
+        (("bb84", "psi+", "ad", 0.0, 1.0), ": bb84 and psi+ are equal at 0.0"),  # every scheme is 1.0 at zero noise
+        (("bb84", "psi+", "ad", 0.6, 1.0), ""),  # no tie: the message stays as it was
+        (("phi-", "phi-", "cr", 0.0, 3.0), ": phi- and phi- are equal at 0.0"),  # tied at both ends: lo is named
+        (("psi-", "cluster", "cr", 0.1, math.pi), f": psi- and cluster are equal at {math.pi}"),  # tied at hi alone
+    ]
+    for (a, b, family, lo, hi), suffix in cases:
+        with pytest.raises(ValueError) as caught:
+            find_crossover(a, b, family, lo, hi)
+        assert str(caught.value) == f"no crossover in interval [{lo}, {hi}]{suffix}"
+
+
 def test_crossover_rejects_empty_interval():
     with pytest.raises(ValueError, match="lo < hi"):
         find_crossover("bb84", "cluster", "ad", 0.9, 0.3)
@@ -95,7 +108,8 @@ def scalar_crossover(a, b, family, lo, hi, tol=1e-9):
 
     gap_lo, gap_hi = gap(lo), gap(hi)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
-        raise ValueError(f"no crossover in interval [{lo}, {hi}]")
+        tied = [p for p, g in ((lo, gap_lo), (hi, gap_hi)) if g == 0.0]
+        raise ValueError(f"no crossover in interval [{lo}, {hi}]" + (f": {a} and {b} are equal at {tied[0]}" if tied else ""))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         gap_mid = gap(mid)

@@ -299,6 +299,16 @@ def test_crossover_output_and_errors(capsys):
     assert code == 1 and "no crossover" in err
 
 
+def test_crossover_from_zero_noise_says_the_ends_tie():
+    # every scheme is exactly 1.0 at zero noise, so [0, 1] has no sign change
+    # although bb84 and psi+ cross at 0.58045...
+    proc = run_module(["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0", "--hi", "1"],
+                      capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no crossover in interval [0.0, 1.0]: bb84 and psi+ are equal at 0.0\n"
+
+
 def test_eve_sim_exact(capsys):
     code = run(["eve-sim", "--attack", "intercept"])
     out, _ = capsys.readouterr()

@@ -102,10 +102,6 @@ def test_intercept_resend_is_exactly_one_quarter():
     assert outcome.outcome_distribution == {"agree": 0.75, "disagree": 0.25}
 
 
-def test_intercept_resend_without_eve():
-    assert intercept_resend_bb84(eve_present=False).detection_probability == 0.0
-
-
 def test_intercept_resend_monte_carlo_matches_exact():
     trials = 10**6
     outcome = intercept_resend_bb84(method="mc", trials=trials, seed=2024)
@@ -143,11 +139,6 @@ def test_intercept_resend_mc_matches_born_table_sampler(trials, seed):
 @given(st.integers(1, 300_000), st.integers(0, 2**64 - 1))
 def test_drawn_intercept_resend_mc_matches_born_table_sampler(trials, seed):
     assert intercept_resend_bb84(method="mc", trials=trials, seed=seed) == born_table_intercept_resend(trials, seed)
-
-
-def test_intercept_resend_mc_without_eve_never_disagrees():
-    outcome = intercept_resend_bb84(eve_present=False, method="mc", trials=1000, seed=3)
-    assert outcome == (0.0, {"agree": 1.0, "disagree": 0.0})
 
 
 def test_intercept_resend_mc_needs_seed_and_trials():
@@ -297,9 +288,9 @@ def test_exact_outcomes_are_fresh_on_every_call(attack):
 
 def test_memoised_joint_is_read_only():
     joint = eavesdrop._attack_joint("psi-", (2, 3), None)
-    assert isinstance(joint, tuple) and all(isinstance(row, tuple) for row in joint)
+    assert isinstance(joint, tuple) and len(joint) == 16 and all(type(p) is float for p in joint)
     with pytest.raises(TypeError, match="does not support item assignment"):
-        joint[0][0] = 1.0
+        joint[0] = 1.0
     assert eavesdrop._attack_joint("psi-", (2, 3), None) is joint
 
 
@@ -309,3 +300,42 @@ def test_zero_probability_eve_outcome_raises_on_every_call(method):
     for _ in range(3):
         with pytest.raises(ValueError, match="^Eve outcome 'psi-' has zero probability$"):
             wrong_pair_bell_attack("psi+", (1, 2), method, 10, 1, eve_outcome="psi-")
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("eve_pair", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("bell", BELL_LABELS)
+def test_exact_and_mc_outcomes_have_one_shape(bell, eve_pair, method):
+    outcome = wrong_pair_bell_attack(bell, eve_pair, method, 1000, 5)
+    assert list(outcome.outcome_distribution) == eavesdrop._PAIRS
+    assert eavesdrop._PAIRS == [f"{a};{b}" for a in BELL_LABELS for b in BELL_LABELS]
+    values = [outcome.detection_probability, *outcome.outcome_distribution.values()]
+    assert all(type(value) is float for value in values)
+    assert outcome.detection_probability == 1.0 - outcome.outcome_distribution[f"{bell};{bell}"]
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_intercept_resend_outcome_is_plain_floats(method):
+    outcome = intercept_resend_bb84(method, 1000, 5)
+    assert list(outcome.outcome_distribution) == ["agree", "disagree"]
+    assert all(type(value) is float for value in (outcome.detection_probability,
+                                                  *outcome.outcome_distribution.values()))
+    assert outcome.detection_probability == outcome.outcome_distribution["disagree"]
+
+
+def test_argument_errors_come_before_any_work(monkeypatch):
+    # a zero trial count is refused before the joint is built, so before the
+    # zero-probability Eve outcome could be found
+    with pytest.raises(ValueError, match="positive trial count"):
+        wrong_pair_bell_attack("psi+", (1, 2), "mc", 0, 1, eve_outcome="psi-")
+
+    def no_joint(*args):
+        raise AssertionError("the joint was built before the arguments were checked")
+
+    monkeypatch.setattr(eavesdrop, "_attack_joint", no_joint)
+    for method, trials, seed, message in [("both", 10, 1, "unknown method"), ("mc", None, 1, "trial count"),
+                                          ("mc", 10, None, "explicit seed"), ("mc", 10, -1, "non-negative")]:
+        with pytest.raises(ValueError, match=message):
+            wrong_pair_bell_attack("psi+", (2, 3), method, trials, seed)
+        with pytest.raises(ValueError, match=message):
+            intercept_resend_bb84(method, trials, seed)

@@ -26,13 +26,12 @@ from .states import BELL_LABELS, SCHEMES, check_scheme
 # A closed form drifting this far from simulation signals a regression.
 REGRESSION_TOL = 1e-9
 
-# Largest accepted sizes, so that a command peaks at about 100 MB (Monte Carlo
-# at about 130 MB) instead of failing with a MemoryError. A sweep keeps a few
-# floats per value: one scheme under pd at --grid 10**6 peaks at 84 MB, seven
-# schemes at 142857 at 64 MB, to stdout or --out alike. verify-table keeps one
-# cell's fidelities at a time, 41 MB at --grid 10**5. An intercept-resend Monte
-# Carlo run holds 10 bytes per trial, 130 MB at 10**7 trials; a wrong-pair run
-# counts its trials in fixed blocks and peaks at 35 MB.
+# Largest accepted sizes, so that a command peaks at about 100 MB instead of
+# failing with a MemoryError. A sweep keeps a few floats per value: one scheme
+# under pd at --grid 10**6 peaks at 84 MB, seven schemes at 142857 at 64 MB, to
+# stdout or --out alike. verify-table keeps one cell's fidelities at a time,
+# 41 MB at --grid 10**5. An intercept-resend Monte Carlo run holds 2 bytes per
+# trial, 54 MB at 10**7 trials; a wrong-pair run peaks at 35 MB.
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7

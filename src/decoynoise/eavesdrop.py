@@ -13,10 +13,11 @@ Two quantitative facts are reproduced here:
 
 Both attacks are computed exactly from the integer state vectors of
 states.INT_SINGLES, INT_BELLS and INT_STATES. Every amplitude is then an integer
-times one known normalisation, so every probability is an exact rational: the
-intercept-resend rate is a Fraction, and each wrong-pair probability is a
-ratio of squared integer amplitudes, rounded once to the nearest float. An
-Eve outcome has zero probability exactly when its integer weights are all 0.
+times one known normalisation, so every probability is a ratio of integers,
+rounded once to the nearest float by one true division: the intercept-resend
+rate is 8/32, and each wrong-pair probability a ratio of squared integer
+amplitudes. An Eve outcome has zero probability exactly when its integer
+weights are all 0.
 
 Each attack is one path from its probabilities to one AttackOutcome, the
 named tuple (detection_probability, outcome_distribution) with a fresh dict
@@ -34,23 +35,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, INT_STATES, SINGLE_LABELS
 
-# Born probabilities |<a|b>|^2 between the four single-qubit states, in
-# SINGLE_LABELS order: the squared dot product of the integer vectors over
-# the product of their squared norms.
+# Twice the Born probabilities |<a|b>|^2 between the four single-qubit states,
+# in SINGLE_LABELS order: twice the squared dot product of the integer vectors
+# over the product of their squared norms, each exactly 0, 1 or 2.
 _SINGLE = [INT_SINGLES[label] for label in SINGLE_LABELS]
 _DOTS = [[sum(x * y for x, y in zip(a, b)) for b in _SINGLE] for a in _SINGLE]
-_BORN = [[Fraction(_DOTS[a][b] ** 2, _DOTS[a][a] * _DOTS[b][b]) for b in range(4)] for a in range(4)]
+_TWICE_BORN = [[2 * _DOTS[a][b] ** 2 // (_DOTS[a][a] * _DOTS[b][b]) for b in range(4)] for a in range(4)]
 
 # Eve's two bases hold each of the four labels once, so the sent label s (1/4),
 # Eve's basis (1/2) and her outcome r give the pair (s, r) probability
 # Born(r, s) / 8, and the receiver then disagrees with probability
-# 1 - Born(s, r). Exactly 1/4.
-_DISAGREEMENT = sum(Fraction(1, 8) * _BORN[r][s] * (1 - _BORN[s][r]) for s in range(4) for r in range(4))
+# 1 - Born(s, r): as (numerator, denominator), (8, 32), exactly 1/4.
+_DISAGREEMENT = (sum(_TWICE_BORN[r][s] * (2 - _TWICE_BORN[s][r]) for s in range(4) for r in range(4)), 32)
 
 # The receiver's outcome labels "<pair12>;<pair34>", row-major over BELL_LABELS.
 _PAIRS = [f"{a};{b}" for a, b in itertools.product(BELL_LABELS, repeat=2)]
@@ -58,7 +58,7 @@ _PAIRS = [f"{a};{b}" for a, b in itertools.product(BELL_LABELS, repeat=2)]
 # The pairs Eve may measure (1-indexed; the sender entangles (1,2) and (3,4)).
 _VALID_EVE_PAIRS = ((1, 2), (2, 3))
 
-# Uniforms per wrong-pair Monte Carlo block: 512 KB of doubles.
+# 64-bit outputs or uniforms per Monte Carlo block: 512 KB of them.
 _MC_BLOCK = 1 << 16
 
 
@@ -94,34 +94,35 @@ def intercept_resend_bb84(
     The sender draws one of the four labels uniformly; Eve picks one of the
     two bases uniformly, measures, and resends her outcome; the receiver
     measures in the preparation basis and compares with the sent label. The
-    disagreement probability is the exact rational 1/4, or with Monte Carlo
-    the count of disagreements over trials, each rounded once to a float.
+    disagreement probability is the exact 8/32, or with Monte Carlo the count
+    of disagreements over trials, each rounded once to a float.
 
     Monte Carlo keeps the random stream of drawing, for every trial, the sent
-    label, Eve's basis, Eve's outcome uniform and the receiver's uniform. Its
-    count reads only the two bases and the receiver's uniform, so Eve's
-    uniforms are skipped rather than drawn, and at its peak a run holds
-    10 bytes per trial.
+    label, Eve's basis, Eve's outcome uniform and the receiver's uniform, and
+    counts from the bit generator's raw 64-bit outputs, read in order in
+    blocks. At its peak a run holds 2 bytes per trial, 54 MB at 10**7 trials.
     """
-    disagree = _DISAGREEMENT
+    disagree, total = _DISAGREEMENT
     if _sampled(method, trials, seed):
         import numpy as np
-        rng = np.random.default_rng(seed)
-        # int32 draws the labels of the default int64 (int8 and int16 would
-        # not) in half the memory
-        sent = rng.integers(0, 4, size=trials, dtype=np.int32)
-        basis = rng.integers(0, 2, size=trials, dtype=np.int32)
-        sent >>= 1  # the sent label's basis, in SINGLE_LABELS order
-        wrong = sent != basis
-        del sent, basis
-        # Every Born probability between the four labels is 0, 1/2 or 1: in
-        # the sent label's basis Eve finds that label and the receiver agrees;
-        # in the other, whatever Eve found, the receiver disagrees exactly
-        # when its uniform is >= 1/2.
-        rng.bit_generator.advance(trials)  # Eve's uniforms, one 64-bit output each
-        wrong &= rng.random(trials) >= 0.5
-        disagree = Fraction(int(np.count_nonzero(wrong)), trials)
-    return AttackOutcome(float(disagree), {"agree": float(1 - disagree), "disagree": float(disagree)})
+        bits, top = np.random.PCG64(seed), np.empty(2 * trials, dtype=bool)  # default_rng(seed)'s bit generator
+        blocks = [(start, min(start + _MC_BLOCK, trials)) for start in range(0, trials, _MC_BLOCK)]
+        # rng.integers(0, 4), then rng.integers(0, 2), as int32 take the top bits of 2 * trials 32-bit
+        # draws (Lemire's method never rejects on a power-of-two range): the halves of the first trials
+        # outputs, low half first. Bit 31 of half j is the sent label's basis (sent >> 1, in SINGLE_LABELS
+        # order), and bit 31 of half trials + j is Eve's basis.
+        for start, stop in blocks:  # one expression, so a block's outputs are freed before the next are drawn
+            np.greater_equal(bits.random_raw(stop - start).astype("<u8", copy=False).view("<u4"), 1 << 31,
+                             out=top[2 * start : 2 * stop])
+        bits.advance(trials)  # Eve's uniforms, one output each
+        # Every Born probability between the four labels is 0, 1/2 or 1: in the sent label's basis Eve
+        # finds that label and the receiver agrees; in the other, whatever Eve found, the receiver
+        # disagrees exactly when its uniform (output >> 11) / 2**53 is >= 1/2, that is when bit 63 is set.
+        disagree, total = 0, trials
+        for start, stop in blocks:
+            wrong = top[start:stop] != top[trials + start : trials + stop]
+            disagree += int(np.count_nonzero(wrong & (bits.random_raw(stop - start) >= 1 << 63)))
+    return AttackOutcome(disagree / total, {"agree": (total - disagree) / total, "disagree": disagree / total})
 
 
 @functools.cache

@@ -13,8 +13,8 @@ state of n qubits with Pauli vector r_P = <psi|P|psi> has F = 2^-n r^T
 R^(x n) r, a polynomial in w1 and w2 of degree at most n. The compile is
 exact integer arithmetic on the state's integer vector (states.INT_*) of
 squared norm N: N r_P is an integer, and so is each coefficient times 2^n N^2.
-Each coefficient is rounded once to the nearest float, and one that is
-exactly 0 is dropped. The BB84 average over all 256 product strings is
+Each coefficient is rounded once to the nearest float by one int / int, and
+dropped if exactly 0. The BB84 average over all 256 product strings is
 exactly (the mean of the four single-qubit polynomials over 0, 1, +, -)^4.
 
 A Polynomial is evaluated by straight-line code built from its terms: powers
@@ -53,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
@@ -132,8 +131,9 @@ def _compile(scheme: str, family: str) -> Polynomial:
     basis = TRANSFER_BASIS[family]
     # each row of R as (column, basis matrix 0, 1 or 2 for A0, A1, A2, its integer entry) where not 0
     rows = [[(b, m, basis[m][a][b]) for b in range(4) for m in range(len(basis)) if basis[m][a][b]] for a in range(4)]
-    exact: dict[tuple[int, int], Fraction] = {}
-    for vec in vectors:
+    norms = [len(vectors) * len(vec) * sum(x * x for x in vec) ** 2 for vec in vectors]
+    den, exact = math.lcm(*norms), {}  # each coefficient as an integer over den
+    for vec, norm in zip(vectors, norms):
         r, scaled = _pauli_vector(vec), {}
         for left, r_left in r.items():
             # each way to pick an entry of R in every qubit's row adds to the coefficient of w1^#A1 w2^#A2
@@ -144,8 +144,8 @@ def _compile(scheme: str, family: str) -> Polynomial:
                     key = (matrices.count(1), matrices.count(2))
                     scaled[key] = scaled.get(key, 0) + r_left * r_right * math.prod(entry for _, _, entry in picks)
         for key, c in scaled.items():
-            exact[key] = exact.get(key, 0) + Fraction(c, len(vectors) * len(vec) * sum(x * x for x in vec) ** 2)
-    terms = tuple((j, k, float(c)) for (j, k), c in sorted(exact.items()) if c)
+            exact[key] = exact.get(key, 0) + c * (den // norm)
+    terms = tuple((j, k, c / den) for (j, k), c in sorted(exact.items()) if c)
     return Polynomial(family, terms, power, _straight_line(terms, power))
 
 

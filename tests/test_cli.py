@@ -666,8 +666,8 @@ def test_non_finite_parameters_fail_cleanly(args):
     assert "Warning" not in proc.stderr
 
 
-# Runs `python -m decoynoise` and then says on its last three stderr lines whether numpy, the
-# density-matrix oracle and dataclasses were imported.
+# Runs `python -m decoynoise` and then says on its last four stderr lines whether numpy, the
+# density-matrix oracle, dataclasses and fractions were imported.
 _REPORT_NUMPY = (
     "import runpy, sys\n"
     "try:\n"
@@ -676,6 +676,7 @@ _REPORT_NUMPY = (
     "    print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
     "    print('oracle imported:', 'decoynoise.linalg' in sys.modules, file=sys.stderr)\n"
     "    print('dataclasses imported:', 'dataclasses' in sys.modules, file=sys.stderr)\n"
+    "    print('fractions imported:', 'fractions' in sys.modules, file=sys.stderr)\n"
 )
 _WITHOUT_NUMPY = [
     *(["recommend", "--noise", noise, f"--{flag}", "0.3", *w] for noise, flag in FAMILIES.items() for w in ([], ["--include-w"])),
@@ -716,8 +717,9 @@ _WITH_NUMPY = [
 def test_only_a_grid_or_a_random_stream_imports_numpy(argv, imports):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *argv], env=env, capture_output=True, text=True)
-    assert proc.stderr.splitlines()[-3:] == [
-        f"numpy imported: {imports}", "oracle imported: False", "dataclasses imported: False"]
+    assert proc.stderr.splitlines()[-4:] == [
+        f"numpy imported: {imports}", "oracle imported: False", "dataclasses imported: False",
+        "fractions imported: False"]
     assert "Traceback" not in proc.stderr
     # --help describes the commands, not how rows are written
     assert "csv.writer" not in proc.stdout

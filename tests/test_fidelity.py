@@ -1,5 +1,6 @@
 """Fidelity metric, closed forms, BB84 averaging and the table verifier."""
 
+import functools
 import importlib
 import math
 import re
@@ -423,6 +424,141 @@ def test_exact_oracle_matches_the_closed_forms():
     exact = _exact_coefficients("phi+", "ad")
     assert all(j % 2 == 0 for j, _ in exact)
     assert sum(c * Fraction(3, 4) ** (j // 2) * Fraction(1, 4) ** k for (j, k), c in exact.items()) == Fraction(9, 16)
+
+
+class _Poly(dict):
+    """An exact polynomial {(j, k): Fraction} in w1 and w2 with no zero coefficient, and its arithmetic."""
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Poly) else _Poly({(0, 0): Fraction(x)} if x else {})
+
+    def __add__(self, other):
+        out = dict(self)
+        for monomial, c in _Poly.of(other).items():
+            out[monomial] = out.get(monomial, 0) + c
+        return _Poly({monomial: c for monomial, c in out.items() if c})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for (j1, k1), a in self.items():
+            for (j2, k2), b in _Poly.of(other).items():
+                out += _Poly({(j1 + j2, k1 + k2): a * b})
+        return out
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, d):
+        return self * Fraction(1, d)
+
+    def __pow__(self, n):
+        return math.prod([self] * n, start=_Poly.of(1))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+_PW1, _PW2 = _Poly({(1, 0): Fraction(1)}), _Poly({(0, 1): Fraction(1)})
+
+# The closed forms of fidelity's docstring table, one per (family, scheme),
+# written out apart from closed_form_grid in each family's variables, which
+# _CLOSED_FORM_VARIABLES gives in the transfer weights: e = eta and
+# r = sqrt(1 - e) (ad), e (pd), c = cos phi (cd), c = cos 2t and cos^2 t (cr).
+_CLOSED_FORM_TABLE = {
+    "ad": {
+        "bb84": lambda e, r: (3 + r - e) ** 4 / 256,
+        "psi+": lambda e, r: (2 - 2 * e + e**2) ** 2 / 4,
+        "psi-": lambda e, r: (2 - 2 * e + e**2) ** 2 / 4,
+        "phi+": lambda e, r: (1 - e) ** 2,
+        "phi-": lambda e, r: (1 - e) ** 2,
+        "cluster": lambda e, r: (4 - 8 * e + 6 * e**2 - 2 * e**3 + e**4) / 4,
+        "w": lambda e, r: 1 - e,
+    },
+    "pd": {
+        "bb84": lambda e: (e - 4) ** 4 / 256,
+        "psi+": lambda e: (2 - 2 * e + e**2) ** 2 / 4,
+        "psi-": lambda e: (2 - 2 * e + e**2) ** 2 / 4,
+        "phi+": lambda e: (2 - 2 * e + e**2) ** 2 / 4,
+        "phi-": lambda e: (2 - 2 * e + e**2) ** 2 / 4,
+        "cluster": lambda e: (2 - 2 * e + e**2) ** 2 / 4,
+        "w": lambda e: (1 + 2 * (1 - e) ** 2) / 3,
+    },
+    "cd": {
+        "bb84": lambda c: (3 + c) ** 4 / 256,
+        "psi+": lambda c: c**4,
+        "psi-": lambda c: c**4,
+        "phi+": lambda c: 1,
+        "phi-": lambda c: 1,
+        "cluster": lambda c: c**4,
+        "w": lambda c: 1,
+    },
+    "cr": {
+        "bb84": lambda c, cos_sq: cos_sq**4,
+        "psi+": lambda c, cos_sq: 1,
+        "psi-": lambda c, cos_sq: c**4,
+        "phi+": lambda c, cos_sq: c**4,
+        "phi-": lambda c, cos_sq: 1,
+        "cluster": lambda c, cos_sq: cos_sq**4,
+        "w": lambda c, cos_sq: (1 + c) * (3 * c - 1) ** 2 / 8,
+    },
+}
+_CLOSED_FORM_VARIABLES = {"ad": (_PW2, _PW1), "pd": (1 - _PW1,), "cd": (_PW1,), "cr": (_PW1, (1 + _PW1) / 2)}
+
+# Each family's one relation between its weights, as (index of the weight w,
+# w^2): w1^2 = 1 - w2 (ad), w2^2 = 1 - w1^2 (cd, cr); pd has w1 alone. Using
+# it until w has degree at most 1 gives a polynomial function its one form.
+_RELATIONS = {"ad": (0, 1 - _PW2), "cd": (1, 1 - _PW1 * _PW1), "cr": (1, 1 - _PW1 * _PW1)}
+_CELLS = [(scheme, family) for family in FAMILIES for scheme in SCHEMES]
+
+
+def _reduced(poly, family):
+    if family not in _RELATIONS:
+        return poly
+    i, square = _RELATIONS[family]
+    out = _Poly()
+    for monomial, c in poly.items():
+        low = tuple(d % 2 if n == i else d for n, d in enumerate(monomial))
+        out += _Poly({low: c}) * square ** (monomial[i] // 2)
+    return out
+
+
+@functools.cache
+def _reduced_oracle(scheme, family):
+    return _reduced(_Poly(_exact_coefficients(scheme, family)) ** (4 if scheme == "bb84" else 1), family)
+
+
+def _reduced_closed_form(table, scheme, family):
+    return _reduced(_Poly.of(table[family][scheme](*_CLOSED_FORM_VARIABLES[family])), family)
+
+
+def _failing_cells(table):
+    """The cells whose closed form in table is not the exact oracle's polynomial."""
+    return [cell for cell in _CELLS if _reduced_closed_form(table, *cell) != _reduced_oracle(*cell)]
+
+
+@pytest.mark.parametrize("scheme, family", _CELLS)
+def test_closed_form_is_an_exact_polynomial_identity(scheme, family):
+    assert _reduced_closed_form(_CLOSED_FORM_TABLE, scheme, family) == _reduced_oracle(scheme, family)
+
+
+@pytest.mark.parametrize("scheme, family", _CELLS)
+def test_a_wrong_coefficient_fails_exactly_its_own_cell(scheme, family):
+    right = _CLOSED_FORM_TABLE[family][scheme]
+
+    def planted(*variables):
+        form = _Poly.of(right(*variables))
+        top = max(form)  # the coefficient of its highest monomial, off by one part in 2^20
+        return form + _Poly({top: form[top] / 2**20})
+
+    table = {f: dict(forms) for f, forms in _CLOSED_FORM_TABLE.items()}
+    table[family][scheme] = planted
+    assert _failing_cells(table) == [(scheme, family)]
 
 
 def _bits(values):

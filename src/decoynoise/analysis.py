@@ -24,7 +24,7 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
     """Evaluate every scheme on one uniform grid of `points` values from start to end, both included.
 
     Returns (grid, [(scheme, simulated, closed_form), ...]), the arrays of
-    fidelity.grid_report, in the order of schemes.
+    one fidelity.grid_report over all schemes, in their order.
     """
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
@@ -33,7 +33,7 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
         raise ValueError(f"sweep needs finite start < end, got [{start}, {end}]")
     import numpy as np
     grid = np.linspace(start, end, points)
-    return grid, [(scheme, *grid_report(scheme, family, grid)) for scheme in schemes]
+    return grid, [(scheme, *cell) for scheme, cell in zip(schemes, grid_report(schemes, family, grid))]
 
 
 def find_crossover(

@@ -12,9 +12,10 @@ of its parameter (eta, phi or theta).
 
 The fidelity kernel in `fidelity` sees a channel only through its Pauli
 transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2: integer TRANSFER_BASIS
-matrices, and weights from numpy over a grid (transfer_weights) or from math
-at one value (point_weights). The tests check it against density-matrix
-evolution under the Kraus operators and unitaries written out apart from it.
+matrices, and their `weights` at a checked parameter: over a grid from numpy
+(transfer_weights checks the grid) or at one value from math (point_weights).
+The tests check it against density-matrix evolution under the Kraus operators
+and unitaries written out apart from it.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ TRANSFER_BASIS: dict[str, tuple[tuple[tuple[int, ...], ...], ...]] = {
 }
 
 
-def _weights(family: str, p, xp):
+def weights(family: str, p, xp):
     """(w1, w2) at a checked parameter p: a float with xp = math, an array with xp = numpy."""
     if family == "ad":
         return xp.sqrt(1.0 - p), p
@@ -102,10 +103,10 @@ def transfer_weights(family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
     (cd); cos 2t, sin 2t (cr). parameter_grid checks the grid.
     """
     import numpy as np
-    return _weights(family, parameter_grid(family, grid), np)
+    return weights(family, parameter_grid(family, grid), np)
 
 
 def point_weights(family: str, value: float) -> tuple[float, float | None]:
     """transfer_weights at one parameter value, as floats from math; parameter_value checks it."""
-    return _weights(family, parameter_value(family, value), math)
+    return weights(family, parameter_value(family, value), math)
 

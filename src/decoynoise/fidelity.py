@@ -29,9 +29,10 @@ pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
 The scheme and the family are checked before the memo, so an unknown one,
 unhashable or not, raises ValueError, which is not memoised.
 
-closed_form_grid evaluates the known closed forms over a whole grid.
-grid_report returns one scheme's simulated and closed-form arrays over a grid,
-and verify_table reduces each (scheme, channel family) combination that has a
+closed_form_grid evaluates the known closed forms over a whole grid. grid_report
+checks a family's grid and takes its weights once, then yields each scheme's
+simulated and closed-form arrays from them; no evaluation writes to them.
+verify_table reduces each (scheme, channel family) combination that has a
 closed form to one row: its largest deviation from simulation and where it
 lies. The closed forms, keyed by the Bell labeling documented in `states`:
 
@@ -53,10 +54,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
-                       transfer_weights)
+                       transfer_weights, weights)
 from .states import ATOL, INT_SINGLES, INT_STATES, SCHEMES, check_scheme
 
 TYPE_CHECKING = False
@@ -155,12 +156,13 @@ def scheme_fidelity(scheme: str, family: str, value: float) -> float:
 
 
 def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
-    """The known closed-form fidelity of a scheme at every point of a grid.
+    """The known closed-form fidelity of a scheme at every point of a grid; None for the W state."""
+    return closed_form(scheme, family, parameter_grid(family, grid))
 
-    None for the W state, which is covered by simulation only.
-    """
+
+def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
+    """closed_form_grid at the parameters x of a family, as parameter_grid returns them."""
     import numpy as np
-    x = parameter_grid(family, grid)
     match check_scheme(scheme), family:
         case "bb84", "ad":
             return (3.0 + np.sqrt(1.0 - x) - x) ** 4 / 256.0
@@ -188,17 +190,22 @@ def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
     return None
 
 
-def grid_report(scheme: str, family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
-    """One scheme simulated across a parameter grid, as (simulated, closed_form) arrays.
+def grid_report(schemes: tuple[str, ...], family: str, grid) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Each scheme across one grid, as (simulated, closed_form) arrays in turn; see the module docstring.
 
     closed_form is None for the W state. A simulated fidelity outside [0, 1]
     by more than ATOL, or NaN, is a fault and raises ValueError.
     """
-    simulated = compile_fidelity(scheme, family)(grid)
-    outside = ~((-ATOL <= simulated) & (simulated <= 1.0 + ATOL))
-    if outside.any():
-        raise ValueError(f"simulated fidelity {simulated[outside][0]} outside [0, 1]")
-    return simulated, closed_form_grid(scheme, family, grid)
+    import numpy as np
+    x = parameter_grid(family, grid)
+    w1, w2 = weights(family, x, np)
+    total = np.zeros_like(w1)
+    for scheme in schemes:
+        simulated = compile_fidelity(scheme, family).evaluate(w1, w2, total)
+        outside = ~((-ATOL <= simulated) & (simulated <= 1.0 + ATOL))
+        if outside.any():
+            raise ValueError(f"simulated fidelity {simulated[outside][0]} outside [0, 1]")
+        yield simulated, closed_form(scheme, family, x)
 
 
 def verify_table(grid_size: int) -> list[tuple[str, str, float, float]]:
@@ -216,9 +223,8 @@ def verify_table(grid_size: int) -> list[tuple[str, str, float, float]]:
     rows = []
     for family in FAMILIES:
         grid = np.linspace(*parameter_range(family), grid_size)
-        for scheme in TABLE_SCHEMES:
-            simulated, closed_form = grid_report(scheme, family, grid)
-            deviation = np.abs(simulated - closed_form)
+        for scheme, (simulated, closed) in zip(TABLE_SCHEMES, grid_report(TABLE_SCHEMES, family, grid)):
+            deviation = np.abs(simulated - closed)
             worst = deviation.argmax()
             rows.append((scheme, family, float(deviation[worst]), float(grid[worst])))
     return rows

@@ -128,15 +128,15 @@ def test_criterion_9_cli_determinism_and_mutation(tmp_path, capsys, monkeypatch)
 
     assert run(["verify-table", "--grid", "5"]) == 0
 
-    true_form = fidelity_mod.closed_form_grid
+    true_form = fidelity_mod.closed_form
 
-    def skewed(scheme, family, grid):
-        value = true_form(scheme, family, grid)
+    def skewed(scheme, family, x):
+        value = true_form(scheme, family, x)
         if scheme == "bb84" and family == "pd":
             value += 1e-6
         return value
 
-    monkeypatch.setattr(fidelity_mod, "closed_form_grid", skewed)
+    monkeypatch.setattr(fidelity_mod, "closed_form", skewed)
     assert run(["verify-table", "--grid", "5"]) == 2
     monkeypatch.undo()
     capsys.readouterr()

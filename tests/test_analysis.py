@@ -1,5 +1,6 @@
 """Sweeps, crossover root finding, decoherence-free schemes and ranking."""
 
+import collections
 import itertools
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decoynoise.analysis
+import decoynoise.channels
 import decoynoise.fidelity
 from decoynoise.analysis import TIE_TOL, find_crossover, recommend, sweep
 from decoynoise.channels import FAMILIES, parameter_range, transfer_weights
@@ -224,6 +226,23 @@ def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, 
     assert compiled == [a, b]
 
 
+def test_each_family_checks_and_weighs_its_grid_once(monkeypatch):
+    # counted wherever channels and fidelity look the two names up
+    counts = collections.Counter()
+    for name in ("parameter_grid", "weights"):
+        def counting(*args, name=name, original=getattr(decoynoise.channels, name)):
+            counts[name] += 1
+            return original(*args)
+
+        for module in (decoynoise.channels, decoynoise.fidelity):
+            monkeypatch.setattr(module, name, counting)
+    verify_table(11)
+    assert counts == {"parameter_grid": 4, "weights": 4}
+    counts.clear()
+    sweep(SCHEMES, "cr", 0.0, 1.0, 16)
+    assert counts == {"parameter_grid": 1, "weights": 1}
+
+
 def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
     compiled = _count_compiles(monkeypatch)
     schemes = SCHEMES
@@ -395,7 +414,7 @@ def test_cluster_ad_rises_again_after_its_minimum():
     [
         lambda bad: decoynoise.fidelity.compile_fidelity("psi+", bad),
         lambda bad: scheme_fidelity("psi+", bad, 0.5),
-        lambda bad: grid_report("cluster", bad, [0.5]),
+        lambda bad: list(grid_report(("cluster",), bad, [0.5])),
         lambda bad: sweep(("psi+",), bad, 0.0, 1.0, 5),
         lambda bad: find_crossover("bb84", "psi+", bad, 0.3, 0.9),
         lambda bad: recommend(bad, 0.5),
@@ -433,7 +452,7 @@ def test_unknown_noise_family_is_a_value_error_every_time(call, bad):
         lambda bad: sweep(("psi+", bad), "ad", 0.0, 1.0, 5),
         lambda bad: find_crossover("bb84", bad, "ad", 0.3, 0.9),
         lambda bad: recommend("ad", 0.5, ("psi+", bad)),
-        lambda bad: grid_report(bad, "ad", [0.5]),
+        lambda bad: list(grid_report((bad,), "ad", [0.5])),
         # an unknown label must not fall through to the W state's None
         lambda bad: closed_form_grid(bad, "ad", [0.5]),
     ],

@@ -55,20 +55,20 @@ def test_verify_table_passes_and_reports_every_cell(capsys):
     assert worst == f"{deviations[label, noise]:.3e}"
     assert flag == {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}[noise]
     grid = np.linspace(*parameter_range(noise), 5)
-    simulated, closed_form = grid_report(label, noise, grid)
+    [(simulated, closed_form)] = grid_report((label,), noise, grid)
     assert float(param) == grid[np.argmax(np.abs(simulated - closed_form))]
 
 
 def test_verify_table_flags_perturbed_closed_form(monkeypatch, capsys):
-    true_form = fidelity_mod.closed_form_grid
+    true_form = fidelity_mod.closed_form
 
-    def skewed(scheme, family, grid):
-        value = true_form(scheme, family, grid)
+    def skewed(scheme, family, x):
+        value = true_form(scheme, family, x)
         if scheme == "cluster" and family == "ad":
             value += 1e-6
         return value
 
-    monkeypatch.setattr("decoynoise.fidelity.closed_form_grid", skewed)
+    monkeypatch.setattr("decoynoise.fidelity.closed_form", skewed)
     code = run(["verify-table", "--grid", "5"])
     capsys.readouterr()
     assert code == 2
@@ -439,8 +439,8 @@ def test_failed_command_leaves_existing_out_file_untouched(tmp_path, capsys):
 
 
 def test_verify_table_regression_still_writes_out_file(monkeypatch, tmp_path, capsys):
-    true_form = fidelity_mod.closed_form_grid
-    monkeypatch.setattr("decoynoise.fidelity.closed_form_grid", lambda s, f, g: true_form(s, f, g) + 1e-6)
+    true_form = fidelity_mod.closed_form
+    monkeypatch.setattr("decoynoise.fidelity.closed_form", lambda s, f, x: true_form(s, f, x) + 1e-6)
     out = tmp_path / "table.csv"
     assert run(["verify-table", "--grid", "3", "--out", str(out)]) == 2
     capsys.readouterr()

@@ -7,6 +7,7 @@ import re
 import struct
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from decoynoise.channels import FAMILIES, parameter_range, point_weights, transfer_weights
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
+    Polynomial,
     _compile,
     closed_form_grid,
     compile_fidelity,
@@ -180,27 +182,61 @@ def test_closed_form_grid_rejects_parameters_outside_the_family_range():
 
 def test_grid_report_is_the_simulated_and_closed_form_arrays():
     grid = np.linspace(0.0, 1.0, 5)
-    simulated, closed_form = grid_report("cluster", "ad", grid)
+    [(simulated, closed_form), (w_simulated, w_closed_form)] = grid_report(("cluster", "w"), "ad", grid)
     assert simulated.tolist() == compile_fidelity("cluster", "ad")(grid).tolist()
     assert closed_form.tolist() == closed_form_grid("cluster", "ad", grid).tolist()
     for values in (simulated, closed_form):
         assert values.dtype == np.float64 and values.shape == (5,)
     assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-    simulated, closed_form = grid_report("w", "ad", grid)
-    assert simulated.shape == (5,) and closed_form is None
+    assert w_simulated.shape == (5,) and w_closed_form is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_shared_weights_give_the_bits_of_each_scheme_alone(fractions):
+    for family in FAMILIES:
+        lo, hi = parameter_range(family)
+        grid = lo + (hi - lo) * np.array(fractions)
+        shared = []
+
+        def recording(scheme, family):
+            compiled = compile_fidelity(scheme, family)
+
+            def evaluate(w1, w2, total):
+                shared.append((w1, w2, total))
+                return compiled.evaluate(w1, w2, total)
+
+            return compiled._replace(evaluate=evaluate)
+
+        with mock.patch.object(fidelity_mod, "compile_fidelity", recording):
+            cells = list(grid_report(SCHEMES, family, grid))
+        for scheme, (simulated, closed_form) in zip(SCHEMES, cells, strict=True):
+            assert simulated.tobytes() == compile_fidelity(scheme, family)(grid).tobytes()
+            expected = closed_form_grid(scheme, family, grid)
+            assert closed_form is None if expected is None else closed_form.tobytes() == expected.tobytes()
+        # one w1, w2 and zero array for all seven schemes, as they were before the first evaluation
+        assert len(shared) == len(SCHEMES) and len({tuple(map(id, arrays)) for arrays in shared}) == 1
+        (w1, w2, total), (fresh_w1, fresh_w2) = shared[0], transfer_weights(family, grid)
+        assert w1.tobytes() == fresh_w1.tobytes() and total.tobytes() == np.zeros_like(fresh_w1).tobytes()
+        assert w2 is fresh_w2 is None if family == "pd" else w2.tobytes() == fresh_w2.tobytes()
+
+
+def _evaluating(values):
+    """A stand-in for compile_fidelity whose polynomials evaluate to `values` at any weights."""
+    return lambda scheme, family: Polynomial(family, (), 1, lambda w1, w2, total: values)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, 1.0 + 2 * ATOL, -2 * ATOL])
 def test_grid_report_rejects_a_simulated_fidelity_outside_the_unit_interval(monkeypatch, bad):
-    monkeypatch.setattr(fidelity_mod, "compile_fidelity", lambda scheme, family: lambda grid: np.array([1.0, bad]))
+    monkeypatch.setattr(fidelity_mod, "compile_fidelity", _evaluating(np.array([1.0, bad])))
     with pytest.raises(ValueError, match=f"^simulated fidelity {re.escape(str(bad))} outside \\[0, 1\\]$"):
-        grid_report("cluster", "ad", [0.0, 1.0])
+        list(grid_report(("cluster",), "ad", [0.0, 1.0]))
 
 
 def test_grid_report_allows_rounding_within_atol_of_the_unit_interval(monkeypatch):
     edges = np.array([-ATOL, 0.0, 1.0, 1.0 + ATOL])
-    monkeypatch.setattr(fidelity_mod, "compile_fidelity", lambda scheme, family: lambda grid: edges)
-    simulated, _ = grid_report("cluster", "ad", [0.0, 0.25, 0.5, 1.0])
+    monkeypatch.setattr(fidelity_mod, "compile_fidelity", _evaluating(edges))
+    [(simulated, _)] = grid_report(("cluster",), "ad", [0.0, 0.25, 0.5, 1.0])
     assert simulated is edges
 
 
@@ -282,7 +318,7 @@ def test_verify_table_endpoint_grid():
     assert len(ad_rows) == 6
     for scheme, _, _, parameter in ad_rows:
         assert parameter in (0.0, 1.0)
-        simulated, _ = grid_report(scheme, "ad", np.linspace(0.0, 1.0, 2))
+        [(simulated, _)] = grid_report((scheme,), "ad", np.linspace(0.0, 1.0, 2))
         assert simulated[0] == pytest.approx(1.0, abs=1e-12)
 
 

@@ -24,7 +24,8 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
     """Evaluate every scheme on one uniform grid of `points` values from start to end, both included.
 
     Returns (grid, [(scheme, simulated, closed_form), ...]), the arrays of
-    one fidelity.grid_report over all schemes, in their order.
+    one fidelity.grid_report over all schemes, in their order. Schemes with
+    equal fidelity polynomials share one read-only simulated array.
     """
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")

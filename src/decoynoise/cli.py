@@ -27,11 +27,13 @@ from .states import BELL_LABELS, SCHEMES, check_scheme
 REGRESSION_TOL = 1e-9
 
 # Largest accepted sizes, so that a command peaks at about 100 MB instead of
-# failing with a MemoryError. A sweep keeps a few floats per value: one scheme
-# under pd at --grid 10**6 peaks at 84 MB, seven schemes at 142857 at 64 MB, to
-# stdout or --out alike. verify-table keeps one family's weights and one cell's
-# fidelities at a time, 41 MB at --grid 10**5. Intercept-resend Monte Carlo
-# holds 2 bytes per trial, 54 MB at 10**7 trials; wrong-pair peaks at 35 MB.
+# failing with a MemoryError. A sweep keeps a few floats per value, and one
+# simulated array per distinct polynomial: one scheme under pd at --grid 10**6
+# peaks at 90 MB, seven schemes at 142857 at 58 MB under pd (3 distinct arrays)
+# and 63 MB under ad (5), to stdout or --out alike. verify-table keeps one
+# family's weights and at most 4 distinct simulated arrays at a time, 41 MB at
+# --grid 10**5. Intercept-resend Monte Carlo holds 2 bytes per trial, 54 MB at
+# 10**7 trials; wrong-pair peaks at 35 MB.
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7

@@ -32,6 +32,10 @@ unhashable or not, raises ValueError, which is not memoised.
 closed_form_grid evaluates the known closed forms over a whole grid. grid_report
 checks a family's grid and takes its weights once, then yields each scheme's
 simulated and closed-form arrays from them; no evaluation writes to them.
+Schemes with equal polynomials (equal terms and power, so equal straight-line
+code and equal bits) share one simulated array: it is evaluated and range
+checked once per grid, and made read-only, so one scheme's array cannot be
+changed under another. Closed forms stay one per scheme.
 verify_table reduces each (scheme, channel family) combination that has a
 closed form to one row: its largest deviation from simulation and where it
 lies. The closed forms, keyed by the Bell labeling documented in `states`:
@@ -193,19 +197,27 @@ def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
 def grid_report(schemes: tuple[str, ...], family: str, grid) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Each scheme across one grid, as (simulated, closed_form) arrays in turn; see the module docstring.
 
-    closed_form is None for the W state. A simulated fidelity outside [0, 1]
-    by more than ATOL, or NaN, is a fault and raises ValueError.
+    closed_form is None for the W state. Schemes with equal polynomials share
+    one read-only simulated array, evaluated and checked once. A simulated
+    fidelity outside [0, 1] by more than ATOL, or NaN, is a fault and raises
+    ValueError naming the first such value.
     """
     import numpy as np
     x = parameter_grid(family, grid)
     w1, w2 = weights(family, x, np)
-    total = np.zeros_like(w1)
+    total, evaluated = np.zeros_like(w1), {}
     for scheme in schemes:
-        simulated = compile_fidelity(scheme, family).evaluate(w1, w2, total)
-        outside = ~((-ATOL <= simulated) & (simulated <= 1.0 + ATOL))
-        if outside.any():
-            raise ValueError(f"simulated fidelity {simulated[outside][0]} outside [0, 1]")
-        yield simulated, closed_form(scheme, family, x)
+        polynomial = compile_fidelity(scheme, family)
+        key = polynomial.terms, polynomial.power
+        if key not in evaluated:
+            simulated = polynomial.evaluate(w1, w2, total)
+            # NaN fails both comparisons; min() of an empty grid would raise
+            if simulated.size and not (-ATOL <= simulated.min() and simulated.max() <= 1.0 + ATOL):
+                outside = ~((-ATOL <= simulated) & (simulated <= 1.0 + ATOL))
+                raise ValueError(f"simulated fidelity {simulated[outside][0]} outside [0, 1]")
+            simulated.flags.writeable = False
+            evaluated[key] = simulated
+        yield evaluated[key], closed_form(scheme, family, x)
 
 
 def verify_table(grid_size: int) -> list[tuple[str, str, float, float]]:

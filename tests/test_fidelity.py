@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoynoise.channels import FAMILIES, parameter_range, point_weights, transfer_weights
+from decoynoise.cli import run
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
     Polynomial,
@@ -214,8 +215,9 @@ def test_shared_weights_give_the_bits_of_each_scheme_alone(fractions):
             assert simulated.tobytes() == compile_fidelity(scheme, family)(grid).tobytes()
             expected = closed_form_grid(scheme, family, grid)
             assert closed_form is None if expected is None else closed_form.tobytes() == expected.tobytes()
-        # one w1, w2 and zero array for all seven schemes, as they were before the first evaluation
-        assert len(shared) == len(SCHEMES) and len({tuple(map(id, arrays)) for arrays in shared}) == 1
+        # one evaluation per distinct polynomial, all on one w1, w2 and zero array, as they were before the first
+        distinct = {(compile_fidelity(s, family).terms, compile_fidelity(s, family).power) for s in SCHEMES}
+        assert len(shared) == len(distinct) and len({tuple(map(id, arrays)) for arrays in shared}) == 1
         (w1, w2, total), (fresh_w1, fresh_w2) = shared[0], transfer_weights(family, grid)
         assert w1.tobytes() == fresh_w1.tobytes() and total.tobytes() == np.zeros_like(fresh_w1).tobytes()
         assert w2 is fresh_w2 is None if family == "pd" else w2.tobytes() == fresh_w2.tobytes()
@@ -226,11 +228,61 @@ def _evaluating(values):
     return lambda scheme, family: Polynomial(family, (), 1, lambda w1, w2, total: values)
 
 
-@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, 1.0 + 2 * ATOL, -2 * ATOL])
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, 1.0 + 2 * ATOL, -2 * ATOL, math.inf, -math.inf])
 def test_grid_report_rejects_a_simulated_fidelity_outside_the_unit_interval(monkeypatch, bad):
     monkeypatch.setattr(fidelity_mod, "compile_fidelity", _evaluating(np.array([1.0, bad])))
     with pytest.raises(ValueError, match=f"^simulated fidelity {re.escape(str(bad))} outside \\[0, 1\\]$"):
         list(grid_report(("cluster",), "ad", [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("values, first", [
+    ([0.5, 1.5, -0.5, 2.0], 1.5),  # neither the minimum nor the maximum
+    ([math.nan, 0.5, 1.0, 0.0], math.nan),
+    ([0.5, 1.0, math.nan, 0.0], math.nan),
+    ([0.5, 1.0, 0.0, math.nan], math.nan),
+    ([0.5, math.nan, 2.0, -1.0], math.nan),
+    ([0.5, -math.inf, math.nan, math.inf], -math.inf),
+])
+def test_grid_report_names_the_first_outside_value_in_grid_order(monkeypatch, values, first):
+    monkeypatch.setattr(fidelity_mod, "compile_fidelity", _evaluating(np.array(values)))
+    with pytest.raises(ValueError, match=f"^simulated fidelity {re.escape(str(first))} outside \\[0, 1\\]$"):
+        list(grid_report(("cluster",), "ad", [0.0, 0.25, 0.5, 1.0]))
+
+
+def test_grid_report_of_an_empty_grid_yields_empty_arrays():
+    for family in FAMILIES:
+        cells = list(grid_report(SCHEMES, family, []))
+        assert len(cells) == len(SCHEMES)
+        for scheme, (simulated, closed_form) in zip(SCHEMES, cells):
+            assert simulated.shape == (0,) and simulated.dtype == np.float64
+            assert closed_form is None if scheme == "w" else closed_form.shape == (0,)
+
+
+def test_each_distinct_polynomial_is_evaluated_once_per_grid(capsys):
+    calls = []
+
+    def counting(scheme, family):
+        compiled = compile_fidelity(scheme, family)
+
+        def evaluate(w1, w2, total):
+            calls.append(family)
+            return compiled.evaluate(w1, w2, total)
+
+        return compiled._replace(evaluate=evaluate)
+
+    with mock.patch.object(fidelity_mod, "compile_fidelity", counting):
+        verify_table(11)
+    assert len(calls) == 13 and calls.count("pd") == 2
+    # psi+ and psi- tie under amplitude damping: one array, which no scheme can write into
+    (psi_plus, _), (psi_minus, _) = grid_report(("psi+", "psi-"), "ad", np.linspace(0.0, 1.0, 5))
+    assert psi_plus is psi_minus
+    with pytest.raises(ValueError, match="read-only"):
+        psi_plus[0] = 0.5
+    # a scheme given twice shares its array with itself and prints its rows twice
+    assert run(["sweep", "--noise", "ad", "--schemes", "psi+", "--grid", "5"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert run(["sweep", "--noise", "ad", "--schemes", "psi+,psi+", "--grid", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [header, *rows, *rows]
 
 
 def test_grid_report_allows_rounding_within_atol_of_the_unit_interval(monkeypatch):

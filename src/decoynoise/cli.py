@@ -6,6 +6,10 @@ verify-table finds a deviation at or above the regression threshold.
 
 Floating-point fields use the shortest round-trip decimal representation, so
 identical invocations produce byte-identical output.
+
+A command line of exact flags, each given once as "--flag value", is read
+directly into what argparse would return for it; argparse parses every other
+form and writes all help and every usage error.
 """
 
 from __future__ import annotations
@@ -52,6 +56,19 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with usage errors raised as CliError and a direct read of plain command lines.
+
+    Called with a namespace, as a command's own parser is, parse_args first
+    reads args straight from the parser's Action objects: each token must be
+    an exact flag, given at most once, and a flag that takes a value must be
+    followed by one that does not start with "-" or is a negative number.
+    Each value is converted by the action's type and checked against its
+    choices, every required flag must be there, and the namespace then gets
+    the defaults and values argparse would set. Any other form, or a value
+    that fails its type or choices, goes to argparse's parse_args, which alone
+    writes help and usage errors.
+    """
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # "-1e-05" and "-.5" are values, not flags, as newer CPython releases read them
@@ -59,6 +76,60 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
+
+    def _get_values(self, action, arg_strings):
+        # "--flag=--" gives the value "--", as Python 3.13 reads it; up to 3.12
+        # argparse drops it as the separator and stores [] for the flag
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+    def parse_args(self, args=None, namespace=None):
+        given = None if args is None or namespace is None else self._read(args)
+        if given is None:
+            return super().parse_args(args, namespace)
+        for action in self._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS \
+                    and not hasattr(namespace, action.dest):
+                setattr(namespace, action.dest, action.default)
+        for action, value in given.items():
+            setattr(namespace, action.dest, value)
+        return namespace
+
+    def _read(self, args):
+        """Each action args gives and its value, as argparse would store it; None when argparse must parse args."""
+        # set_defaults, mutually exclusive groups, flags such as -1 and @file arguments are argparse's alone
+        if self._defaults or self._mutually_exclusive_groups or self._has_negative_number_optionals \
+                or self.fromfile_prefix_chars:
+            return None
+        given = {}
+        tokens = iter(args)
+        for token in tokens:
+            action = self._option_string_actions.get(token)
+            if action in given:  # argparse keeps a repeated flag's last value
+                return None
+            if type(action) is argparse._StoreTrueAction:  # a flag with no value, such as --include-w
+                given[action] = action.const
+                continue
+            value = next(tokens, None)
+            if type(action) is not argparse._StoreAction or action.nargs is not None or value is None \
+                    or value.startswith("-") and not self._negative_number_matcher.match(value):
+                return None
+            try:
+                value = self._registry_get("type", action.type, action.type)(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action] = value
+        for action in self._actions:
+            # argparse would report a missing flag, fill a positional or convert a str default
+            if action not in given and (action.required or not action.option_strings
+                                        or action.type is not None and isinstance(action.default, str)):
+                return None
+        return given
 
 
 def _fmt(value: float) -> str:

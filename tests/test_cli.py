@@ -744,7 +744,10 @@ _HEADERS = {
 # one bad value in each pool, so that most commands get past argument checking
 _SCHEMES = st.sampled_from(["bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w", "ghz"])
 _NOISES = st.sampled_from(["ad", "pd", "cd", "cr", "xx"])
-_FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 7.0), st.floats(allow_nan=True, allow_infinity=True))
+# -inf, written "-inf", is a value after "=" and a usage error after a space:
+# drawn often, as unbounded floats seldom draw it
+_FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 7.0), st.floats(allow_nan=True, allow_infinity=True),
+                    st.just(float("-inf")))
 _PARAM_FLAG = {"ad": "--eta", "pd": "--eta", "cd": "--phi", "cr": "--theta", "xx": "--eta"}
 
 
@@ -754,29 +757,72 @@ def _sizes(cap):
 
 
 def _maybe(flag, values):
-    """[] or ["--flag=value"]; the = form lets negative numbers parse."""
-    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
-
-
-def _command(name, *parts):
-    return st.tuples(*parts).map(lambda drawn: [name] + [arg for part in drawn for arg in part])
+    """[] or [(flag, value)]: an optional flag, written out later in either form."""
+    return st.one_of(st.just([]), values.map(lambda v: [(flag, str(v))]))
 
 
 def _noise_setting(noise, value, flag):
     # flag None stands for the flag the noise family takes
-    return [f"--noise={noise}", f"{flag or _PARAM_FLAG[noise]}={value}"]
+    return [("--noise", noise), (flag or _PARAM_FLAG[noise], str(value))]
 
 
 def _bracket(lo, hi, ordered):
     lo, hi = sorted((lo, hi)) if ordered else (lo, hi)
-    return [f"--lo={lo}", f"--hi={hi}"]
+    return [("--lo", str(lo)), ("--hi", str(hi))]
+
+
+# At most one form argparse alone reads, or None: a flag given again, often
+# with another value; the first flag left out, which is a required one in
+# every command that has one; an abbreviated flag, such as --no; a value that
+# starts with "-", which is a value only when it is a negative number; a flag
+# at the end with no value; a stray token; and -h, which prints help.
+_ODD = [None] * 4 + ["repeat", "drop", "drop", "abbreviate", "value", "value", "value", "no value", "stray", "-h"]
+_ODD_VALUES = ["-0.5", "-inf", "-nan", "-", "--", "--out"]
+
+
+@st.composite
+def _command(draw, name, *parts):
+    """name and its drawn options, each written "--flag value" or "--flag=value", with at most one odd form."""
+    def options():
+        return [option for part in draw(st.tuples(*parts)) for option in part]
+
+    drawn = options()
+    valued = [i for i, (_, value) in enumerate(drawn) if value is not None]
+    odd = draw(st.sampled_from(_ODD))
+    if odd == "repeat":  # an option of a second draw whose flag the first has
+        again = [option for option in options() if option[0] in dict(drawn)]
+        drawn += [draw(st.sampled_from(again))] if again else []
+    elif odd == "drop" and drawn:
+        del drawn[0]
+    elif odd == "abbreviate" and drawn:
+        i = draw(st.integers(0, len(drawn) - 1))
+        flag, value = drawn[i]
+        drawn[i] = (flag[: draw(st.integers(3, max(3, len(flag) - 1)))], value)
+    elif odd == "value" and valued:
+        i = draw(st.sampled_from(valued))
+        drawn[i] = (drawn[i][0], draw(st.sampled_from(_ODD_VALUES)))
+    # most often all "--flag value", which a command's parser reads directly
+    spaced = draw(st.sampled_from([True, True, False, None]))
+    argv = [name]
+    for flag, value in drawn:
+        if value is None:
+            argv.append(flag)
+        elif spaced or spaced is None and draw(st.booleans()):
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
+    if odd == "no value":
+        argv.append(draw(st.sampled_from([drawn[i][0] for i in valued] + ["--out"])))
+    elif odd in ("stray", "-h"):
+        argv.insert(draw(st.integers(1, len(argv))), odd)
+    return argv
 
 
 _ARGV = {
     "verify-table": _command("verify-table", _maybe("--grid", _sizes(MAX_TABLE_GRID))),
     "sweep": _command(
         "sweep",
-        _NOISES.map(lambda noise: [f"--noise={noise}"]),
+        _NOISES.map(lambda noise: [("--noise", noise)]),
         _maybe("--schemes", st.lists(_SCHEMES, max_size=8).map(",".join)),
         _maybe("--grid", _sizes(MAX_SWEEP_VALUES)),
         _maybe("--from", _FLOATS),
@@ -785,19 +831,19 @@ _ARGV = {
     "recommend": _command(
         "recommend",
         st.builds(_noise_setting, _NOISES, _FLOATS, st.sampled_from([None, None, "--eta", "--phi", "--theta"])),
-        st.sampled_from([[], ["--include-w"]]),
+        st.sampled_from([[], [("--include-w", None)]]),
     ),
     "crossover": _command(
         "crossover",
-        _SCHEMES.map(lambda a: [f"--a={a}"]),
-        _SCHEMES.map(lambda b: [f"--b={b}"]),
-        _NOISES.map(lambda noise: [f"--noise={noise}"]),
+        _SCHEMES.map(lambda a: [("--a", a)]),
+        _SCHEMES.map(lambda b: [("--b", b)]),
+        _NOISES.map(lambda noise: [("--noise", noise)]),
         st.builds(_bracket, _FLOATS, _FLOATS, st.sampled_from([True, True, True, False])),
     ),
     "eve-sim": _command(
         "eve-sim",
         st.sampled_from(["intercept", "wrong-pair", "intercept", "wrong-pair", "swap"]).map(
-            lambda attack: [f"--attack={attack}"]
+            lambda attack: [("--attack", attack)]
         ),
         _maybe("--bell", _SCHEMES),
         _maybe("--eve-pair", st.sampled_from(["12", "23", "13"])),
@@ -812,7 +858,8 @@ _ARGV = {
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_argv_ends_in_csv_or_a_one_line_error(command, data):
-    argv = data.draw(_ARGV[command], label="argv")
+    # -h prints help and exits, as argparse has it
+    argv = data.draw(_ARGV[command].filter(lambda argv: "-h" not in argv), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         # printed, so that a warning shows up on stderr like outside the tests
@@ -861,6 +908,66 @@ def _parse_outcome(parse, argv):
 def test_a_command_parses_as_the_nested_parse_does(command, data):
     argv = data.draw(_ARGV[command], label="argv")
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(_nested_parse, argv)
+
+
+# One argv of each form the benchmark's workloads send, as they write it
+_CANONICAL = [
+    ["verify-table", "--grid", "11"],
+    ["sweep", "--noise", "ad", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster", "--grid", "16",
+     "--from", "0.125", "--to", "0.75"],
+    ["sweep", "--noise", "cr", "--schemes", "psi+,psi-,phi+,phi-,cluster,w", "--grid", "560",
+     "--from", "0.5", "--to", "2.25", "--out", "sweep-cr.csv"],
+    *(["recommend", "--noise", noise, f"--{flag}", "0.3", *w] for noise, flag in FAMILIES.items()
+      for w in ([], ["--include-w"])),
+    ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.5", "--hi", "0.625"],
+    ["eve-sim", "--attack", "intercept"],
+    ["eve-sim", "--attack", "wrong-pair", "--bell", "phi-", "--eve-pair", "23"],
+    ["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", "1000", "--seed", "7"],
+    ["eve-sim", "--attack", "wrong-pair", "--bell", "psi-", "--eve-pair", "23", "--method", "mc",
+     "--trials", "1000", "--seed", "7"],
+]
+
+
+def _argparse_calls(argv):
+    """The parsers whose argparse parse_known_args reads argv, as cli._parse reads it, and the parse's outcome."""
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", autospec=True,
+                           side_effect=parse_known_args) as spy:
+        outcome = _parse_outcome(cli._parse, argv)
+    return [call.args[0].prog for call in spy.call_args_list], outcome
+
+
+@pytest.mark.parametrize("argv", _CANONICAL)
+def test_a_plain_command_line_is_read_without_argparse(argv):
+    flag = next(i for i, arg in enumerate(argv) if len(arg) > 4 and arg.startswith("--"))
+    assert _argparse_calls(argv) == ([], _parse_outcome(_nested_parse, argv))
+    for form in [
+        [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]],  # --flag=value
+        [*argv, *argv[1:3]],  # a repeated flag
+        [*argv[:flag], argv[flag][:-1], *argv[flag + 1:]],  # an abbreviation
+        [*argv[:2], "-inf", *argv[3:]],  # a value that starts with "-" and is no number
+        [*argv, "--out"],  # a missing last value
+        [*argv, "-h"],
+        [*argv, "stray"],
+        [argv[0], "--", *argv[1:]],
+    ]:
+        assert _argparse_calls(form) == ([f"decoynoise {argv[0]}"], _parse_outcome(_nested_parse, form)), form
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["verify-table", "--grid=--"], "argument --grid: invalid int value: '--'"),
+        (["recommend", "--noise=--", "--eta", "0.3"], "argument --noise: invalid choice: '--' (choose from 'ad', 'cd', 'cr', 'pd')"),
+        (["recommend", "--noise", "ad", "--eta=--"], "argument --eta: invalid float value: '--'"),
+        (["eve-sim", "--attack", "intercept", "--out=--"], None),
+    ],
+)
+def test_a_double_dash_after_equals_is_a_value(argv, error):
+    # Python 3.13's reading, which _Parser gives the earlier versions too
+    outcome = _parse_outcome(cli._parse, argv)
+    assert outcome == _parse_outcome(_nested_parse, argv)
+    assert outcome == f"error: {error}" if error else ("out", "'--'") in outcome
 
 
 @pytest.mark.parametrize("argv", _WITHOUT_NUMPY)

@@ -67,6 +67,14 @@ class _Parser(argparse.ArgumentParser):
     the defaults and values argparse would set. Any other form, or a value
     that fails its type or choices, goes to argparse's parse_args, which alone
     writes help and usage errors.
+
+    The read handles only what build_parser gives the command parsers: flags,
+    each a single-value store or a store_true, and no set_defaults, mutually
+    exclusive group, flag such as -1, @file reading or typed str default; a
+    test holds every command's parser to that. The read and _get_values
+    use argparse's private _option_string_actions, _actions, _registry_get,
+    _negative_number_matcher, _get_value, _check_value, _StoreAction and
+    _StoreTrueAction, and override its _get_values.
     """
 
     def __init__(self, *args, **kwargs):
@@ -91,8 +99,7 @@ class _Parser(argparse.ArgumentParser):
         if given is None:
             return super().parse_args(args, namespace)
         for action in self._actions:
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS \
-                    and not hasattr(namespace, action.dest):
+            if action.default is not argparse.SUPPRESS and not hasattr(namespace, action.dest):
                 setattr(namespace, action.dest, action.default)
         for action, value in given.items():
             setattr(namespace, action.dest, value)
@@ -100,10 +107,6 @@ class _Parser(argparse.ArgumentParser):
 
     def _read(self, args):
         """Each action args gives and its value, as argparse would store it; None when argparse must parse args."""
-        # set_defaults, mutually exclusive groups, flags such as -1 and @file arguments are argparse's alone
-        if self._defaults or self._mutually_exclusive_groups or self._has_negative_number_optionals \
-                or self.fromfile_prefix_chars:
-            return None
         given = {}
         tokens = iter(args)
         for token in tokens:
@@ -114,7 +117,7 @@ class _Parser(argparse.ArgumentParser):
                 given[action] = action.const
                 continue
             value = next(tokens, None)
-            if type(action) is not argparse._StoreAction or action.nargs is not None or value is None \
+            if type(action) is not argparse._StoreAction or value is None \
                     or value.startswith("-") and not self._negative_number_matcher.match(value):
                 return None
             try:
@@ -124,11 +127,8 @@ class _Parser(argparse.ArgumentParser):
             if action.choices is not None and value not in action.choices:
                 return None
             given[action] = value
-        for action in self._actions:
-            # argparse would report a missing flag, fill a positional or convert a str default
-            if action not in given and (action.required or not action.option_strings
-                                        or action.type is not None and isinstance(action.default, str)):
-                return None
+        if any(action.required and action not in given for action in self._actions):
+            return None
         return given
 
 

@@ -24,8 +24,7 @@ named tuple (detection_probability, outcome_distribution) with a fresh dict
 of floats on every call. The exact method reads the probabilities. Monte
 Carlo, which only exercises the statistical pathway, replaces them by counts
 over trials; it needs an explicit seed, is bit-reproducible for a fixed seed
-and alone imports numpy, save on a wrong-pair joint with one certain outcome,
-whose counts need no draw. The receiver's wrong-pair joint is built once per
+and alone imports numpy. The receiver's wrong-pair joint is built once per
 process for each of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair,
 eve_outcome), in plain integer arithmetic, as a flat tuple of 16 floats in
 _PAIRS order. A zero-probability eve_outcome raises on every call, as
@@ -175,9 +174,7 @@ def wrong_pair_bell_attack(
     The exact method returns the memoised joint as its 16 probabilities.
     Monte Carlo replaces them by each outcome's count over trials: it draws
     one uniform per trial and counts the uniforms against the joint's CDF in
-    blocks of 2**16, so its memory does not grow with the trial count. A joint
-    with one certain outcome, as Eve measuring the prepared pair (1,2) gives,
-    is counted without drawing: every trial falls on that outcome.
+    blocks of 2**16, so its memory does not grow with the trial count.
     """
     if bell not in BELL_LABELS:
         raise ValueError(f"unknown Bell label {bell!r}, expected one of {BELL_LABELS}")
@@ -189,8 +186,7 @@ def wrong_pair_bell_attack(
     if eve_outcome is not None and eve_outcome not in BELL_LABELS:
         raise ValueError(f"unknown Bell label {eve_outcome!r}")
     probs = _attack_joint(bell, eve_pair, eve_outcome)
-    # a certain outcome is drawn in every trial: its counts over trials are the exact 1.0 and 0.0
-    if sampled and 1.0 not in probs:
+    if sampled:
         import numpy as np
         rng = np.random.default_rng(seed)
         flat = np.array(probs)

@@ -744,10 +744,7 @@ _HEADERS = {
 # one bad value in each pool, so that most commands get past argument checking
 _SCHEMES = st.sampled_from(["bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w", "ghz"])
 _NOISES = st.sampled_from(["ad", "pd", "cd", "cr", "xx"])
-# -inf, written "-inf", is a value after "=" and a usage error after a space:
-# drawn often, as unbounded floats seldom draw it
-_FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 7.0), st.floats(allow_nan=True, allow_infinity=True),
-                    st.just(float("-inf")))
+_FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 7.0), st.floats(allow_nan=True, allow_infinity=True))
 _PARAM_FLAG = {"ad": "--eta", "pd": "--eta", "cd": "--phi", "cr": "--theta", "xx": "--eta"}
 
 
@@ -781,14 +778,14 @@ _ODD_VALUES = ["-0.5", "-inf", "-nan", "-", "--", "--out"]
 
 
 @st.composite
-def _command(draw, name, *parts):
-    """name and its drawn options, each written "--flag value" or "--flag=value", with at most one odd form."""
+def _command(draw, name, *parts, odd=False):
+    """name and its drawn options, each written "--flag value" or "--flag=value"; odd adds at most one odd form."""
     def options():
         return [option for part in draw(st.tuples(*parts)) for option in part]
 
     drawn = options()
     valued = [i for i, (_, value) in enumerate(drawn) if value is not None]
-    odd = draw(st.sampled_from(_ODD))
+    odd = draw(st.sampled_from(_ODD)) if odd else None
     if odd == "repeat":  # an option of a second draw whose flag the first has
         again = [option for option in options() if option[0] in dict(drawn)]
         drawn += [draw(st.sampled_from(again))] if again else []
@@ -807,7 +804,8 @@ def _command(draw, name, *parts):
     for flag, value in drawn:
         if value is None:
             argv.append(flag)
-        elif spaced or spaced is None and draw(st.booleans()):
+        # after a space "-inf" reads as a flag, so it is written after "=" unless odd forms are drawn
+        elif (spaced or spaced is None and draw(st.booleans())) and (value != "-inf" or odd is not None):
             argv += [flag, value]
         else:
             argv.append(f"{flag}={value}")
@@ -818,30 +816,26 @@ def _command(draw, name, *parts):
     return argv
 
 
-_ARGV = {
-    "verify-table": _command("verify-table", _maybe("--grid", _sizes(MAX_TABLE_GRID))),
-    "sweep": _command(
-        "sweep",
+_PARTS = {
+    "verify-table": [_maybe("--grid", _sizes(MAX_TABLE_GRID))],
+    "sweep": [
         _NOISES.map(lambda noise: [("--noise", noise)]),
         _maybe("--schemes", st.lists(_SCHEMES, max_size=8).map(",".join)),
         _maybe("--grid", _sizes(MAX_SWEEP_VALUES)),
         _maybe("--from", _FLOATS),
         _maybe("--to", _FLOATS),
-    ),
-    "recommend": _command(
-        "recommend",
+    ],
+    "recommend": [
         st.builds(_noise_setting, _NOISES, _FLOATS, st.sampled_from([None, None, "--eta", "--phi", "--theta"])),
         st.sampled_from([[], [("--include-w", None)]]),
-    ),
-    "crossover": _command(
-        "crossover",
+    ],
+    "crossover": [
         _SCHEMES.map(lambda a: [("--a", a)]),
         _SCHEMES.map(lambda b: [("--b", b)]),
         _NOISES.map(lambda noise: [("--noise", noise)]),
         st.builds(_bracket, _FLOATS, _FLOATS, st.sampled_from([True, True, True, False])),
-    ),
-    "eve-sim": _command(
-        "eve-sim",
+    ],
+    "eve-sim": [
         st.sampled_from(["intercept", "wrong-pair", "intercept", "wrong-pair", "swap"]).map(
             lambda attack: [("--attack", attack)]
         ),
@@ -850,16 +844,18 @@ _ARGV = {
         _maybe("--method", st.sampled_from(["exact", "mc"])),
         _maybe("--trials", _sizes(MAX_TRIALS)),
         _maybe("--seed", st.integers(-1, 2**64)),
-    ),
+    ],
 }
+# Commands that argparse reads as written, in either spacing; and those with an odd form as well
+_ARGV = {command: _command(command, *parts) for command, parts in _PARTS.items()}
+_ODD_ARGV = {command: _command(command, *parts, odd=True) for command, parts in _PARTS.items()}
 
 
 @pytest.mark.parametrize("command", sorted(_ARGV))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_argv_ends_in_csv_or_a_one_line_error(command, data):
-    # -h prints help and exits, as argparse has it
-    argv = data.draw(_ARGV[command].filter(lambda argv: "-h" not in argv), label="argv")
+    argv = data.draw(_ARGV[command], label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         # printed, so that a warning shows up on stderr like outside the tests
@@ -902,11 +898,11 @@ def _parse_outcome(parse, argv):
         return exc.code, out.getvalue()
 
 
-@pytest.mark.parametrize("command", sorted(_ARGV))
+@pytest.mark.parametrize("command", sorted(_ODD_ARGV))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_command_parses_as_the_nested_parse_does(command, data):
-    argv = data.draw(_ARGV[command], label="argv")
+    argv = data.draw(_ODD_ARGV[command], label="argv")
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(_nested_parse, argv)
 
 
@@ -952,6 +948,21 @@ def test_a_plain_command_line_is_read_without_argparse(argv):
         [argv[0], "--", *argv[1:]],
     ]:
         assert _argparse_calls(form) == ([f"decoynoise {argv[0]}"], _parse_outcome(_nested_parse, form)), form
+
+
+@pytest.mark.parametrize("command", sorted(_PARTS))
+def test_each_command_parser_has_only_what_the_direct_read_handles(command):
+    # _Parser's direct read knows single-value stores, store_true flags and -h;
+    # a command that adds any other argparse feature must fail here first
+    parser = cli.build_parser().commands[command]
+    assert not parser._defaults and not parser._mutually_exclusive_groups
+    assert not parser._has_negative_number_optionals and parser.fromfile_prefix_chars is None
+    for action in parser._actions:
+        assert action.option_strings, action.dest  # no positional
+        assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction)
+        if type(action) is argparse._StoreAction:
+            # a typed str default is converted by argparse when its flag is absent
+            assert action.nargs is None and not (action.type and isinstance(action.default, str)), action.dest
 
 
 @pytest.mark.parametrize(

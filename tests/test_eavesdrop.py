@@ -273,25 +273,6 @@ def test_wrong_pair_mc_counts_match_generator_choice(bell, eve_pair):
                 assert mc.detection_probability == 1.0 - counts[prep] / trials
 
 
-@pytest.mark.parametrize("eve_outcome", [None, "prepared"])
-@pytest.mark.parametrize("bell", BELL_LABELS)
-def test_a_certain_outcome_is_counted_without_a_draw(bell, eve_outcome, monkeypatch):
-    # Eve on the prepared pair (1,2) always finds the prepared label and leaves
-    # the receiver's outcome certain, so every trial falls on it
-    def no_draw(*args, **kwargs):
-        raise AssertionError("uniforms were drawn for a certain outcome")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    eve_outcome = bell if eve_outcome else None
-    exact = wrong_pair_bell_attack(bell, (1, 2), eve_outcome=eve_outcome)
-    certain = {label: 1.0 if label == f"{bell};{bell}" else 0.0 for label in eavesdrop._PAIRS}
-    # repr tells 0.0 from -0.0, so these are the same floats, not only equal ones
-    assert repr(exact) == repr(eavesdrop.AttackOutcome(0.0, certain))
-    for trials in (1, 65537, 10**6):
-        for seed in (0, 7):
-            assert repr(wrong_pair_bell_attack(bell, (1, 2), "mc", trials, seed, eve_outcome)) == repr(exact)
-
-
 def test_wrong_pair_rejects_bad_input():
     for eve_pair in [(1, 3), (1.9, 2.2), (2.7, 3.5), 23, "23", (2, 3, 4)]:
         with pytest.raises(ValueError, match="eve_pair must be one of"):

@@ -7,35 +7,27 @@ qubit cluster state and the W state), verifies the closed-form fidelity
 expressions against a pure-state simulation kernel, and ranks the schemes per
 channel. A scheme is its label, one of SCHEMES, and a noise family its tag,
 one of FAMILIES ('ad', 'pd', 'cd', 'cr'); a noise setting is a (family,
-value) pair, as in scheme_fidelity("psi-", "cr", 0.7). The submodules and
-the names below are imported on first use, so importing the package imports
-no numpy. The density-matrix oracle that the tests check the compile against
-is one submodule, decoynoise.linalg, the only one that imports numpy at the
-top; none of its names is re-exported here.
+value) pair, as in scheme_fidelity("psi-", "cr", 0.7). Importing the package
+imports no numpy. The density-matrix oracle that the tests check the compile
+against is one submodule, decoynoise.linalg, the only one that imports numpy
+at the top; it and the command line, decoynoise.cli, are imported on first
+use, and none of their names is re-exported here.
 """
 
 import importlib
 
-# Each submodule and the names re-exported from it. The overlap metric is not
-# re-exported: its bare name, fidelity, would shadow the fidelity submodule.
-_EXPORTS = {
-    "analysis": ("find_crossover", "recommend", "sweep"),
-    "channels": ("FAMILIES",),
-    "cli": (),
-    "eavesdrop": ("AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"),
-    "fidelity": ("scheme_fidelity", "verify_table"),
-    "linalg": (),
-    "states": ("SCHEMES",),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted(_HOME)
+from .analysis import find_crossover, recommend, sweep
+from .channels import FAMILIES
+from .eavesdrop import AttackOutcome, intercept_resend_bb84, wrong_pair_bell_attack
+from .fidelity import scheme_fidelity, verify_table
+from .states import SCHEMES
+
+__all__ = ["AttackOutcome", "FAMILIES", "SCHEMES", "find_crossover", "intercept_resend_bb84", "recommend",
+           "scheme_fidelity", "sweep", "verify_table", "wrong_pair_bell_attack"]
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _HOME:
+    if name not in ("cli", "linalg"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    return globals()[name]
+    return importlib.import_module(f"{__name__}.{name}")

@@ -13,7 +13,7 @@ of its parameter (eta, phi or theta).
 The fidelity kernel in `fidelity` sees a channel only through its Pauli
 transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2: integer TRANSFER_BASIS
 matrices, and their `weights` at a checked parameter: over a grid from numpy
-(transfer_weights checks the grid) or at one value from math (point_weights).
+(after parameter_grid checks it) or at one value from math (point_weights).
 The tests check it against density-matrix evolution under the Kraus operators
 and unitaries written out apart from it.
 """
@@ -84,7 +84,11 @@ TRANSFER_BASIS: dict[str, tuple[tuple[tuple[int, ...], ...], ...]] = {
 
 
 def weights(family: str, p, xp):
-    """(w1, w2) at a checked parameter p: a float with xp = math, an array with xp = numpy."""
+    """(w1, w2) of a family's TRANSFER_BASIS at a checked parameter p: floats with xp = math, arrays with xp = numpy.
+
+    They are sqrt(1-eta), eta (ad); 1-eta, None (pd, no A2); cos phi, sin phi
+    (cd); cos 2t, sin 2t (cr).
+    """
     if family == "ad":
         return xp.sqrt(1.0 - p), p
     if family == "pd":
@@ -96,17 +100,7 @@ def weights(family: str, p, xp):
     return (cos - sin) * (cos + sin), 2.0 * sin * cos
 
 
-def transfer_weights(family: str, grid) -> tuple[np.ndarray, np.ndarray | None]:
-    """The weights (w1, w2) of a family's TRANSFER_BASIS at every point of a parameter grid.
-
-    They are sqrt(1-eta), eta (ad); 1-eta, None (pd, no A2); cos phi, sin phi
-    (cd); cos 2t, sin 2t (cr). parameter_grid checks the grid.
-    """
-    import numpy as np
-    return weights(family, parameter_grid(family, grid), np)
-
-
 def point_weights(family: str, value: float) -> tuple[float, float | None]:
-    """transfer_weights at one parameter value, as floats from math; parameter_value checks it."""
+    """weights at one parameter value, as floats from math; parameter_value checks it."""
     return weights(family, parameter_value(family, value), math)
 

@@ -21,16 +21,17 @@ A Polynomial is evaluated by straight-line code built from its terms: powers
 of w1 and w2 as repeated products (never **), one addition per term in order,
 each coefficient as its repr, which reads back as the same float, and no
 factor w^0 = 1.0, which changes no bit; then the sum to its power by repeated
-products. Floats from math (`at`) and arrays from numpy (calling it) take that
-one function, so a one-point value has the bits of the same point of a sweep.
+products. Floats from math (scheme_fidelity, and analysis's bisection) and
+arrays from numpy (grid_report) take that one function, so a one-point value
+has the bits of the same point of a sweep.
 
 compile_fidelity is memoised: the polynomial depends on the (scheme, family)
 pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
 The scheme and the family are checked before the memo, so an unknown one,
 unhashable or not, raises ValueError, which is not memoised.
 
-closed_form_grid evaluates the known closed forms over a whole grid. grid_report
-checks a family's grid and takes its weights once, then yields each scheme's
+closed_form evaluates the known closed forms over a checked grid. grid_report
+checks a family's grid and takes its weights once, then returns each scheme's
 simulated and closed-form arrays from them; no evaluation writes to them.
 Schemes with equal polynomials (equal terms and power, so equal straight-line
 code and equal bits) share one simulated array: it is evaluated and range
@@ -48,7 +49,7 @@ lies. The closed forms, keyed by the Bell labeling documented in `states`:
     w           1-e                             (1+2(1-e)^2)/3      1                   (1+cos 2t)(3cos 2t-1)^2/8
 
 The W row is derived from the compiled polynomials and checked against them in
-the tests, but closed_form_grid has no W cell: the W state is simulated only,
+the tests, but closed_form has no W cell: the W state is simulated only,
 and its sweep rows leave the closed-form fields empty.
 Simulation never uses these expressions, so verify_table compares two derivations.
 """
@@ -58,10 +59,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
-from .channels import (FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights,
-                       transfer_weights, weights)
+from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights, weights
 from .states import ATOL, INT_SINGLES, INT_STATES, SCHEMES, check_scheme
 
 TYPE_CHECKING = False
@@ -76,20 +76,9 @@ TABLE_SCHEMES = SCHEMES[:-1]
 class Polynomial(NamedTuple):
     """A compiled fidelity, (sum of c w1^j w2^k over its terms (j, k, c))^power in the family's transfer weights."""
 
-    family: str
     terms: tuple[tuple[int, int, float], ...]
     power: int
     evaluate: Callable  # (w1, w2, total) -> F, for floats or arrays; total is a zero of the result's type
-
-    def at(self, value: float) -> float:
-        """The fidelity at one parameter value, as a float."""
-        return self.evaluate(*point_weights(self.family, value), 0.0)
-
-    def __call__(self, grid) -> np.ndarray:
-        """The fidelity at every point of a parameter grid, as an array."""
-        import numpy as np
-        w1, w2 = transfer_weights(self.family, grid)
-        return self.evaluate(w1, w2, np.zeros_like(w1))
 
 
 def _straight_line(terms, power: int) -> Callable:
@@ -151,23 +140,18 @@ def _compile(scheme: str, family: str) -> Polynomial:
         for key, c in scaled.items():
             exact[key] = exact.get(key, 0) + c * (den // norm)
     terms = tuple((j, k, c / den) for (j, k), c in sorted(exact.items()) if c)
-    return Polynomial(family, terms, power, _straight_line(terms, power))
+    return Polynomial(terms, power, _straight_line(terms, power))
 
 
 def scheme_fidelity(scheme: str, family: str, value: float) -> float:
     """Simulated fidelity of a scheme under one noise family at one parameter value."""
-    return compile_fidelity(scheme, family).at(value)
-
-
-def closed_form_grid(scheme: str, family: str, grid) -> np.ndarray | None:
-    """The known closed-form fidelity of a scheme at every point of a grid; None for the W state."""
-    return closed_form(scheme, family, parameter_grid(family, grid))
+    return compile_fidelity(scheme, family).evaluate(*point_weights(family, value), 0.0)
 
 
 def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
-    """closed_form_grid at the parameters x of a family, as parameter_grid returns them."""
+    """The known closed-form fidelity of a scheme at a family's parameters x, checked by parameter_grid; None for W."""
     import numpy as np
-    match check_scheme(scheme), family:
+    match check_scheme(scheme), check_family(family):
         case "bb84", "ad":
             return (3.0 + np.sqrt(1.0 - x) - x) ** 4 / 256.0
         case "bb84", "pd":
@@ -194,8 +178,8 @@ def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def grid_report(schemes: tuple[str, ...], family: str, grid) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Each scheme across one grid, as (simulated, closed_form) arrays in turn; see the module docstring.
+def grid_report(schemes: tuple[str, ...], family: str, grid) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each scheme across one grid, as a list of (simulated, closed_form) arrays; see the module docstring.
 
     closed_form is None for the W state. Schemes with equal polynomials share
     one read-only simulated array, evaluated and checked once. A simulated
@@ -205,7 +189,7 @@ def grid_report(schemes: tuple[str, ...], family: str, grid) -> Iterator[tuple[n
     import numpy as np
     x = parameter_grid(family, grid)
     w1, w2 = weights(family, x, np)
-    total, evaluated = np.zeros_like(w1), {}
+    total, evaluated, cells = np.zeros_like(w1), {}, []
     for scheme in schemes:
         polynomial = compile_fidelity(scheme, family)
         key = polynomial.terms, polynomial.power
@@ -217,7 +201,8 @@ def grid_report(schemes: tuple[str, ...], family: str, grid) -> Iterator[tuple[n
                 raise ValueError(f"simulated fidelity {simulated[outside][0]} outside [0, 1]")
             simulated.flags.writeable = False
             evaluated[key] = simulated
-        yield evaluated[key], closed_form(scheme, family, x)
+        cells.append((evaluated[key], closed_form(scheme, family, x)))
+    return cells
 
 
 def verify_table(grid_size: int) -> list[tuple[str, str, float, float]]:
@@ -226,8 +211,8 @@ def verify_table(grid_size: int) -> list[tuple[str, str, float, float]]:
     One (scheme, family, max_abs_deviation, parameter) row per (scheme,
     channel family) combination, where parameter is the grid value of the
     largest deviation; eta runs over [0, 1] and the collective angles over
-    [0, 2 pi], endpoints included. Each cell is reduced to its row as soon as
-    it is computed.
+    [0, 2 pi], endpoints included. One family's arrays are held at a time,
+    from its grid_report until its rows are reduced.
     """
     import numpy as np
     if grid_size < 2:

@@ -13,7 +13,8 @@ import pytest
 from decoynoise.analysis import find_crossover
 from decoynoise.cli import run
 from decoynoise.eavesdrop import intercept_resend_bb84, wrong_pair_bell_attack
-from decoynoise.fidelity import closed_form_grid, compile_fidelity, scheme_fidelity, verify_table
+from decoynoise.channels import parameter_grid
+from decoynoise.fidelity import closed_form, grid_report, scheme_fidelity, verify_table
 from decoynoise.linalg import apply_kraus_channel, apply_noise, kraus_ad, kraus_pd
 from decoynoise.states import BELL_LABELS
 
@@ -47,7 +48,7 @@ def test_criterion_2_decoherence_free_suite():
         ("w", "cd", np.linspace(0, 2 * np.pi, 21)),
     ]
     for scheme, family, grid in cases:
-        assert np.abs(compile_fidelity(scheme, family)(grid) - 1.0).max() <= 1e-12
+        assert np.abs(grid_report((scheme,), family, grid)[0][0] - 1.0).max() <= 1e-12
     _ok(2, "five decoherence-free (scheme, channel) pairs hold fidelity 1")
 
 
@@ -82,7 +83,8 @@ def test_criterion_6_ad_crossover():
     assert 0.5 <= root <= 0.65
     assert abs(root - 0.583) <= 0.01
     grid = np.arange(0.5, 0.65, 1e-4)
-    diffs = closed_form_grid("bb84", "ad", grid) - closed_form_grid("psi+", "ad", grid)
+    x = parameter_grid("ad", grid)
+    diffs = closed_form("bb84", "ad", x) - closed_form("psi+", "ad", x)
     flip = int(np.nonzero(np.sign(diffs[1:]) != np.sign(diffs[:-1]))[0][0])
     assert abs(root - grid[flip]) < 1e-3
     _ok(6, f"crossover at {root:.4f}, confirmed by the 1e-4-step scan")

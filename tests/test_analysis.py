@@ -14,11 +14,10 @@ import decoynoise.analysis
 import decoynoise.channels
 import decoynoise.fidelity
 from decoynoise.analysis import TIE_TOL, find_crossover, recommend, sweep
-from decoynoise.channels import FAMILIES, parameter_range, transfer_weights
+from decoynoise.channels import FAMILIES, parameter_grid, parameter_range
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
-    closed_form_grid,
-    compile_fidelity,
+    closed_form,
     grid_report,
     scheme_fidelity,
     verify_table,
@@ -40,7 +39,7 @@ def test_sweep_reports_closed_forms_and_grid():
     grid, [(psi, psi_simulated, psi_closed), (w, _, w_closed)] = sweep(("psi+", "w"), "cd", 0.0, np.pi, 5)
     assert grid.tolist() == [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]
     assert (psi, w) == ("psi+", "w")
-    assert psi_closed.tolist() == closed_form_grid("psi+", "cd", grid).tolist()
+    assert psi_closed.tolist() == closed_form("psi+", "cd", parameter_grid("cd", grid)).tolist()
     assert psi_simulated[2] == pytest.approx(0.0, abs=1e-12)  # cos^4 at pi/2
     assert w_closed is None
 
@@ -59,7 +58,8 @@ def test_ad_crossover_between_bb84_and_parallel_bell():
     assert abs(gap) < 1e-8
     # independent oracle: scan the closed forms at 1e-4 steps for the sign change
     grid = np.arange(0.3, 0.9, 1e-4)
-    signs = np.sign(closed_form_grid("bb84", "ad", grid) - closed_form_grid("psi+", "ad", grid))
+    x = parameter_grid("ad", grid)
+    signs = np.sign(closed_form("bb84", "ad", x) - closed_form("psi+", "ad", x))
     flip = int(np.nonzero(signs[1:] != signs[:-1])[0][0])
     assert abs(root - grid[flip]) < 1e-3
 
@@ -103,10 +103,9 @@ def scalar_crossover(a, b, family, lo, hi, tol=1e-9):
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    fidelity_a, fidelity_b = compile_fidelity(a, family), compile_fidelity(b, family)
-
     def gap(p: float) -> float:
-        return float(fidelity_a(np.array([p]))[0] - fidelity_b(np.array([p]))[0])
+        [(fidelity_a, _), (fidelity_b, _)] = grid_report((a, b), family, [p])
+        return float(fidelity_a[0] - fidelity_b[0])
 
     gap_lo, gap_hi = gap(lo), gap(hi)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
@@ -134,7 +133,7 @@ def _crossing_cells():
     cells = {}
     for family in FAMILIES:
         grid = np.linspace(*parameter_range(family), 401)
-        fids = {s: compile_fidelity(s, family)(grid) for s in SCHEMES}
+        fids = {s: simulated for s, (simulated, _) in zip(SCHEMES, grid_report(SCHEMES, family, grid))}
         for a, b in itertools.combinations(fids, 2):
             gap = fids[a] - fids[b]
             if np.abs(gap).max() < 1e-9:
@@ -283,7 +282,7 @@ def test_crossover_rejects_bad_tolerance(tol):
 def _decoherence_free(scheme, family):
     """The fidelity stays 1 at 32 points over the family's natural range."""
     grid = np.linspace(*parameter_range(family), 32)
-    return bool(np.all(np.abs(compile_fidelity(scheme, family)(grid) - 1.0) < 1e-9))
+    return bool(np.all(np.abs(grid_report((scheme,), family, grid)[0][0] - 1.0) < 1e-9))
 
 
 @pytest.mark.parametrize(
@@ -414,13 +413,13 @@ def test_cluster_ad_rises_again_after_its_minimum():
     [
         lambda bad: decoynoise.fidelity.compile_fidelity("psi+", bad),
         lambda bad: scheme_fidelity("psi+", bad, 0.5),
-        lambda bad: list(grid_report(("cluster",), bad, [0.5])),
+        lambda bad: grid_report(("cluster",), bad, [0.5]),
         lambda bad: sweep(("psi+",), bad, 0.0, 1.0, 5),
         lambda bad: find_crossover("bb84", "psi+", bad, 0.3, 0.9),
         lambda bad: recommend(bad, 0.5),
-        lambda bad: closed_form_grid("w", bad, [0.5]),
+        lambda bad: closed_form("w", bad, np.array([0.5])),
         lambda bad: parameter_range(bad),
-        lambda bad: transfer_weights(bad, [0.5]),
+        lambda bad: parameter_grid(bad, [0.5]),
         lambda bad: apply_noise(DensityMatrix(np.eye(2) / 2), bad, 0.5),
     ],
     ids=[
@@ -430,9 +429,9 @@ def test_cluster_ad_rises_again_after_its_minimum():
         "sweep",
         "find_crossover",
         "recommend",
-        "closed_form_grid",
+        "closed_form",
         "parameter_range",
-        "transfer_weights",
+        "parameter_grid",
         "apply_noise",
     ],
 )
@@ -452,11 +451,11 @@ def test_unknown_noise_family_is_a_value_error_every_time(call, bad):
         lambda bad: sweep(("psi+", bad), "ad", 0.0, 1.0, 5),
         lambda bad: find_crossover("bb84", bad, "ad", 0.3, 0.9),
         lambda bad: recommend("ad", 0.5, ("psi+", bad)),
-        lambda bad: list(grid_report((bad,), "ad", [0.5])),
+        lambda bad: grid_report((bad,), "ad", [0.5]),
         # an unknown label must not fall through to the W state's None
-        lambda bad: closed_form_grid(bad, "ad", [0.5]),
+        lambda bad: closed_form(bad, "ad", parameter_grid("ad", [0.5])),
     ],
-    ids=["compile_fidelity", "scheme_fidelity", "sweep", "find_crossover", "recommend", "grid_report", "closed_form_grid"],
+    ids=["compile_fidelity", "scheme_fidelity", "sweep", "find_crossover", "recommend", "grid_report", "closed_form"],
 )
 def test_unknown_scheme_is_a_value_error_every_time(call, bad):
     expected = f"unknown scheme {bad!r}; expected bb84, psi+, psi-, phi+, phi-, cluster or w"

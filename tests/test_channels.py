@@ -11,7 +11,7 @@ from decoynoise.channels import (
     check_family,
     parameter_grid,
     parameter_range,
-    transfer_weights,
+    weights,
 )
 from decoynoise.linalg import (
     ATOL,
@@ -206,8 +206,6 @@ def test_non_finite_parameters_are_rejected(bad):
             _ORACLE[family](bad)
         with pytest.raises(ValueError, match=problem):
             parameter_grid(family, [0.0, 0.5, bad])
-        with pytest.raises(ValueError, match=problem):
-            transfer_weights(family, [0.0, 0.5, bad])
 
 
 def test_transfer_basis_shape_and_family():
@@ -216,12 +214,12 @@ def test_transfer_basis_shape_and_family():
         # integer matrices, as nested tuples, so that no one can change them
         assert np.array(basis).shape == (count, 4, 4) and np.array(basis).dtype.kind == "i"
         assert isinstance(basis, tuple) and all(isinstance(row, tuple) for matrix in basis for row in matrix)
-        weights = transfer_weights(family, [0.0, 0.3, 1.0])
-        assert len(weights) == 2 and weights[0].shape == (3,)
-        assert (weights[1] is None) == (count == 2)
+        w = weights(family, parameter_grid(family, [0.0, 0.3, 1.0]), np)
+        assert len(w) == 2 and w[0].shape == (3,)
+        assert (w[1] is None) == (count == 2)
     assert list(TRANSFER_BASIS) == list(FAMILIES)
     with pytest.raises(ValueError, match="unknown noise family"):
-        transfer_weights(KrausChannel, [0.5])
+        parameter_grid(KrausChannel, [0.5])
 
 
 def _channel_written_here(family, p):
@@ -244,7 +242,7 @@ def test_transfer_basis_reproduces_the_transfer_matrix(family, frac):
     # R_ij = Tr(P_i E(P_j)) / 2
     expected = np.array([[np.trace(pi @ sum(e @ pj @ e.conj().T for e in ops)) / 2 for pj in paulis] for pi in paulis])
     assert np.abs(expected.imag).max() <= 1e-15
-    basis, (w1, w2) = np.array(TRANSFER_BASIS[family]), transfer_weights(family, [p])
+    basis, (w1, w2) = np.array(TRANSFER_BASIS[family]), weights(family, parameter_grid(family, [p]), np)
     transfer = basis[0] + w1[0] * basis[1] + (0.0 if w2 is None else w2[0] * basis[2])
     assert np.abs(transfer - expected.real).max() <= 1e-15
 

@@ -726,6 +726,15 @@ def test_only_a_grid_or_a_random_stream_imports_numpy(argv, imports):
     assert proc.returncode == (1 if proc.stderr.startswith("error: ") else 0)
 
 
+def test_importing_the_package_imports_no_numpy_cli_or_oracle():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    report = ("import sys, decoynoise\n"
+              "print(*(name in sys.modules for name in ('numpy', 'decoynoise.cli', 'decoynoise.linalg')))\n"
+              "print(decoynoise.cli.__name__, decoynoise.linalg.__name__)\n")
+    proc = subprocess.run([sys.executable, "-c", report], env=env, capture_output=True, text=True)
+    assert proc.stdout.splitlines() == ["False False False", "decoynoise.cli decoynoise.linalg"], proc.stderr
+
+
 def test_module_entrypoint_keeps_streams_separate():
     proc = run_module(["verify-table", "--grid", "3"], capture_output=True, text=True)
     assert proc.returncode == 0

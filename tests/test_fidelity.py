@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoynoise.channels import FAMILIES, parameter_range, point_weights, transfer_weights
+from decoynoise.channels import FAMILIES, parameter_grid, parameter_range, point_weights, weights
 from decoynoise.cli import run
 from decoynoise.fidelity import (
     TABLE_SCHEMES,
     Polynomial,
     _compile,
-    closed_form_grid,
+    closed_form,
     compile_fidelity,
     grid_report,
     scheme_fidelity,
@@ -98,9 +98,8 @@ def test_kernel_matches_density_matrix_evolution(scheme, family, frac):
 @pytest.mark.parametrize("scheme", ["bb84", "cluster", "w"])
 def test_grid_longer_than_a_block_matches_single_points(scheme, family):
     grid = np.linspace(0.0, 1.0, 519)
-    fidelity_over = compile_fidelity(scheme, family)
-    together = fidelity_over(grid)
-    alone = [fidelity_over([p])[0] for p in grid]
+    together = grid_report((scheme,), family, grid)[0][0]
+    alone = [grid_report((scheme,), family, [p])[0][0][0] for p in grid]
     np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-15)
 
 
@@ -111,15 +110,15 @@ def test_grid_longer_than_a_block_matches_single_points(scheme, family):
 )
 def test_w_state_follows_its_derived_forms(rates, angles):
     eta, phi = np.array(rates), np.array(angles)
-    assert np.abs(compile_fidelity("w", "ad")(eta) - (1.0 - eta)).max() <= 1e-14
-    assert np.abs(compile_fidelity("w", "pd")(eta) - (1.0 + 2.0 * (1.0 - eta) ** 2) / 3.0).max() <= 1e-14
-    assert np.abs(compile_fidelity("w", "cd")(phi) - 1.0).max() <= 1e-14
+    assert np.abs(grid_report(("w",), "ad", eta)[0][0] - (1.0 - eta)).max() <= 1e-14
+    assert np.abs(grid_report(("w",), "pd", eta)[0][0] - (1.0 + 2.0 * (1.0 - eta) ** 2) / 3.0).max() <= 1e-14
+    assert np.abs(grid_report(("w",), "cd", phi)[0][0] - 1.0).max() <= 1e-14
     c = np.cos(2.0 * phi)
-    assert np.abs(compile_fidelity("w", "cr")(phi) - (1.0 + c) * (3.0 * c - 1.0) ** 2 / 8.0).max() <= 1e-14
+    assert np.abs(grid_report(("w",), "cr", phi)[0][0] - (1.0 + c) * (3.0 * c - 1.0) ** 2 / 8.0).max() <= 1e-14
 
 
 def scalar_closed_form(scheme, family, x):
-    """The closed-form table one point at a time, as Python floats: the reference for closed_form_grid."""
+    """The closed-form table one point at a time, as Python floats: the reference for closed_form."""
     match scheme, family:
         case "bb84", "ad":
             return (3.0 + math.sqrt(1.0 - x) - x) ** 4 / 256.0
@@ -161,35 +160,35 @@ def scalar_closed_form(scheme, family, x):
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
     st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30),
 )
-def test_closed_form_grid_matches_scalar_reference(rates, angles):
+def test_closed_form_matches_scalar_reference(rates, angles):
     for family in FAMILIES:
         grid = rates if family in ("ad", "pd") else angles
         for scheme in TABLE_SCHEMES:
             reference = np.array([scalar_closed_form(scheme, family, p) for p in grid])
-            closed = closed_form_grid(scheme, family, grid)
+            closed = closed_form(scheme, family, parameter_grid(family, grid))
             # the cluster polynomial under ad cancels terms of size up to 4
             # down to about 0.2, so its rounding is counted in ulps of 1
             scale = 1.0 if (scheme, family) == ("cluster", "ad") else np.abs(reference)
             assert np.all(np.abs(closed - reference) <= 4 * np.spacing(scale)), (scheme, family)
-        assert closed_form_grid("w", family, grid) is None
+        assert closed_form("w", family, parameter_grid(family, grid)) is None
 
 
-def test_closed_form_grid_rejects_parameters_outside_the_family_range():
+def test_closed_form_parameters_outside_the_family_range_are_rejected():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        closed_form_grid("cluster", "ad", [0.5, 1.5])
+        closed_form("cluster", "ad", parameter_grid("ad", [0.5, 1.5]))
     with pytest.raises(ValueError, match="finite"):
-        closed_form_grid("cluster", "cr", [0.5, np.nan])
+        closed_form("cluster", "cr", parameter_grid("cr", [0.5, np.nan]))
 
 
 def test_grid_report_is_the_simulated_and_closed_form_arrays():
     grid = np.linspace(0.0, 1.0, 5)
-    [(simulated, closed_form), (w_simulated, w_closed_form)] = grid_report(("cluster", "w"), "ad", grid)
-    assert simulated.tolist() == compile_fidelity("cluster", "ad")(grid).tolist()
-    assert closed_form.tolist() == closed_form_grid("cluster", "ad", grid).tolist()
-    for values in (simulated, closed_form):
+    [(simulated, closed), (w_simulated, w_closed)] = grid_report(("cluster", "w"), "ad", grid)
+    assert simulated.tolist() == grid_report(("cluster",), "ad", grid)[0][0].tolist()
+    assert closed.tolist() == closed_form("cluster", "ad", parameter_grid("ad", grid)).tolist()
+    for values in (simulated, closed):
         assert values.dtype == np.float64 and values.shape == (5,)
     assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert w_simulated.shape == (5,) and w_closed_form is None
+    assert w_simulated.shape == (5,) and w_closed is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,29 +209,29 @@ def test_shared_weights_give_the_bits_of_each_scheme_alone(fractions):
             return compiled._replace(evaluate=evaluate)
 
         with mock.patch.object(fidelity_mod, "compile_fidelity", recording):
-            cells = list(grid_report(SCHEMES, family, grid))
-        for scheme, (simulated, closed_form) in zip(SCHEMES, cells, strict=True):
-            assert simulated.tobytes() == compile_fidelity(scheme, family)(grid).tobytes()
-            expected = closed_form_grid(scheme, family, grid)
-            assert closed_form is None if expected is None else closed_form.tobytes() == expected.tobytes()
+            cells = grid_report(SCHEMES, family, grid)
+        for scheme, (simulated, closed) in zip(SCHEMES, cells, strict=True):
+            assert simulated.tobytes() == grid_report((scheme,), family, grid)[0][0].tobytes()
+            expected = closed_form(scheme, family, parameter_grid(family, grid))
+            assert closed is None if expected is None else closed.tobytes() == expected.tobytes()
         # one evaluation per distinct polynomial, all on one w1, w2 and zero array, as they were before the first
         distinct = {(compile_fidelity(s, family).terms, compile_fidelity(s, family).power) for s in SCHEMES}
         assert len(shared) == len(distinct) and len({tuple(map(id, arrays)) for arrays in shared}) == 1
-        (w1, w2, total), (fresh_w1, fresh_w2) = shared[0], transfer_weights(family, grid)
+        (w1, w2, total), (fresh_w1, fresh_w2) = shared[0], weights(family, parameter_grid(family, grid), np)
         assert w1.tobytes() == fresh_w1.tobytes() and total.tobytes() == np.zeros_like(fresh_w1).tobytes()
         assert w2 is fresh_w2 is None if family == "pd" else w2.tobytes() == fresh_w2.tobytes()
 
 
 def _evaluating(values):
     """A stand-in for compile_fidelity whose polynomials evaluate to `values` at any weights."""
-    return lambda scheme, family: Polynomial(family, (), 1, lambda w1, w2, total: values)
+    return lambda scheme, family: Polynomial((), 1, lambda w1, w2, total: values)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, 1.0 + 2 * ATOL, -2 * ATOL, math.inf, -math.inf])
 def test_grid_report_rejects_a_simulated_fidelity_outside_the_unit_interval(monkeypatch, bad):
     monkeypatch.setattr(fidelity_mod, "compile_fidelity", _evaluating(np.array([1.0, bad])))
     with pytest.raises(ValueError, match=f"^simulated fidelity {re.escape(str(bad))} outside \\[0, 1\\]$"):
-        list(grid_report(("cluster",), "ad", [0.0, 1.0]))
+        grid_report(("cluster",), "ad", [0.0, 1.0])
 
 
 @pytest.mark.parametrize("values, first", [
@@ -246,16 +245,16 @@ def test_grid_report_rejects_a_simulated_fidelity_outside_the_unit_interval(monk
 def test_grid_report_names_the_first_outside_value_in_grid_order(monkeypatch, values, first):
     monkeypatch.setattr(fidelity_mod, "compile_fidelity", _evaluating(np.array(values)))
     with pytest.raises(ValueError, match=f"^simulated fidelity {re.escape(str(first))} outside \\[0, 1\\]$"):
-        list(grid_report(("cluster",), "ad", [0.0, 0.25, 0.5, 1.0]))
+        grid_report(("cluster",), "ad", [0.0, 0.25, 0.5, 1.0])
 
 
-def test_grid_report_of_an_empty_grid_yields_empty_arrays():
+def test_grid_report_of_an_empty_grid_is_empty_arrays():
     for family in FAMILIES:
-        cells = list(grid_report(SCHEMES, family, []))
+        cells = grid_report(SCHEMES, family, [])
         assert len(cells) == len(SCHEMES)
-        for scheme, (simulated, closed_form) in zip(SCHEMES, cells):
+        for scheme, (simulated, closed) in zip(SCHEMES, cells):
             assert simulated.shape == (0,) and simulated.dtype == np.float64
-            assert closed_form is None if scheme == "w" else closed_form.shape == (0,)
+            assert closed is None if scheme == "w" else closed.shape == (0,)
 
 
 def test_each_distinct_polynomial_is_evaluated_once_per_grid(capsys):
@@ -296,16 +295,18 @@ def test_cr_closed_form_keeps_cos_2t_bits_until_2t_overflows():
     below = np.array([0.0, 0.7, -3.0, 1e300, np.nextafter(2.0**1023, 0.0), -np.nextafter(2.0**1023, 0.0)])
     huge = np.array([2.0**1023, 1e308, -1.7e308, np.finfo(float).max])
     for scheme in ("psi-", "phi+"):
-        assert closed_form_grid(scheme, "cr", below).tobytes() == (np.cos(2.0 * below) ** 4).tobytes()
-        closed = closed_form_grid(scheme, "cr", huge)
-        assert np.all(np.abs(closed - compile_fidelity(scheme, "cr")(huge)) < 1e-15), closed
+        closed = closed_form(scheme, "cr", parameter_grid("cr", below))
+        assert closed.tobytes() == (np.cos(2.0 * below) ** 4).tobytes()
+        closed = closed_form(scheme, "cr", parameter_grid("cr", huge))
+        assert np.all(np.abs(closed - grid_report((scheme,), "cr", huge)[0][0]) < 1e-15), closed
 
 
 def test_closed_form_spot_values():
     phis = [0.3, 1.0, 2.2]
-    np.testing.assert_allclose(closed_form_grid("psi+", "cd", phis), np.cos(phis) ** 4, rtol=0, atol=ATOL)
-    assert closed_form_grid("cluster", "ad", [1.0])[0] == pytest.approx(0.25, abs=ATOL)
-    assert closed_form_grid("bb84", "cr", [np.pi / 4])[0] == pytest.approx(0.0625, abs=ATOL)
+    closed = closed_form("psi+", "cd", parameter_grid("cd", phis))
+    np.testing.assert_allclose(closed, np.cos(phis) ** 4, rtol=0, atol=ATOL)
+    assert closed_form("cluster", "ad", parameter_grid("ad", [1.0]))[0] == pytest.approx(0.25, abs=ATOL)
+    assert closed_form("bb84", "cr", parameter_grid("cr", [np.pi / 4]))[0] == pytest.approx(0.0625, abs=ATOL)
 
 
 def test_all_schemes_give_unit_fidelity_without_noise():
@@ -359,7 +360,8 @@ def test_verify_table_rows_are_each_cell_reduced(grid_size):
     assert [row[:2] for row in rows] == [(scheme, family) for family in FAMILIES for scheme in TABLE_SCHEMES]
     for scheme, family, deviation, parameter in rows:
         grid = np.linspace(*parameter_range(family), grid_size)
-        gap = np.abs(compile_fidelity(scheme, family)(grid) - closed_form_grid(scheme, family, grid))
+        [(simulated, closed)] = grid_report((scheme,), family, grid)
+        gap = np.abs(simulated - closed)
         assert type(deviation) is float and type(parameter) is float
         assert deviation == np.max(gap)
         assert parameter == grid[np.argmax(gap)]
@@ -384,7 +386,9 @@ def _assert_memo_matches_a_fresh_compile(scheme, family, fractions):
     grid = lo + (hi - lo) * np.array(fractions)
     memoised = compile_fidelity(scheme, family)
     assert compile_fidelity(scheme, family) is memoised
-    assert memoised(grid).tobytes() == _compile.__wrapped__(scheme, family)(grid).tobytes()
+    w1, w2 = weights(family, parameter_grid(family, grid), np)
+    fresh = _compile.__wrapped__(scheme, family)
+    assert memoised.evaluate(w1, w2, np.zeros_like(w1)).tobytes() == fresh.evaluate(w1, w2, np.zeros_like(w1)).tobytes()
 
 
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
@@ -555,7 +559,7 @@ class _Poly(dict):
 _PW1, _PW2 = _Poly({(1, 0): Fraction(1)}), _Poly({(0, 1): Fraction(1)})
 
 # The closed forms of fidelity's docstring table, one per (family, scheme),
-# written out apart from closed_form_grid in each family's variables, which
+# written out apart from closed_form in each family's variables, which
 # _CLOSED_FORM_VARIABLES gives in the transfer weights: e = eta and
 # r = sqrt(1 - e) (ad), e (pd), c = cos phi (cd), c = cos 2t and cos^2 t (cr).
 _CLOSED_FORM_TABLE = {
@@ -660,10 +664,10 @@ def _bits(values):
 def test_a_float_has_the_bits_of_the_same_point_of_a_grid(scheme, family, points, angles):
     grid = [0.0, 1.0, *points] if FAMILIES[family] == "eta" else [0.0, *angles]
     compiled = compile_fidelity(scheme, family)
-    at_each = [compiled.at(value) for value in grid]
+    at_each = [scheme_fidelity(scheme, family, value) for value in grid]
     assert all(type(value) is float for value in at_each)
-    assert _bits(at_each) == _bits(compiled(np.array(grid)).tolist())
-    assert _bits(at_each) == _bits(scheme_fidelity(scheme, family, value) for value in grid)
+    assert _bits(at_each) == _bits(grid_report((scheme,), family, grid)[0][0].tolist())
+    assert _bits(at_each) == _bits(compiled.evaluate(*point_weights(family, value), 0.0) for value in grid)
 
 
 def _loop_evaluate(compiled, w1, w2, total):
@@ -695,15 +699,16 @@ def test_straight_line_code_has_the_bits_of_the_loop_over_the_terms(scheme, fami
     value = data.draw(st.one_of(st.sampled_from(edges), values), label="value")
     grid = edges + data.draw(st.lists(values, max_size=20), label="grid")
     compiled = compile_fidelity(scheme, family)
-    assert _bits([compiled.at(value)]) == _bits([_loop_evaluate(compiled, *point_weights(family, value), 0.0)])
-    w1, w2 = transfer_weights(family, grid)
+    loop_value = _loop_evaluate(compiled, *point_weights(family, value), 0.0)
+    assert _bits([scheme_fidelity(scheme, family, value)]) == _bits([loop_value])
+    w1, w2 = weights(family, parameter_grid(family, grid), np)
     expected = _loop_evaluate(compiled, w1, w2, np.zeros_like(w1))
-    assert compiled(np.array(grid)).tobytes() == expected.tobytes()
-    assert _bits(compiled.at(p) for p in grid) == _bits(expected.tolist())
+    assert grid_report((scheme,), family, grid)[0][0].tobytes() == expected.tobytes()
+    assert _bits(scheme_fidelity(scheme, family, p) for p in grid) == _bits(expected.tolist())
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_scheme_is_exactly_one_without_noise(scheme, family):
     assert scheme_fidelity(scheme, family, 0.0) == 1.0
-    assert compile_fidelity(scheme, family)([0.0, 0.0]).tolist() == [1.0, 1.0]
+    assert grid_report((scheme,), family, [0.0, 0.0])[0][0].tolist() == [1.0, 1.0]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .channels import parameter_value, point_weights
-from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report, scheme_fidelity
+from .channels import parameter_value, weights
+from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report
 
 # Fidelities closer than this are reported as a tie; well above simulation
 # noise (~1e-15) and well below any genuine fidelity gap between schemes.
@@ -52,9 +52,11 @@ def find_crossover(
     also stops when the bracket holds no float between its ends, so tol=0
     bisects down to neighbouring floats.
 
-    Both fidelities are compiled once, before the first step, and each step
-    takes the transfer weights of its midpoint once and evaluates both at
-    them as floats, which have the bits of the same point of a grid.
+    Both fidelities are compiled once, and lo and hi checked once by
+    parameter_value, before the first step; a midpoint of two valid
+    parameters is valid, so each step only takes the transfer weights of its
+    midpoint and evaluates both polynomials at them as floats, which have the
+    bits of scheme_fidelity at that point and of the same point of a grid.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -65,12 +67,10 @@ def find_crossover(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
     evaluate_a, evaluate_b = compile_fidelity(a, family).evaluate, compile_fidelity(b, family).evaluate
-
-    def gap(p: float) -> float:
-        w1, w2 = point_weights(family, p)
-        return evaluate_a(w1, w2, 0.0) - evaluate_b(w1, w2, 0.0)
-
-    gap_lo, gap_hi = gap(lo), gap(hi)
+    w_lo = weights(family, parameter_value(family, lo), math)
+    w_hi = weights(family, parameter_value(family, hi), math)
+    gap_lo = evaluate_a(*w_lo, 0.0) - evaluate_b(*w_lo, 0.0)
+    gap_hi = evaluate_a(*w_hi, 0.0) - evaluate_b(*w_hi, 0.0)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
         # at a tied end (every scheme is 1.0 at zero noise) the message says so
         tie = next((f": {a} and {b} are equal at {p}" for p, g in ((lo, gap_lo), (hi, gap_hi)) if g == 0.0), "")
@@ -79,7 +79,8 @@ def find_crossover(
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        gap_mid = gap(mid)
+        w1, w2 = weights(family, mid, math)
+        gap_mid = evaluate_a(w1, w2, 0.0) - evaluate_b(w1, w2, 0.0)
         if gap_mid == 0.0:
             return mid
         if (gap_mid < 0.0) == (gap_lo < 0.0):
@@ -95,12 +96,14 @@ def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None)
     Returns (rank, scheme, fidelity) rows, best first. A scheme less than
     TIE_TOL below the next better one is tied with it: a group of tied
     schemes shares the rank of its first row and is ordered by label, so the
-    rows do not depend on the order schemes are passed in.
+    rows do not depend on the order schemes are passed in. The value is
+    checked and its transfer weights taken once for all schemes; each
+    fidelity has the bits of scheme_fidelity at that value.
     """
-    value = parameter_value(family, value)
+    w1, w2 = weights(family, parameter_value(family, value), math)
     if schemes is None:
         schemes = TABLE_SCHEMES
-    scored = sorted(((scheme, scheme_fidelity(scheme, family, value)) for scheme in schemes),
+    scored = sorted(((scheme, compile_fidelity(scheme, family).evaluate(w1, w2, 0.0)) for scheme in schemes),
                     key=lambda pair: (-pair[1], pair[0]))
     rows: list[tuple[int, str, float]] = []
     for scheme, fid in scored:

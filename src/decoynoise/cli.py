@@ -7,20 +7,21 @@ verify-table finds a deviation at or above the regression threshold.
 Floating-point fields use the shortest round-trip decimal representation, so
 identical invocations produce byte-identical output.
 
-A command line of exact flags, each given once as "--flag value", is read
-directly into what argparse would return for it; argparse parses every other
-form and writes all help and every usage error.
+Each command's flags are one option table. A command line of exact flags,
+each given once as "--flag value", is read from that table alone into what
+argparse would return for it, and imports no argparse. argparse, built from
+the same tables, parses every other form and writes all help and every usage
+error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import os
-import re
 import stat
 import sys
+from types import SimpleNamespace
 
 from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
@@ -55,83 +56,6 @@ class CliError(Exception):
     """Bad command-line usage."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with usage errors raised as CliError and a direct read of plain command lines.
-
-    Called with a namespace, as a command's own parser is, parse_args first
-    reads args straight from the parser's Action objects: each token must be
-    an exact flag, given at most once, and a flag that takes a value must be
-    followed by one that does not start with "-" or is a negative number.
-    Each value is converted by the action's type and checked against its
-    choices, every required flag must be there, and the namespace then gets
-    the defaults and values argparse would set. Any other form, or a value
-    that fails its type or choices, goes to argparse's parse_args, which alone
-    writes help and usage errors.
-
-    The read handles only what build_parser gives the command parsers: flags,
-    each a single-value store or a store_true, and no set_defaults, mutually
-    exclusive group, flag such as -1, @file reading or typed str default; a
-    test holds every command's parser to that. The read and _get_values
-    use argparse's private _option_string_actions, _actions, _registry_get,
-    _negative_number_matcher, _get_value, _check_value, _StoreAction and
-    _StoreTrueAction, and override its _get_values.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # "-1e-05" and "-.5" are values, not flags, as newer CPython releases read them
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    def error(self, message):
-        raise CliError(message)
-
-    def _get_values(self, action, arg_strings):
-        # "--flag=--" gives the value "--", as Python 3.13 reads it; up to 3.12
-        # argparse drops it as the separator and stores [] for the flag
-        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
-
-    def parse_args(self, args=None, namespace=None):
-        given = None if args is None or namespace is None else self._read(args)
-        if given is None:
-            return super().parse_args(args, namespace)
-        for action in self._actions:
-            if action.default is not argparse.SUPPRESS and not hasattr(namespace, action.dest):
-                setattr(namespace, action.dest, action.default)
-        for action, value in given.items():
-            setattr(namespace, action.dest, value)
-        return namespace
-
-    def _read(self, args):
-        """Each action args gives and its value, as argparse would store it; None when argparse must parse args."""
-        given = {}
-        tokens = iter(args)
-        for token in tokens:
-            action = self._option_string_actions.get(token)
-            if action in given:  # argparse keeps a repeated flag's last value
-                return None
-            if type(action) is argparse._StoreTrueAction:  # a flag with no value, such as --include-w
-                given[action] = action.const
-                continue
-            value = next(tokens, None)
-            if type(action) is not argparse._StoreAction or value is None \
-                    or value.startswith("-") and not self._negative_number_matcher.match(value):
-                return None
-            try:
-                value = self._registry_get("type", action.type, action.type)(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            given[action] = value
-        if any(action.required and action not in given for action in self._actions):
-            return None
-        return given
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -140,7 +64,7 @@ def _lines(rows) -> list[str]:
     """Each row as one line of comma-joined fields.
 
     Every field is a str that needs no CSV quoting: a fixed header or kind
-    name, a scheme label, a noise family tag (one of argparse's choices), a
+    name, a scheme label, a noise family tag (one of --noise's choices), a
     Bell or outcome label, a repr of a float, or empty. None holds a comma, a
     quote or a line break, and no row is one empty field, so a row's line is
     its fields joined by commas, the same bytes csv.writer would write for it.
@@ -148,53 +72,135 @@ def _lines(rows) -> list[str]:
     return [",".join(row) + "\n" for row in rows]
 
 
-def build_parser() -> _Parser:
+# Each command's help line and its flags, in the order help lists them. A
+# flag's entry is the keywords build_parser passes to argparse's add_argument,
+# and _read reads a plain command line from the same entries: a type of int or
+# float (a str when absent), choices, a default (None when absent), required,
+# a dest (the flag's name, "-" read as "_", when absent), help, and action
+# "store_true" for a flag that takes no value.
+_OUT = {"help": "write CSV here instead of stdout"}
+_NOISE = {"required": True, "choices": sorted(FAMILIES)}
+_OPTIONS = {
+    "verify-table": ("check every closed form against simulation", {
+        "--grid": {"type": int, "default": 21, "help": "grid points per parameter range"},
+        "--out": _OUT,
+    }),
+    "sweep": ("sweep a noise family over a set of schemes", {
+        "--noise": _NOISE,
+        "--schemes": {
+            "default": "bb84,psi+,psi-,phi+,phi-,cluster",
+            "help": "comma-separated scheme labels (bb84, psi+, psi-, phi+, phi-, cluster, w)",
+        },
+        "--grid": {"type": int, "default": 101},
+        "--from": {"dest": "start", "type": float, "help": "sweep start"},
+        "--to": {"dest": "end", "type": float, "help": "sweep end"},
+        "--out": _OUT,
+    }),
+    "recommend": ("rank schemes under one noise setting", {
+        "--noise": _NOISE,
+        "--eta": {"type": float, "help": "damping rate for ad/pd"},
+        "--phi": {"type": float, "help": "dephasing angle for cd (radians)"},
+        "--theta": {"type": float, "help": "rotation angle for cr (radians)"},
+        "--include-w": {"action": "store_true", "help": "rank the W state as well"},
+        "--out": _OUT,
+    }),
+    "crossover": ("find where two schemes' fidelities cross", {
+        "--a": {"required": True, "help": "first scheme label"},
+        "--b": {"required": True, "help": "second scheme label"},
+        "--noise": _NOISE,
+        "--lo": {"type": float, "required": True},
+        "--hi": {"type": float, "required": True},
+        "--out": _OUT,
+    }),
+    "eve-sim": ("simulate an eavesdropping attack", {
+        "--attack": {"required": True, "choices": ["intercept", "wrong-pair"]},
+        "--bell": {"choices": BELL_LABELS, "help": "prepared Bell label (wrong-pair; default psi+)"},
+        "--eve-pair": {"choices": ["12", "23"], "help": "pair Eve measures (wrong-pair; default 23)"},
+        "--method": {"default": "exact", "choices": ["exact", "mc"]},
+        "--trials": {"type": int, "help": f"Monte Carlo trials (mc; default {DEFAULT_TRIALS})"},
+        "--seed": {"type": int, "help": "required for --method mc"},
+        "--out": _OUT,
+    }),
+}
+
+
+def build_parser():
+    """argparse's parser of every command, built from _OPTIONS; parser.commands maps each name to its own parser.
+
+    Its class raises usage errors as CliError. It reads "-1e-05" and "-.5" as
+    values, not flags, as newer CPython releases do, and "--flag=--" as the
+    value "--", as Python 3.13 does: for that it sets argparse's private
+    _negative_number_matcher and overrides _get_values, which calls
+    _get_value and _check_value.
+    """
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\.?\d")
+
+        def error(self, message):
+            raise CliError(message)
+
+        def _get_values(self, action, arg_strings):
+            # up to 3.12 argparse drops "--" as the separator and stores [] for the flag
+            if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(prog="decoynoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser by name, as add_parser fills it in
-
-    p = sub.add_parser("verify-table", help="check every closed form against simulation")
-    p.add_argument("--grid", type=int, default=21, help="grid points per parameter range")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-
-    p = sub.add_parser("sweep", help="sweep a noise family over a set of schemes")
-    p.add_argument("--noise", required=True, choices=sorted(FAMILIES))
-    p.add_argument(
-        "--schemes",
-        default="bb84,psi+,psi-,phi+,phi-,cluster",
-        help="comma-separated scheme labels (bb84, psi+, psi-, phi+, phi-, cluster, w)",
-    )
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--from", dest="start", type=float, default=None, help="sweep start")
-    p.add_argument("--to", dest="end", type=float, default=None, help="sweep end")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-
-    p = sub.add_parser("recommend", help="rank schemes under one noise setting")
-    p.add_argument("--noise", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--eta", type=float, default=None, help="damping rate for ad/pd")
-    p.add_argument("--phi", type=float, default=None, help="dephasing angle for cd (radians)")
-    p.add_argument("--theta", type=float, default=None, help="rotation angle for cr (radians)")
-    p.add_argument("--include-w", action="store_true", help="rank the W state as well")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-
-    p = sub.add_parser("crossover", help="find where two schemes' fidelities cross")
-    p.add_argument("--a", required=True, help="first scheme label")
-    p.add_argument("--b", required=True, help="second scheme label")
-    p.add_argument("--noise", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--out", help="write CSV here instead of stdout")
-
-    p = sub.add_parser("eve-sim", help="simulate an eavesdropping attack")
-    p.add_argument("--attack", required=True, choices=["intercept", "wrong-pair"])
-    p.add_argument("--bell", choices=BELL_LABELS, help="prepared Bell label (wrong-pair; default psi+)")
-    p.add_argument("--eve-pair", choices=["12", "23"], help="pair Eve measures (wrong-pair; default 23)")
-    p.add_argument("--method", default="exact", choices=["exact", "mc"])
-    p.add_argument("--trials", type=int, help=f"Monte Carlo trials (mc; default {DEFAULT_TRIALS})")
-    p.add_argument("--seed", type=int, help="required for --method mc")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-
+    for name, (summary, options) in _OPTIONS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, option in options.items():
+            command.add_argument(flag, **option)
     return parser
+
+
+def _read(options, args):
+    """What argparse would store for args, by dest, from a command's option table alone; None for argparse to parse.
+
+    Each token must be an exact flag of options, given at most once, and a
+    flag that takes a value must be followed by one that does not start with
+    "-" or is a negative number as the parser's "-\\.?\\d" matches it. Each
+    value is converted by its type and must be one of its choices, and every
+    required flag must be given; a flag that is not gets its default. Any
+    other form, or a value that fails its type or choices, goes to argparse,
+    which alone writes help and usage errors.
+    """
+    given = {}
+    tokens = iter(args)
+    for token in tokens:
+        option = options.get(token)
+        if option is None or token in given:  # argparse keeps a repeated flag's last value
+            return None
+        if option.get("action") == "store_true":  # a flag with no value, such as --include-w
+            given[token] = True
+            continue
+        value = next(tokens, None)
+        # isdecimal() is Unicode Nd, as \d is: "²".isdigit() is True, but \d does not match "²"
+        if value is None or value.startswith("-") \
+                and not (value[1:2].isdecimal() or value[1:2] == "." and value[2:3].isdecimal()):
+            return None
+        try:
+            value = option.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        given[token] = value
+    read = {}
+    for flag, option in options.items():
+        if option.get("required") and flag not in given:
+            return None
+        default = False if option.get("action") == "store_true" else option.get("default")
+        read[option.get("dest", flag[2:].replace("-", "_"))] = given.get(flag, default)
+    return read
 
 
 def _parse_schemes(text: str):
@@ -341,14 +347,24 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser() -> _Parser:
+def _parser():
     # Built on first use rather than at import, and reused: parse_args starts
     # every parse from a fresh Namespace, so no state passes between commands.
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv as build_parser() parses it; when argv[0] names a command, its parser alone reads the rest, in one scan."""
+def _parse(argv: list[str]):
+    """argv as build_parser() parses it, as a namespace.
+
+    A plain command line is read from its command's option table by _read.
+    Otherwise, when argv[0] names a command, its parser alone reads the rest,
+    in one scan.
+    """
+    if argv and argv[0] in _OPTIONS:
+        read = _read(_OPTIONS[argv[0]][1], argv[1:])
+        if read is not None:
+            return SimpleNamespace(command=argv[0], **read)
+    import argparse
     command = _parser().commands.get(argv[0]) if argv else None
     if command is None:  # no command, --help or an unknown name: the whole parser's help and usage errors
         return _parser().parse_args(argv)

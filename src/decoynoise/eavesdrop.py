@@ -33,9 +33,9 @@ exceptions are not memoised.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
-from typing import NamedTuple
 
 from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, INT_STATES, SINGLE_LABELS
 
@@ -62,11 +62,8 @@ _VALID_EVE_PAIRS = ((1, 2), (2, 3))
 _MC_BLOCK = 1 << 16
 
 
-class AttackOutcome(NamedTuple):
-    """Detection probability plus the full measurement-outcome distribution."""
-
-    detection_probability: float
-    outcome_distribution: dict[str, float]
+AttackOutcome = collections.namedtuple("AttackOutcome", ["detection_probability", "outcome_distribution"])
+AttackOutcome.__doc__ = """Detection probability plus the full measurement-outcome distribution, a dict of floats."""
 
 
 def _sampled(method: str, trials: int | None, seed: int | None) -> bool:

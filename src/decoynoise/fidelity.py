@@ -21,9 +21,9 @@ A Polynomial is evaluated by straight-line code built from its terms: powers
 of w1 and w2 as repeated products (never **), one addition per term in order,
 each coefficient as its repr, which reads back as the same float, and no
 factor w^0 = 1.0, which changes no bit; then the sum to its power by repeated
-products. Floats from math (scheme_fidelity, and analysis's bisection) and
-arrays from numpy (grid_report) take that one function, so a one-point value
-has the bits of the same point of a sweep.
+products. Floats from math (scheme_fidelity, and analysis's ranking and
+bisection) and arrays from numpy (grid_report) take that one function, so a
+one-point value has the bits of the same point of a sweep.
 
 compile_fidelity is memoised: the polynomial depends on the (scheme, family)
 pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
@@ -56,10 +56,10 @@ Simulation never uses these expressions, so verify_table compares two derivation
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from typing import Callable, NamedTuple
 
 from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights, weights
 from .states import ATOL, INT_SINGLES, INT_STATES, SCHEMES, check_scheme
@@ -73,15 +73,14 @@ if TYPE_CHECKING:  # numpy is imported where a grid needs it
 TABLE_SCHEMES = SCHEMES[:-1]
 
 
-class Polynomial(NamedTuple):
-    """A compiled fidelity, (sum of c w1^j w2^k over its terms (j, k, c))^power in the family's transfer weights."""
+Polynomial = collections.namedtuple("Polynomial", ["terms", "power", "evaluate"])
+Polynomial.__doc__ = """A compiled fidelity, (sum of c w1^j w2^k over its terms (j, k, c))^power in transfer weights.
 
-    terms: tuple[tuple[int, int, float], ...]
-    power: int
-    evaluate: Callable  # (w1, w2, total) -> F, for floats or arrays; total is a zero of the result's type
+evaluate(w1, w2, total) is F, for floats or arrays; total is a zero of the result's type.
+"""
 
 
-def _straight_line(terms, power: int) -> Callable:
+def _straight_line(terms, power: int):
     """Polynomial.evaluate, from source text of ints and float reprs alone; see the module docstring."""
     body = [f"w{i}_{n} = w{i}_{n - 1} * w{i}_1" for i in (1, 2) for n in range(2, max(t[i - 1] for t in terms) + 1)]
     for j, k, c in terms:

@@ -242,6 +242,28 @@ def test_each_family_checks_and_weighs_its_grid_once(monkeypatch):
     assert counts == {"parameter_grid": 1, "weights": 1}
 
 
+def test_a_point_command_checks_and_weighs_its_points_once(monkeypatch):
+    # counted wherever channels, fidelity and analysis look the two names up
+    counts = collections.Counter()
+    for name in ("parameter_value", "weights"):
+        def counting(*args, name=name, original=getattr(decoynoise.channels, name)):
+            counts[name] += 1
+            return original(*args)
+
+        for module in (decoynoise.channels, decoynoise.fidelity, decoynoise.analysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    recommend("cr", 0.7, SCHEMES)
+    assert counts == {"parameter_value": 1, "weights": 1}
+    steps = set()
+    for tol in (0.01, 1e-9, 0.0):
+        counts.clear()
+        find_crossover("bb84", "psi+", "ad", 0.3, 0.9, tol)
+        assert counts["parameter_value"] == 2
+        steps.add(counts["weights"] - 2)
+    assert len(steps) == 3 and min(steps) > 0
+
+
 def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
     compiled = _count_compiles(monkeypatch)
     schemes = SCHEMES
@@ -252,6 +274,61 @@ def test_reports_and_rankings_compile_each_scheme_once(monkeypatch):
     compiled.clear()
     recommend("ad", 0.4, schemes)
     assert compiled == list(schemes)
+
+
+def pointwise_crossover(a, b, family, lo, hi, tol):
+    """Reference: find_crossover's bisection, with each point's fidelities from scheme_fidelity."""
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+
+    def gap(p):
+        return scheme_fidelity(a, family, p) - scheme_fidelity(b, family, p)
+
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
+        tied = [p for p, g in ((lo, gap_lo), (hi, gap_hi)) if g == 0.0]
+        raise ValueError(f"no crossover in interval [{lo}, {hi}]" + (f": {a} and {b} are equal at {tied[0]}" if tied else ""))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        gap_mid = gap(mid)
+        if gap_mid == 0.0:
+            return mid
+        if (gap_mid < 0.0) == (gap_lo < 0.0):
+            lo, gap_lo = mid, gap_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def pointwise_ranking(family, value, schemes):
+    """Reference: recommend's rows, from scheme_fidelity for each scheme."""
+    rows = []
+    for scheme, fid in sorted(((s, scheme_fidelity(s, family, value)) for s in schemes), key=lambda p: (-p[1], p[0])):
+        tied = rows and abs(fid - rows[-1][2]) < TIE_TOL
+        rows.append((rows[-1][0] if tied else len(rows) + 1, scheme, fid))
+    return sorted(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_point_path_matches_the_per_point_route(data):
+    family = data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
+    range_lo, range_hi = parameter_range(family)
+    if data.draw(st.booleans()):  # any pair and any two values, most often with no crossing between them
+        a, b = data.draw(st.permutations(SCHEMES), label="schemes")[:2]
+        lo, hi = (data.draw(st.floats(range_lo, range_hi), label=end) for end in ("lo", "hi"))
+    else:  # a crossing of the scan, in a bracket widened to a value drawn on each side of its cell
+        cells = [cell for kind in ("bb84", "cheap") for cell in CROSSING_CELLS.get((family, kind), [])]
+        a, b, left, right = data.draw(st.sampled_from(cells), label="cell")
+        lo = data.draw(st.floats(range_lo, float(left)), label="lo")
+        hi = data.draw(st.floats(float(right), range_hi), label="hi")
+    tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.01]), label="tol")
+    assert _outcome(find_crossover, a, b, family, lo, hi, tol) == _outcome(pointwise_crossover, a, b, family, lo, hi, tol)
+    schemes = tuple(data.draw(st.lists(st.sampled_from(SCHEMES), unique=True), label="ranked"))
+    ranking = [(rank, scheme, fid.hex()) for rank, scheme, fid in recommend(family, lo, schemes)]
+    assert ranking == [(rank, scheme, fid.hex()) for rank, scheme, fid in pointwise_ranking(family, lo, schemes)]
 
 
 def test_crossover_with_zero_tol_stops_at_neighbouring_floats():

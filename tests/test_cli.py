@@ -216,6 +216,7 @@ def test_unknown_scheme_is_rejected(capsys):
         ["recommend", "--noise", "ad", "--eta", "-1e-3"],
         ["recommend", "--noise", "cd", "--phi", "-1e-3"],
         ["recommend", "--noise", "cr", "--theta", "-1e-5"],
+        ["recommend", "--noise", "cd", "--phi", "-٣"],  # Arabic-Indic three, which \d matches
         ["sweep", "--noise", "cd", "--from", "-1e-3", "--grid", "3"],
         ["sweep", "--noise", "cr", "--from", "-2.5e-1", "--to", "-.5e-2", "--grid", "3"],
         ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "-2.5e-1", "--hi", "1.2"],
@@ -783,7 +784,8 @@ def _bracket(lo, hi, ordered):
 # starts with "-", which is a value only when it is a negative number; a flag
 # at the end with no value; a stray token; and -h, which prints help.
 _ODD = [None] * 4 + ["repeat", "drop", "drop", "abbreviate", "value", "value", "value", "no value", "stray", "-h"]
-_ODD_VALUES = ["-0.5", "-inf", "-nan", "-", "--", "--out"]
+# "-٣" (Arabic-Indic three, Unicode Nd) is a negative number to argparse; "-²" (a digit, but not Nd) is not
+_ODD_VALUES = ["-0.5", "-inf", "-nan", "-", "--", "--out", "-²", "-٣"]
 
 
 @st.composite
@@ -951,6 +953,7 @@ def test_a_plain_command_line_is_read_without_argparse(argv):
         [*argv, *argv[1:3]],  # a repeated flag
         [*argv[:flag], argv[flag][:-1], *argv[flag + 1:]],  # an abbreviation
         [*argv[:2], "-inf", *argv[3:]],  # a value that starts with "-" and is no number
+        [*argv[:2], "-²", *argv[3:]],  # nor is "-" and a digit that \d does not match
         [*argv, "--out"],  # a missing last value
         [*argv, "-h"],
         [*argv, "stray"],
@@ -961,17 +964,22 @@ def test_a_plain_command_line_is_read_without_argparse(argv):
 
 @pytest.mark.parametrize("command", sorted(_PARTS))
 def test_each_command_parser_has_only_what_the_direct_read_handles(command):
-    # _Parser's direct read knows single-value stores, store_true flags and -h;
-    # a command that adds any other argparse feature must fail here first
-    parser = cli.build_parser().commands[command]
-    assert not parser._defaults and not parser._mutually_exclusive_groups
-    assert not parser._has_negative_number_optionals and parser.fromfile_prefix_chars is None
-    for action in parser._actions:
-        assert action.option_strings, action.dest  # no positional
-        assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction)
-        if type(action) is argparse._StoreAction:
-            # a typed str default is converted by argparse when its flag is absent
-            assert action.nargs is None and not (action.type and isinstance(action.default, str)), action.dest
+    # build_parser adds each table entry to argparse as it stands, and _read knows
+    # only these kinds: a flag that stores one value, converted by int, float or
+    # str, and a store_true flag. An entry of any other kind must fail here first.
+    summary, options = cli._OPTIONS[command]
+    assert summary and options
+    for flag, option in options.items():
+        # a flag such as -1 would make argparse read negative numbers as flags
+        assert flag.startswith("--") and len(flag) > 2, flag
+        if "action" in option:
+            assert option["action"] == "store_true" and set(option) <= {"action", "dest", "help"}, flag
+            continue
+        assert set(option) <= {"type", "choices", "default", "required", "dest", "help"}, flag
+        assert option.get("type", str) in (int, float, str), flag
+        # a typed str default is converted by argparse when its flag is absent
+        assert not ("type" in option and isinstance(option.get("default"), str)), flag
+        assert "choices" not in option or all(isinstance(choice, str) for choice in option["choices"]), flag
 
 
 @pytest.mark.parametrize(
@@ -1003,16 +1011,59 @@ def test_help_is_byte_identical_on_both_routes(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,prog",
+    "argv,progs",
     [
-        (["recommend", "--noise", "ad", "--eta", "0.3"], "decoynoise recommend"),
-        (["eve-sim", "--attack", "teleport"], "decoynoise eve-sim"),
-        (["teleport"], "decoynoise"),
-        ([], "decoynoise"),
+        (["recommend", "--noise", "ad", "--eta", "0.3"], []),
+        (["eve-sim", "--attack", "teleport"], ["decoynoise eve-sim"]),
+        (["teleport"], ["decoynoise"]),
+        ([], ["decoynoise"]),
     ],
 )
-def test_a_command_is_parsed_by_its_own_parser_alone(argv, prog):
+def test_a_command_is_parsed_by_its_own_parser_alone(argv, progs):
     parse_args = argparse.ArgumentParser.parse_args
-    with mock.patch.object(cli._Parser, "parse_args", autospec=True, side_effect=parse_args) as spy:
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", autospec=True, side_effect=parse_args) as spy:
         _parse_outcome(cli._parse, argv)
-    assert [call.args[0].prog for call in spy.call_args_list] == [prog]
+    assert [call.args[0].prog for call in spy.call_args_list] == progs
+
+
+# A plain command line of each short command
+_PLAIN_COMMANDS = [
+    ["recommend", "--noise", "ad", "--eta", "0.3"],
+    ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"],
+    ["eve-sim", "--attack", "wrong-pair", "--bell", "phi-"],
+]
+
+
+def _fresh_imports(argv):
+    """Exit code, stdout, stderr without the import list, and the modules a fresh `python -S -m decoynoise` imports.
+
+    -S leaves out the site module, whose .pth files may import modules of
+    their own; -X importtime lists every module the process imports.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "decoynoise", *argv],
+                          env=env, capture_output=True, text=True)
+    err = proc.stderr.splitlines(keepends=True)
+    imports = {line.rsplit("|", 1)[1].strip() for line in err if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, "".join(line for line in err if not line.startswith("import time:")), imports
+
+
+@pytest.mark.parametrize("argv", _PLAIN_COMMANDS)
+def test_a_plain_command_imports_no_argparse_or_typing(argv):
+    code, out, err, imports = _fresh_imports(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(",".join(_HEADERS[argv[0]]) + "\n")
+    assert "decoynoise.cli" in imports
+    assert not imports & {"argparse", "gettext", "re", "typing"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["recommend", "--help"], ["recommend", "--noise", "xx", "--eta", "0.3"]])
+def test_help_and_usage_errors_in_a_fresh_process_are_argparses(argv):
+    code, out, err, imports = _fresh_imports(argv)
+    assert "argparse" in imports
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        expected = _parse_outcome(_nested_parse, argv)
+    if isinstance(expected, str):  # a usage error
+        assert (code, out, err) == (1, "", expected + "\n")
+    else:
+        assert (code, out, err) == (*expected, "")

@@ -7,27 +7,43 @@ qubit cluster state and the W state), verifies the closed-form fidelity
 expressions against a pure-state simulation kernel, and ranks the schemes per
 channel. A scheme is its label, one of SCHEMES, and a noise family its tag,
 one of FAMILIES ('ad', 'pd', 'cd', 'cr'); a noise setting is a (family,
-value) pair, as in scheme_fidelity("psi-", "cr", 0.7). Importing the package
-imports no numpy. The density-matrix oracle that the tests check the compile
-against is one submodule, decoynoise.linalg, the only one that imports numpy
-at the top; it and the command line, decoynoise.cli, are imported on first
-use, and none of their names is re-exported here.
+value) pair, as in scheme_fidelity("psi-", "cr", 0.7).
+
+Importing the package imports none of its submodules. Each name in __all__
+is read from its home module, and each submodule name (decoynoise.analysis,
+.channels, .cli, .eavesdrop, .fidelity, .linalg, .states) is imported, on
+first use, so a program pays only for the modules it touches. The
+density-matrix oracle that the tests check the compile against,
+decoynoise.linalg, is the only submodule that imports numpy at the top, and
+none of its names is re-exported here.
 """
 
 import importlib
 
-from .analysis import find_crossover, recommend, sweep
-from .channels import FAMILIES
-from .eavesdrop import AttackOutcome, intercept_resend_bb84, wrong_pair_bell_attack
-from .fidelity import scheme_fidelity, verify_table
-from .states import SCHEMES
+# each public name -> the submodule that defines it
+_HOME = {
+    "AttackOutcome": "eavesdrop",
+    "FAMILIES": "channels",
+    "SCHEMES": "states",
+    "find_crossover": "analysis",
+    "intercept_resend_bb84": "eavesdrop",
+    "recommend": "analysis",
+    "scheme_fidelity": "fidelity",
+    "sweep": "analysis",
+    "verify_table": "fidelity",
+    "wrong_pair_bell_attack": "eavesdrop",
+}
+_SUBMODULES = ("analysis", "channels", "cli", "eavesdrop", "fidelity", "linalg", "states")
 
-__all__ = ["AttackOutcome", "FAMILIES", "SCHEMES", "find_crossover", "intercept_resend_bb84", "recommend",
-           "scheme_fidelity", "sweep", "verify_table", "wrong_pair_bell_attack"]
+__all__ = list(_HOME)
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name not in ("cli", "linalg"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return importlib.import_module(f"{__name__}.{name}")
+    # called only for a name the package does not hold yet; an imported
+    # submodule is bound here by the import itself
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,17 +1,18 @@
 """Command-line front end emitting CSV sweep data, table checks and attacks.
 
-The data stream (stdout or --out) carries only CSV; diagnostics go to stderr.
-Exit codes: 0 on success, 1 on bad arguments or domain errors, 2 when
-verify-table finds a deviation at or above the regression threshold.
-
-Floating-point fields use the shortest round-trip decimal representation, so
-identical invocations produce byte-identical output.
+DESCRIPTION, which --help prints, gives the streams, the exit codes and the
+float format.
 
 Each command's flags are one option table. A command line of exact flags,
 each given once as "--flag value", is read from that table alone into what
 argparse would return for it, and imports no argparse. argparse, built from
 the same tables, parses every other form and writes all help and every usage
 error.
+
+Importing this module imports only channels and states. Each command imports
+the module it runs when it runs (fidelity for verify-table, analysis for
+sweep, recommend and crossover, eavesdrop for eve-sim) and calls through that
+module object.
 """
 
 from __future__ import annotations
@@ -23,13 +24,19 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from . import analysis, eavesdrop
 from .channels import FAMILIES, parameter_range
-from .fidelity import TABLE_SCHEMES, verify_table
 from .states import BELL_LABELS, SCHEMES, check_scheme
 
 # A closed form drifting this far from simulation signals a regression.
 REGRESSION_TOL = 1e-9
+
+# What --help says of the whole command, before the list of commands.
+DESCRIPTION = (
+    "Command-line front end emitting CSV sweep data, table checks and attacks. The data stream (stdout or --out) "
+    "carries only CSV; diagnostics go to stderr. Exit codes: 0 on success, 1 on bad arguments or domain errors, 2 "
+    "when verify-table finds a deviation at or above the regression threshold. Floating-point fields use the "
+    "shortest round-trip decimal representation, so identical invocations produce byte-identical output."
+)
 
 # Largest accepted sizes, so that a command peaks at about 100 MB instead of
 # failing with a MemoryError. A sweep keeps a few floats per value, and one
@@ -152,7 +159,7 @@ def build_parser():
                 return value
             return super()._get_values(action, arg_strings)
 
-    parser = _Parser(prog="decoynoise", description=__doc__)
+    parser = _Parser(prog="decoynoise", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser by name, as add_parser fills it in
     for name, (summary, options) in _OPTIONS.items():
@@ -226,7 +233,8 @@ def _cmd_verify_table(args):
         raise CliError("grid must be >= 2")
     if args.grid > MAX_TABLE_GRID:
         raise CliError(f"grid must be <= {MAX_TABLE_GRID}")
-    cells = verify_table(args.grid)
+    from . import fidelity
+    cells = fidelity.verify_table(args.grid)
     scheme, family, worst, at = max(cells, key=lambda cell: cell[2])
     print(
         f"{len(cells)} cells checked, worst deviation {worst:.3e} at {scheme} {family} {FAMILIES[family]}={_fmt(at)}",
@@ -291,17 +299,20 @@ def _cmd_sweep(args):
     lo, hi = parameter_range(args.noise)
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
+    from . import analysis
     grid, results = analysis.sweep(schemes, args.noise, start, end, args.grid)
     return 0, _sweep_blocks(grid, args.noise, results)
 
 
 def _cmd_recommend(args):
-    ranking = analysis.recommend(args.noise, _noise_value(args), SCHEMES if args.include_w else TABLE_SCHEMES)
+    from . import analysis
+    ranking = analysis.recommend(args.noise, _noise_value(args), SCHEMES if args.include_w else None)
     return 0, _lines([["rank", "scheme", "fidelity"], *([str(r), s, _fmt(f)] for r, s, f in ranking)])
 
 
 def _cmd_crossover(args):
     a, b = check_scheme(args.a), check_scheme(args.b)
+    from . import analysis
     root = analysis.find_crossover(a, b, args.noise, args.lo, args.hi)
     return 0, _lines([["scheme_a", "scheme_b", "noise", "crossover"], [a, b, args.noise, _fmt(root)]])
 
@@ -322,6 +333,7 @@ def _cmd_eve_sim(args):
         trials = DEFAULT_TRIALS if trials is None else trials
         if trials > MAX_TRIALS:
             raise CliError(f"trials must be <= {MAX_TRIALS}")
+    from . import eavesdrop
     # keywords, which a caller wrapping the attacks can read by name
     if args.attack == "intercept":
         outcome = eavesdrop.intercept_resend_bb84(method=args.method, trials=trials, seed=args.seed)

@@ -722,8 +722,9 @@ def test_only_a_grid_or_a_random_stream_imports_numpy(argv, imports):
         f"numpy imported: {imports}", "oracle imported: False", "dataclasses imported: False",
         "fractions imported: False"]
     assert "Traceback" not in proc.stderr
-    # --help describes the commands, not how rows are written
-    assert "csv.writer" not in proc.stdout
+    # --help describes the commands, not how rows are written or how a command line is read
+    for note in ("csv.writer", "argparse", "option table"):
+        assert note not in " ".join(proc.stdout.split())
     assert proc.returncode == (1 if proc.stderr.startswith("error: ") else 0)
 
 
@@ -731,9 +732,11 @@ def test_importing_the_package_imports_no_numpy_cli_or_oracle():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     report = ("import sys, decoynoise\n"
               "print(*(name in sys.modules for name in ('numpy', 'decoynoise.cli', 'decoynoise.linalg')))\n"
+              "print(*sorted(name for name in sys.modules if name.startswith('decoynoise')))\n"
               "print(decoynoise.cli.__name__, decoynoise.linalg.__name__)\n")
     proc = subprocess.run([sys.executable, "-c", report], env=env, capture_output=True, text=True)
-    assert proc.stdout.splitlines() == ["False False False", "decoynoise.cli decoynoise.linalg"], proc.stderr
+    # no submodule at all until one is used
+    assert proc.stdout.splitlines() == ["False False False", "decoynoise", "decoynoise.cli decoynoise.linalg"], proc.stderr
 
 
 def test_module_entrypoint_keeps_streams_separate():
@@ -1034,18 +1037,33 @@ _PLAIN_COMMANDS = [
 ]
 
 
+# Runs `python -m decoynoise` and then writes, as the last line of stderr, every module that
+# the process imported: each one in sys.modules at exit that was not there at start.
+_REPORT_IMPORTS = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import runpy\n"
+    "try:\n"
+    "    runpy.run_module('decoynoise', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('imported:', *sorted(set(sys.modules) - before), file=sys.stderr)\n"
+)
+
+
 def _fresh_imports(argv):
     """Exit code, stdout, stderr without the import list, and the modules a fresh `python -S -m decoynoise` imports.
 
     -S leaves out the site module, whose .pth files may import modules of
-    their own; -X importtime lists every module the process imports.
+    their own; numpy's directory is on the path, so that a grid command runs.
+    The list is read from sys.modules, since -X importtime leaves out a
+    submodule imported by "from . import name" or importlib.import_module.
     """
-    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
-    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "decoynoise", *argv],
-                          env=env, capture_output=True, text=True)
-    err = proc.stderr.splitlines(keepends=True)
-    imports = {line.rsplit("|", 1)[1].strip() for line in err if line.startswith("import time:")}
-    return proc.returncode, proc.stdout, "".join(line for line in err if not line.startswith("import time:")), imports
+    path = os.pathsep.join([str(SRC), str(pathlib.Path(np.__file__).parents[1])])
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-S", "-c", _REPORT_IMPORTS, *argv], env=env, capture_output=True, text=True)
+    err, marker, listed = proc.stderr.rpartition("imported:")
+    assert marker, proc.stderr
+    return proc.returncode, proc.stdout, err, set(listed.split())
 
 
 @pytest.mark.parametrize("argv", _PLAIN_COMMANDS)
@@ -1055,6 +1073,72 @@ def test_a_plain_command_imports_no_argparse_or_typing(argv):
     assert out.startswith(",".join(_HEADERS[argv[0]]) + "\n")
     assert "decoynoise.cli" in imports
     assert not imports & {"argparse", "gettext", "re", "typing"}
+
+
+# A command line of each command, and the package modules that running it imports
+_RUN_MODULES = [
+    (["verify-table", "--grid", "3"], {"fidelity"}),
+    (["sweep", "--noise", "cd", "--grid", "3", "--schemes", "psi-,w"], {"analysis", "fidelity"}),
+    (["recommend", "--noise", "cr", "--theta", "0.7", "--include-w"], {"analysis", "fidelity"}),
+    (["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"], {"analysis", "fidelity"}),
+    (["eve-sim", "--attack", "intercept"], {"eavesdrop"}),
+    (["eve-sim", "--attack", "wrong-pair", "--bell", "phi-", "--eve-pair", "12"], {"eavesdrop"}),
+    (["eve-sim", "--attack", "wrong-pair", "--method", "mc", "--trials", "100", "--seed", "1"], {"eavesdrop"}),
+]
+
+
+@pytest.mark.parametrize("argv,runs", _RUN_MODULES)
+def test_a_command_imports_only_the_modules_it_runs(argv, runs):
+    code, out, err, imports = _fresh_imports(argv)
+    assert code == 0, err
+    assert out.startswith(",".join(_HEADERS[argv[0]]) + "\n")
+    package = {name for name in imports if name.startswith("decoynoise.")}
+    assert package == {f"decoynoise.{name}" for name in {"channels", "cli", "states", *runs}}
+
+
+# Each name the package exports, by the submodule that defines it
+_EXPORTED = {
+    "analysis": ["find_crossover", "recommend", "sweep"],
+    "channels": ["FAMILIES"],
+    "eavesdrop": ["AttackOutcome", "intercept_resend_bb84", "wrong_pair_bell_attack"],
+    "fidelity": ["scheme_fidelity", "verify_table"],
+    "states": ["SCHEMES"],
+}
+
+# Run in a process that has imported decoynoise.cli alone; an assertion that fails exits non-zero.
+_RESOLVE_NAMESPACE = f"""
+import importlib, sys
+import decoynoise.cli
+import decoynoise as pkg
+assert {{name for name in sys.modules if name.startswith("decoynoise.")}} == {{
+    "decoynoise.channels", "decoynoise.cli", "decoynoise.states"}}
+# the submodules that benchmarks/tracing.py reads from the package, imported or not
+for name in ("analysis", "channels", "cli", "eavesdrop", "fidelity", "linalg", "states"):
+    assert getattr(pkg, name) is importlib.import_module("decoynoise." + name), name
+exported = {_EXPORTED!r}
+assert sorted(pkg.__all__) == sorted(name for names in exported.values() for name in names)
+star = {{}}
+exec("from decoynoise import *", star)
+del star["__builtins__"]
+assert sorted(star) == sorted(pkg.__all__)
+for module, names in exported.items():
+    for name in names:
+        home = getattr(sys.modules["decoynoise." + module], name)
+        assert getattr(pkg, name) is home and star[name] is home, name
+try:
+    pkg.PureState
+except AttributeError as exc:
+    assert str(exc) == "module 'decoynoise' has no attribute 'PureState'", exc
+else:
+    raise AssertionError("decoynoise.PureState resolved")
+print("resolved")
+"""
+
+
+def test_the_package_namespace_resolves_after_importing_the_cli_alone():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RESOLVE_NAMESPACE], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "resolved\n"), proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["recommend", "--help"], ["recommend", "--noise", "xx", "--eta", "0.3"]])

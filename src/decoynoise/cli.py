@@ -3,11 +3,11 @@
 DESCRIPTION, which --help prints, gives the streams, the exit codes and the
 float format.
 
-Each command's flags are one option table. A command line of exact flags,
-each given once as "--flag value", is read from that table alone into what
-argparse would return for it, and imports no argparse. argparse, built from
-the same tables, parses every other form and writes all help and every usage
-error.
+Each command's flags are one option table, and a command line takes one of
+two routes. A line of exact flags, each given once as "--flag value", is read
+from that table alone into what argparse would return for it, and imports no
+argparse. Any other line goes to the whole argparse parser, built from the
+same tables, which also writes all help and every usage error.
 
 Importing this module imports only channels and states. Each command imports
 the module it runs when it runs (fidelity for verify-table, analysis for
@@ -17,7 +17,6 @@ module object.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import stat
@@ -132,7 +131,7 @@ _OPTIONS = {
 
 
 def build_parser():
-    """argparse's parser of every command, built from _OPTIONS; parser.commands maps each name to its own parser.
+    """argparse's parser of every command, built from _OPTIONS: _parse's route for each line _read declines.
 
     Its class raises usage errors as CliError. It reads "-1e-05" and "-.5" as
     values, not flags, as newer CPython releases do, and "--flag=--" as the
@@ -161,7 +160,6 @@ def build_parser():
 
     parser = _Parser(prog="decoynoise", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser by name, as add_parser fills it in
     for name, (summary, options) in _OPTIONS.items():
         command = sub.add_parser(name, help=summary)
         for flag, option in options.items():
@@ -358,29 +356,17 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser():
-    # Built on first use rather than at import, and reused: parse_args starts
-    # every parse from a fresh Namespace, so no state passes between commands.
-    return build_parser()
-
-
 def _parse(argv: list[str]):
-    """argv as build_parser() parses it, as a namespace.
+    """argv as build_parser() parses it, as a namespace, by one of two routes.
 
-    A plain command line is read from its command's option table by _read.
-    Otherwise, when argv[0] names a command, its parser alone reads the rest,
-    in one scan.
+    _read reads a plain command line from its command's option table; a new
+    whole parser parses any line that _read declines, with help and errors.
     """
     if argv and argv[0] in _OPTIONS:
         read = _read(_OPTIONS[argv[0]][1], argv[1:])
         if read is not None:
             return SimpleNamespace(command=argv[0], **read)
-    import argparse
-    command = _parser().commands.get(argv[0]) if argv else None
-    if command is None:  # no command, --help or an unknown name: the whole parser's help and usage errors
-        return _parser().parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return build_parser().parse_args(argv)
 
 
 def _write_rows(stream, chunks) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .channels import parameter_value, weights
+from .channels import point_weights, weights
 from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report
 
 # Fidelities closer than this are reported as a tie; well above simulation
@@ -52,8 +52,8 @@ def find_crossover(
     also stops when the bracket holds no float between its ends, so tol=0
     bisects down to neighbouring floats.
 
-    Both fidelities are compiled once, and lo and hi checked once by
-    parameter_value, before the first step; a midpoint of two valid
+    Both fidelities are compiled once, and lo and hi checked and weighed once
+    by point_weights, before the first step; a midpoint of two valid
     parameters is valid, so each step only takes the transfer weights of its
     midpoint and evaluates both polynomials at them as floats, which have the
     bits of scheme_fidelity at that point and of the same point of a grid.
@@ -67,8 +67,7 @@ def find_crossover(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
     evaluate_a, evaluate_b = compile_fidelity(a, family).evaluate, compile_fidelity(b, family).evaluate
-    w_lo = weights(family, parameter_value(family, lo), math)
-    w_hi = weights(family, parameter_value(family, hi), math)
+    w_lo, w_hi = point_weights(family, lo), point_weights(family, hi)
     gap_lo = evaluate_a(*w_lo, 0.0) - evaluate_b(*w_lo, 0.0)
     gap_hi = evaluate_a(*w_hi, 0.0) - evaluate_b(*w_hi, 0.0)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
@@ -97,10 +96,10 @@ def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None)
     TIE_TOL below the next better one is tied with it: a group of tied
     schemes shares the rank of its first row and is ordered by label, so the
     rows do not depend on the order schemes are passed in. The value is
-    checked and its transfer weights taken once for all schemes; each
-    fidelity has the bits of scheme_fidelity at that value.
+    checked and its transfer weights taken once for all schemes, by
+    point_weights; each fidelity has the bits of scheme_fidelity at that value.
     """
-    w1, w2 = weights(family, parameter_value(family, value), math)
+    w1, w2 = point_weights(family, value)
     if schemes is None:
         schemes = TABLE_SCHEMES
     scored = sorted(((scheme, compile_fidelity(scheme, family).evaluate(w1, w2, 0.0)) for scheme in schemes),

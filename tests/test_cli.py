@@ -9,6 +9,7 @@ import itertools
 import os
 import pathlib
 import re
+import runpy
 import stat
 import subprocess
 import sys
@@ -27,7 +28,8 @@ from decoynoise.fidelity import grid_report
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _child_env(*paths):
@@ -563,6 +565,36 @@ def test_oversized_grid_and_trials_are_rejected_before_any_work(args, message, c
     assert err == f"error: {message}\n"
 
 
+# Each command at its size cap, and the peak RSS in MB that it must stay under:
+# 80 above intercept-resend's 2 bytes per trial (54 MB), 60 above verify-table's
+# one family at a time (44 MB; 89 MB holding all 24 cells), and the "about 100 MB"
+# of cli's size comment for the two largest sweep shapes (90 and 58 MB).
+_CAP_PEAKS = [
+    (["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", str(MAX_TRIALS), "--seed", "3"], 80),
+    (["verify-table", "--grid", str(MAX_TABLE_GRID)], 60),
+    (["sweep", "--noise", "pd", "--schemes", "cluster", "--grid", str(MAX_SWEEP_VALUES)], 100),
+    (["sweep", "--noise", "pd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w", "--grid", str(MAX_SWEEP_VALUES // 7)], 100),
+]
+
+# Runs `python -m decoynoise` as the one child of a fresh parent, then prints the
+# child's peak RSS: RUSAGE_CHILDREN's ru_maxrss is the largest among the parent's
+# ended children.
+_REPORT_PEAK = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-m', 'decoynoise', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("argv,limit_mb", _CAP_PEAKS)
+def test_a_command_at_its_size_cap_peaks_under_its_memory_limit(argv, limit_mb):
+    proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK, *argv], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024
+    assert peak_mb <= limit_mb, f"{' '.join(argv)} peaked at {peak_mb:.1f} MB, above {limit_mb} MB"
+
+
 def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys):
     def with_w(path):
         return ["recommend", "--noise", "cd", "--phi", "1.1", "--include-w", "--out", str(path)]
@@ -644,6 +676,10 @@ _MC_FLAGS = ["--method", "mc", "--trials", "1000", "--seed", "7"]
             (f"eve_{attack.replace('-', '_')}_mc_golden.csv", ["eve-sim", "--attack", attack, *_MC_FLAGS])
             for attack in ("intercept", "wrong-pair")
         ),
+        # "--flag=value", read by argparse, and the wrong-pair defaults, psi+ and 23
+        ("recommend_ad_0.35_golden.csv", ["recommend", "--noise=ad", "--eta=0.35", "--include-w"]),
+        ("eve_wrong_pair_psi+_23_golden.csv", ["eve-sim", "--attack", "wrong-pair"]),
+        ("eve_wrong_pair_psi+_12_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--eve-pair", "12"]),
     ],
 )
 def test_command_matches_golden_file(capsys, golden, argv):
@@ -1026,6 +1062,8 @@ _PLAIN_COMMANDS = [
     ["recommend", "--noise", "ad", "--eta", "0.3"],
     ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"],
     ["eve-sim", "--attack", "wrong-pair", "--bell", "phi-"],
+    ["recommend", "--noise", "cr", "--theta", "0.7", "--include-w"],
+    ["eve-sim", "--attack", "wrong-pair"],
 ]
 
 
@@ -1063,7 +1101,7 @@ def test_a_plain_command_imports_no_argparse_or_typing(argv):
     assert (code, err) == (0, "")
     assert out.startswith(",".join(_HEADERS[argv[0]]) + "\n")
     assert "decoynoise.cli" in imports
-    assert not imports & {"argparse", "gettext", "re", "typing"}
+    assert not imports & {"argparse", "fractions", "gettext", "numpy", "re", "typing"}
 
 
 # A command line of each command, and the package modules that running it imports
@@ -1131,7 +1169,7 @@ def test_the_package_namespace_resolves_after_importing_the_cli_alone():
     assert (proc.returncode, proc.stdout) == (0, "resolved\n"), proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["recommend", "--help"], ["recommend", "--noise", "xx", "--eta", "0.3"]])
+@pytest.mark.parametrize("argv", [["--help"], ["recommend", "--help"], ["recommend", "--noise", "xx", "--eta", "0.3"], ["teleport"]])
 def test_help_and_usage_errors_in_a_fresh_process_are_argparses(argv):
     code, out, err, imports = _fresh_imports(argv)
     assert "argparse" in imports
@@ -1141,3 +1179,27 @@ def test_help_and_usage_errors_in_a_fresh_process_are_argparses(argv):
         assert (code, out, err) == (1, "", expected + "\n")
     else:
         assert (code, out, err) == (*expected, "")
+
+
+def test_the_readme_quickstart_runs():
+    # the python block under "## Library quickstart", run as it stands
+    _, heading, section = (ROOT / "README.md").read_text().partition("## Library quickstart")
+    _, fence, block = section.partition("```python\n")
+    code = block.split("```", 1)[0]
+    assert heading and fence and code.strip(), "no python code under ## Library quickstart"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_figure_script_writes_one_sweep_per_curve_file(tmp_path):
+    script = ROOT / "scripts" / "make_figure_data.py"
+    proc = subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path), "--grid", "21"],
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    curves = runpy.run_path(str(script))["CURVES"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(curves)
+    for name, flags in curves.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        schemes = flags[flags.index("--schemes") + 1].split(",")
+        assert lines[0] == ",".join(SWEEP_HEADER), name
+        assert len(lines) == 1 + 21 * len(schemes), name

@@ -30,9 +30,13 @@ pair alone, and there are 7 x 4 of them. Nothing is evicted or invalidated.
 The scheme and the family are checked before the memo, so an unknown one,
 unhashable or not, raises ValueError, which is not memoised.
 
-closed_form evaluates the known closed forms over a checked grid. grid_report
-checks a family's grid and takes its weights once, then returns each scheme's
-simulated and closed-form arrays from them; no evaluation writes to them.
+closed_form evaluates the known closed forms over a checked grid, its powers
+as repeated products like evaluate's, never **: numpy may run an array's **
+through a SIMD pow whose last bit depends on the CPU (AVX-512 or not), but a
+product rounds alike at every SIMD width, so every CPU gets the same bits.
+grid_report checks a family's grid and takes its weights once, then returns
+each scheme's simulated and closed-form arrays from them; no evaluation writes
+to them.
 Schemes with equal polynomials (equal terms and power, so equal straight-line
 code and equal bits) share one simulated array: it is evaluated and range
 checked once per grid, and made read-only, so one scheme's array cannot be
@@ -152,27 +156,28 @@ def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
     import numpy as np
     match check_scheme(scheme), check_family(family):
         case "bb84", "ad":
-            return (3.0 + np.sqrt(1.0 - x) - x) ** 4 / 256.0
+            return np.square(np.square(3.0 + np.sqrt(1.0 - x) - x)) / 256.0
         case "bb84", "pd":
-            return (x - 4.0) ** 4 / 256.0
+            return np.square(np.square(x - 4.0)) / 256.0
         case "bb84", "cd":
-            return (3.0 + np.cos(x)) ** 4 / 256.0
+            return np.square(np.square(3.0 + np.cos(x))) / 256.0
         case "bb84" | "cluster", "cr":
-            return np.cos(x) ** 8
+            return np.square(np.square(np.square(np.cos(x))))
         case ("psi+" | "psi-", "ad") | ("psi+" | "psi-" | "phi+" | "phi-" | "cluster", "pd"):
-            return (2.0 - 2.0 * x + x * x) ** 2 / 4.0
+            return np.square(2.0 - 2.0 * x + x * x) / 4.0
         case "phi+" | "phi-", "ad":
-            return (1.0 - x) ** 2
+            return np.square(1.0 - x)
         case "psi+" | "psi-" | "cluster", "cd":
-            return np.cos(x) ** 4
+            return np.square(np.square(np.cos(x)))
         case ("phi+" | "phi-", "cd") | ("psi+" | "phi-", "cr"):
             return np.ones_like(x)
         case "psi-" | "phi+", "cr":
             # 2t overflows from |t| = 2**1023 on; there cos 2t = (cos t - sin t)(cos t + sin t)
-            small, cos, sin = np.abs(x) < 2.0**1023, np.cos(x), np.sin(x)
-            return np.where(small, np.cos(2.0 * np.where(small, x, 0.0)), (cos - sin) * (cos + sin)) ** 4
+            small, cos, sin = np.abs(x) < math.ldexp(1.0, 1023), np.cos(x), np.sin(x)
+            return np.square(np.square(np.where(small, np.cos(2.0 * np.where(small, x, 0.0)), (cos - sin) * (cos + sin))))
         case "cluster", "ad":
-            return (4.0 - 8.0 * x + 6.0 * x**2 - 2.0 * x**3 + x**4) / 4.0
+            x2 = x * x
+            return (4.0 - 8.0 * x + 6.0 * x2 - 2.0 * (x2 * x) + x2 * x2) / 4.0
     # the W state, the one scheme left
     return None
 

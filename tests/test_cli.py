@@ -625,20 +625,24 @@ def test_missing_command_is_bad_usage(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize(
-    "golden,args",
-    [
-        ("ad_sweep_golden.csv", ["--noise", "ad", "--schemes", "bb84,psi+,phi+,cluster"]),
-        ("cr_sweep_golden.csv", ["--noise", "cr", "--schemes", "psi-,cluster,w"]),
-        ("pd_sweep_golden.csv", ["--noise", "pd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w"]),
-        ("cd_sweep_golden.csv", ["--noise", "cd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w"]),
-        ("ad_rest_sweep_golden.csv", ["--noise", "ad", "--schemes", "psi-,phi-,w"]),
-        ("cr_rest_sweep_golden.csv", ["--noise", "cr", "--schemes", "bb84,psi+,phi+,phi-"]),
-    ],
-)
+_ALL_SCHEMES = "bb84,psi+,psi-,phi+,phi-,cluster,w"
+_SWEEP_GOLDENS = [
+    ("ad_sweep_golden.csv", ["--noise", "ad", "--schemes", "bb84,psi+,phi+,cluster"]),
+    ("cr_sweep_golden.csv", ["--noise", "cr", "--schemes", "psi-,cluster,w"]),
+    ("pd_sweep_golden.csv", ["--noise", "pd", "--schemes", _ALL_SCHEMES]),
+    ("cd_sweep_golden.csv", ["--noise", "cd", "--schemes", _ALL_SCHEMES]),
+    ("ad_rest_sweep_golden.csv", ["--noise", "ad", "--schemes", "psi-,phi-,w"]),
+    ("cr_rest_sweep_golden.csv", ["--noise", "cr", "--schemes", "bb84,psi+,phi+,phi-"]),
+]
+
+
+@pytest.mark.parametrize("golden,args", _SWEEP_GOLDENS)
 def test_sweep_matches_golden_file(tmp_path, golden, args):
     # regenerate with `decoynoise sweep ... --grid 5 --out tests/data/<name>`
-    # if the numeric stack ever changes the last float digits
+    # when a change to the arithmetic moves the last float digits, and list
+    # each moved value in CHANGES.md. The closed forms take powers as repeated
+    # products, so numpy's SIMD dispatch on another CPU moves none of them:
+    # test_output_is_the_same_with_numpys_avx512_targets_disabled checks it
     out = tmp_path / "sweep.csv"
     assert run(["sweep", *args, "--grid", "5", "--out", str(out)]) == 0
     expected = pathlib.Path(__file__).parent / "data" / golden
@@ -687,6 +691,58 @@ def test_command_matches_golden_file(capsys, golden, argv):
     assert run(argv) == 0
     expected = pathlib.Path(__file__).parent / "data" / golden
     assert capsys.readouterr().out == expected.read_text()
+
+
+# Prints numpy's AVX-512 dispatch targets that this CPU has and that are not
+# disabled, as the "found" list of numpy.show_runtime()'s SIMD report names them
+# (X86_V4, AVX512_ICL and AVX512_SPR on numpy 2.4), on one line; then runs each
+# command line given as one argument, each output after a "$ <line>" line.
+_RUN_UNDER_NUMPYS_DISPATCH = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from decoynoise.cli import run
+print(*[t for t in __cpu_dispatch__ if __cpu_features__[t] and (t == "X86_V4" or t.startswith("AVX512"))])
+for line in sys.argv[1:]:
+    print("$", line)
+    if run(line.split()) != 0:
+        sys.exit(1)
+"""
+
+# Each golden command line whose output holds a closed form, and a 2001-point
+# sweep of all seven schemes per family.
+_DISPATCH_LINES = [
+    *(" ".join(["sweep", *args, "--grid", "5"]) for _, args in _SWEEP_GOLDENS),
+    "verify-table --grid 21",
+    *(f"sweep --noise {family} --schemes {_ALL_SCHEMES} --grid 2001" for family in FAMILIES),
+]
+
+
+def _run_under_dispatch(disabled):
+    env = _child_env()
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_UNDER_NUMPYS_DISPATCH, *_DISPATCH_LINES], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    targets, _, out = proc.stdout.partition("\n")
+    return targets.split(), out
+
+
+def test_output_is_the_same_with_numpys_avx512_targets_disabled():
+    targets, undisturbed = _run_under_dispatch(())
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
+    left, disabled = _run_under_dispatch(targets)
+    assert left == []
+    # each "$ " starts one command line's output; CSV holds no "$"
+    outputs = zip(undisturbed.split("$ ")[1:], disabled.split("$ ")[1:], strict=True)
+    moved = [mine.partition("\n")[0] for mine, theirs in outputs if mine != theirs]
+    assert not moved, f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)} moves the output of {moved}"
 
 
 @pytest.mark.parametrize(

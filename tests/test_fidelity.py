@@ -1,7 +1,9 @@
 """Fidelity metric, closed forms, BB84 averaging and the table verifier."""
 
+import ast
 import functools
 import importlib
+import inspect
 import math
 import re
 import struct
@@ -296,9 +298,17 @@ def test_cr_closed_form_keeps_cos_2t_bits_until_2t_overflows():
     huge = np.array([2.0**1023, 1e308, -1.7e308, np.finfo(float).max])
     for scheme in ("psi-", "phi+"):
         closed = closed_form(scheme, "cr", parameter_grid("cr", below))
-        assert closed.tobytes() == (np.cos(2.0 * below) ** 4).tobytes()
+        assert closed.tobytes() == np.square(np.square(np.cos(2.0 * below))).tobytes()
         closed = closed_form(scheme, "cr", parameter_grid("cr", huge))
         assert np.all(np.abs(closed - grid_report((scheme,), "cr", huge)[0][0]) < 1e-15), closed
+
+
+def test_closed_form_takes_every_power_as_repeated_products():
+    # numpy's ** on an array may run a SIMD pow whose last bit differs between
+    # CPUs; an IEEE product rounds the same at every SIMD width
+    tree = ast.parse(inspect.getsource(closed_form))
+    powers = [node for node in ast.walk(tree) if isinstance(node, ast.Pow)]
+    assert not powers, f"closed_form takes {len(powers)} power(s) with **"
 
 
 def test_closed_form_spot_values():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .channels import point_weights, weights
+from .channels import point_weight, weight
 from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report
 
 # Fidelities closer than this are reported as a tie; well above simulation
@@ -29,9 +29,10 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
     """
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
-    # end - start must be finite too, or linspace overflows into NaN
-    if not (start < end and math.isfinite(end - start)):
+    if not (start < end and math.isfinite(start) and math.isfinite(end)):
         raise ValueError(f"sweep needs finite start < end, got [{start}, {end}]")
+    if not math.isfinite(end - start):  # or linspace overflows into NaN
+        raise ValueError(f"sweep range [{start}, {end}] is wider than the largest float")
     import numpy as np
     grid = np.linspace(start, end, points)
     return grid, [(scheme, *cell) for scheme, cell in zip(schemes, grid_report(schemes, family, grid))]
@@ -53,9 +54,9 @@ def find_crossover(
     bisects down to neighbouring floats.
 
     Both fidelities are compiled once, and lo and hi checked and weighed once
-    by point_weights, before the first step; a midpoint of two valid
-    parameters is valid, so each step only takes the transfer weights of its
-    midpoint and evaluates both polynomials at them as floats, which have the
+    by point_weight, before the first step; a midpoint of two valid
+    parameters is valid, so each step only takes the transfer weight of its
+    midpoint and evaluates both polynomials at it as floats, which have the
     bits of scheme_fidelity at that point and of the same point of a grid.
     """
     if not lo < hi:
@@ -67,9 +68,9 @@ def find_crossover(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
     evaluate_a, evaluate_b = compile_fidelity(a, family).evaluate, compile_fidelity(b, family).evaluate
-    w_lo, w_hi = point_weights(family, lo), point_weights(family, hi)
-    gap_lo = evaluate_a(*w_lo, 0.0) - evaluate_b(*w_lo, 0.0)
-    gap_hi = evaluate_a(*w_hi, 0.0) - evaluate_b(*w_hi, 0.0)
+    w_lo, w_hi = point_weight(family, lo), point_weight(family, hi)
+    gap_lo = evaluate_a(w_lo, 0.0) - evaluate_b(w_lo, 0.0)
+    gap_hi = evaluate_a(w_hi, 0.0) - evaluate_b(w_hi, 0.0)
     if not (gap_lo < 0.0 < gap_hi or gap_hi < 0.0 < gap_lo):
         # at a tied end (every scheme is 1.0 at zero noise) the message says so
         tie = next((f": {a} and {b} are equal at {p}" for p, g in ((lo, gap_lo), (hi, gap_hi)) if g == 0.0), "")
@@ -78,8 +79,8 @@ def find_crossover(
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        w1, w2 = weights(family, mid, math)
-        gap_mid = evaluate_a(w1, w2, 0.0) - evaluate_b(w1, w2, 0.0)
+        w = weight(family, mid, math)
+        gap_mid = evaluate_a(w, 0.0) - evaluate_b(w, 0.0)
         if gap_mid == 0.0:
             return mid
         if (gap_mid < 0.0) == (gap_lo < 0.0):
@@ -96,13 +97,13 @@ def recommend(family: str, value: float, schemes: tuple[str, ...] | None = None)
     TIE_TOL below the next better one is tied with it: a group of tied
     schemes shares the rank of its first row and is ordered by label, so the
     rows do not depend on the order schemes are passed in. The value is
-    checked and its transfer weights taken once for all schemes, by
-    point_weights; each fidelity has the bits of scheme_fidelity at that value.
+    checked and its transfer weight taken once for all schemes, by
+    point_weight; each fidelity has the bits of scheme_fidelity at that value.
     """
-    w1, w2 = point_weights(family, value)
+    w = point_weight(family, value)
     if schemes is None:
         schemes = TABLE_SCHEMES
-    scored = sorted(((scheme, compile_fidelity(scheme, family).evaluate(w1, w2, 0.0)) for scheme in schemes),
+    scored = sorted(((scheme, compile_fidelity(scheme, family).evaluate(w, 0.0)) for scheme in schemes),
                     key=lambda pair: (-pair[1], pair[0]))
     rows: list[tuple[int, str, float]] = []
     for scheme, fid in scored:

@@ -12,10 +12,11 @@ of its parameter (eta, phi or theta).
 
 The fidelity kernel in `fidelity` sees a channel only through its Pauli
 transfer matrix R(p) = A0 + w1(p) A1 + w2(p) A2: integer TRANSFER_BASIS
-matrices, and their `weights` at a checked parameter: over a grid from numpy
-(after parameter_grid checks it) or at one value from math (point_weights).
-The tests check it against density-matrix evolution under the Kraus operators
-and unitaries written out apart from it.
+matrices and one `weight` w1 at a checked parameter, as w2 = 1 - w1^2 (ad) or
+w2^2 = 1 - w1^2 (cd, cr) and pd has no A2: over a grid from numpy (after
+parameter_grid checks it) or at one value from math (point_weight). The tests
+check it against density-matrix evolution under the Kraus operators and
+unitaries written out apart from it.
 """
 
 from __future__ import annotations
@@ -83,24 +84,22 @@ TRANSFER_BASIS: dict[str, tuple[tuple[tuple[int, ...], ...], ...]] = {
 }
 
 
-def weights(family: str, p, xp):
-    """(w1, w2) of a family's TRANSFER_BASIS at a checked parameter p: floats with xp = math, arrays with xp = numpy.
+def weight(family: str, p, xp):
+    """w1 of a family's TRANSFER_BASIS at a checked parameter p: a float with xp = math, an array with xp = numpy.
 
-    They are sqrt(1-eta), eta (ad); 1-eta, None (pd, no A2); cos phi, sin phi
-    (cd); cos 2t, sin 2t (cr).
+    It is sqrt(1-eta) (ad), 1-eta (pd), cos phi (cd) or cos 2t (cr).
     """
     if family == "ad":
-        return xp.sqrt(1.0 - p), p
+        return xp.sqrt(1.0 - p)
     if family == "pd":
-        return 1.0 - p, None
+        return 1.0 - p
     if family == "cd":
-        return xp.cos(p), xp.sin(p)
-    # cos 2t and sin 2t from t, which stay finite where 2t would overflow
+        return xp.cos(p)
+    # cos 2t from t, which stays finite where 2t would overflow
     cos, sin = xp.cos(p), xp.sin(p)
-    return (cos - sin) * (cos + sin), 2.0 * sin * cos
+    return (cos - sin) * (cos + sin)
 
 
-def point_weights(family: str, value: float) -> tuple[float, float | None]:
-    """weights at one parameter value, as floats from math; parameter_value checks it."""
-    return weights(family, parameter_value(family, value), math)
-
+def point_weight(family: str, value: float) -> float:
+    """weight at one parameter value, as a float from math; parameter_value checks it."""
+    return weight(family, parameter_value(family, value), math)

@@ -42,8 +42,8 @@ DESCRIPTION = (
 # simulated array per distinct polynomial: one scheme under pd at --grid 10**6
 # peaks at 90 MB, seven schemes at 142857 at 58 MB under pd (3 distinct arrays)
 # and 63 MB under ad (5), to stdout or --out alike. verify-table keeps one
-# family's weights, at most 4 distinct simulated arrays and 6 closed forms at a
-# time, 44 MB at --grid 10**5. Intercept-resend Monte Carlo holds 2 bytes per
+# family's weight array, at most 4 distinct simulated arrays and 6 closed forms
+# at a time, 44 MB at --grid 10**5. Intercept-resend Monte Carlo holds 2 bytes per
 # trial, 54 MB at 10**7 trials; wrong-pair peaks at 35 MB.
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6

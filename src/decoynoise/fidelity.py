@@ -13,12 +13,16 @@ state of n qubits with Pauli vector r_P = <psi|P|psi> has F = 2^-n r^T
 R^(x n) r, a polynomial in w1 and w2 of degree at most n. The compile is
 exact integer arithmetic on the state's integer vector (states.INT_*) of
 squared norm N: N r_P is an integer, and so is each coefficient times 2^n N^2.
-Each coefficient is rounded once to the nearest float by one int / int, and
-dropped if exactly 0. The BB84 average over all 256 product strings is
-exactly (the mean of the four single-qubit polynomials over 0, 1, +, -)^4.
+These integers are reduced by the weights' exact relation, w2 = 1 - w1^2 (ad)
+or w2^2 = 1 - w1^2 (cd, cr): every odd power of w2 cancels (else ValueError),
+so F is a polynomial in one weight w = w1, and one that is 1 at every
+parameter is the constant 1. Each coefficient is rounded once to the nearest
+float by one int / int, and dropped if exactly 0. The BB84 average over all
+256 product strings is exactly (the mean of the four single-qubit polynomials
+over 0, 1, +, -)^4.
 
 A Polynomial is evaluated by straight-line code built from its terms: powers
-of w1 and w2 as repeated products (never **), one addition per term in order,
+of w as repeated products (never **), one addition per term in order,
 each coefficient as its repr, which reads back as the same float, and no
 factor w^0 = 1.0, which changes no bit; then the sum to its power by repeated
 products. Floats from math (scheme_fidelity, and analysis's ranking and
@@ -34,7 +38,7 @@ closed_form evaluates the known closed forms over a checked grid, its powers
 as repeated products like evaluate's, never **: numpy may run an array's **
 through a SIMD pow whose last bit depends on the CPU (AVX-512 or not), but a
 product rounds alike at every SIMD width, so every CPU gets the same bits.
-grid_report checks a family's grid and takes its weights once, then returns
+grid_report checks a family's grid and takes its weight once, then returns
 each scheme's simulated and closed-form arrays from them; no evaluation writes
 to them.
 Schemes with equal polynomials (equal terms and power, so equal straight-line
@@ -65,7 +69,7 @@ import functools
 import itertools
 import math
 
-from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weights, weights
+from .channels import FAMILIES, TRANSFER_BASIS, check_family, parameter_grid, parameter_range, point_weight, weight
 from .states import ATOL, INT_SINGLES, INT_STATES, SCHEMES, check_scheme
 
 TYPE_CHECKING = False
@@ -78,20 +82,20 @@ TABLE_SCHEMES = SCHEMES[:-1]
 
 
 Polynomial = collections.namedtuple("Polynomial", ["terms", "power", "evaluate"])
-Polynomial.__doc__ = """A compiled fidelity, (sum of c w1^j w2^k over its terms (j, k, c))^power in transfer weights.
+Polynomial.__doc__ = """A compiled fidelity, (sum of c w^j over its terms (j, c))^power in the transfer weight w.
 
-evaluate(w1, w2, total) is F, for floats or arrays; total is a zero of the result's type.
+evaluate(w, total) is F, for floats or arrays; total is a zero of the result's type.
 """
 
 
 def _straight_line(terms, power: int):
     """Polynomial.evaluate, from source text of ints and float reprs alone; see the module docstring."""
-    body = [f"w{i}_{n} = w{i}_{n - 1} * w{i}_1" for i in (1, 2) for n in range(2, max(t[i - 1] for t in terms) + 1)]
-    for j, k, c in terms:
-        body.append(" * ".join([f"total = total + {c!r}", *[f"w1_{j}"] * (j > 0), *[f"w2_{k}"] * (k > 0)]))
+    body = [f"w_{n} = w_{n - 1} * w_1" for n in range(2, max(j for j, _ in terms) + 1)]
+    for j, c in terms:
+        body.append(" * ".join([f"total = total + {c!r}", *[f"w_{j}"] * (j > 0)]))
     body.append("return " + " * ".join(["total"] * power))
     namespace = {}
-    exec(compile("def evaluate(w1_1, w2_1, total):\n    " + "\n    ".join(body), "<fidelity>", "exec"), namespace)
+    exec(compile("def evaluate(w_1, total):\n    " + "\n    ".join(body), "<fidelity>", "exec"), namespace)
     return namespace["evaluate"]
 
 
@@ -129,7 +133,7 @@ def _compile(scheme: str, family: str) -> Polynomial:
     # each row of R as (column, basis matrix 0, 1 or 2 for A0, A1, A2, its integer entry) where not 0
     rows = [[(b, m, basis[m][a][b]) for b in range(4) for m in range(len(basis)) if basis[m][a][b]] for a in range(4)]
     norms = [len(vectors) * len(vec) * sum(x * x for x in vec) ** 2 for vec in vectors]
-    den, exact = math.lcm(*norms), {}  # each coefficient as an integer over den
+    den, exact = math.lcm(*norms), collections.Counter()  # of w1^j w2^(k mod 2), as integers over den
     for vec, norm in zip(vectors, norms):
         r, scaled = _pauli_vector(vec), {}
         for left, r_left in r.items():
@@ -140,15 +144,19 @@ def _compile(scheme: str, family: str) -> Polynomial:
                     matrices = [m for _, m, _ in picks]
                     key = (matrices.count(1), matrices.count(2))
                     scaled[key] = scaled.get(key, 0) + r_left * r_right * math.prod(entry for _, _, entry in picks)
-        for key, c in scaled.items():
-            exact[key] = exact.get(key, 0) + c * (den // norm)
-    terms = tuple((j, k, c / den) for (j, k), c in sorted(exact.items()) if c)
+        for (j, k), c in scaled.items():
+            odd, half = (0, k) if family == "ad" else (k % 2, k // 2)  # w2^k = w2^odd (1 - w1^2)^half
+            for i in range(half + 1):
+                exact[j + 2 * i, odd] += (-1) ** i * math.comb(half, i) * c * (den // norm)
+    if any(c for (_, odd), c in exact.items() if odd):
+        raise ValueError(f"the fidelity of {scheme} under {family} keeps an odd power of its second weight")
+    terms = tuple((j, c / den) for (j, _), c in sorted(exact.items()) if c)
     return Polynomial(terms, power, _straight_line(terms, power))
 
 
 def scheme_fidelity(scheme: str, family: str, value: float) -> float:
     """Simulated fidelity of a scheme under one noise family at one parameter value."""
-    return compile_fidelity(scheme, family).evaluate(*point_weights(family, value), 0.0)
+    return compile_fidelity(scheme, family).evaluate(point_weight(family, value), 0.0)
 
 
 def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
@@ -192,13 +200,13 @@ def grid_report(schemes: tuple[str, ...], family: str, grid) -> list[tuple[np.nd
     """
     import numpy as np
     x = parameter_grid(family, grid)
-    w1, w2 = weights(family, x, np)
-    total, evaluated, cells = np.zeros_like(w1), {}, []
+    w = weight(family, x, np)
+    total, evaluated, cells = np.zeros_like(w), {}, []
     for scheme in schemes:
         polynomial = compile_fidelity(scheme, family)
         key = polynomial.terms, polynomial.power
         if key not in evaluated:
-            simulated = polynomial.evaluate(w1, w2, total)
+            simulated = polynomial.evaluate(w, total)
             # NaN fails both comparisons; min() of an empty grid would raise
             if simulated.size and not (-ATOL <= simulated.min() and simulated.max() <= 1.0 + ATOL):
                 outside = ~((-ATOL <= simulated) & (simulated <= 1.0 + ATOL))

@@ -48,8 +48,8 @@ def test_criterion_2_decoherence_free_suite():
         ("w", "cd", np.linspace(0, 2 * np.pi, 21)),
     ]
     for scheme, family, grid in cases:
-        assert np.abs(grid_report((scheme,), family, grid)[0][0] - 1.0).max() <= 1e-12
-    _ok(2, "five decoherence-free (scheme, channel) pairs hold fidelity 1")
+        assert grid_report((scheme,), family, grid)[0][0].tolist() == [1.0] * len(grid)
+    _ok(2, "five decoherence-free (scheme, channel) pairs hold fidelity exactly 1")
 
 
 def test_criterion_3_pd_equivalence():

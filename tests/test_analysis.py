@@ -228,7 +228,7 @@ def test_crossover_compiles_each_scheme_once(monkeypatch, a, b, family, lo, hi, 
 def test_each_family_checks_and_weighs_its_grid_once(monkeypatch):
     # counted wherever channels and fidelity look the two names up
     counts = collections.Counter()
-    for name in ("parameter_grid", "weights"):
+    for name in ("parameter_grid", "weight"):
         def counting(*args, name=name, original=getattr(decoynoise.channels, name)):
             counts[name] += 1
             return original(*args)
@@ -236,16 +236,16 @@ def test_each_family_checks_and_weighs_its_grid_once(monkeypatch):
         for module in (decoynoise.channels, decoynoise.fidelity):
             monkeypatch.setattr(module, name, counting)
     verify_table(11)
-    assert counts == {"parameter_grid": 4, "weights": 4}
+    assert counts == {"parameter_grid": 4, "weight": 4}
     counts.clear()
     sweep(SCHEMES, "cr", 0.0, 1.0, 16)
-    assert counts == {"parameter_grid": 1, "weights": 1}
+    assert counts == {"parameter_grid": 1, "weight": 1}
 
 
 def test_a_point_command_checks_and_weighs_its_points_once(monkeypatch):
     # counted wherever channels, fidelity and analysis look the two names up
     counts = collections.Counter()
-    for name in ("parameter_value", "weights"):
+    for name in ("parameter_value", "weight"):
         def counting(*args, name=name, original=getattr(decoynoise.channels, name)):
             counts[name] += 1
             return original(*args)
@@ -254,13 +254,13 @@ def test_a_point_command_checks_and_weighs_its_points_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     recommend("cr", 0.7, SCHEMES)
-    assert counts == {"parameter_value": 1, "weights": 1}
+    assert counts == {"parameter_value": 1, "weight": 1}
     steps = set()
     for tol in (0.01, 1e-9, 0.0):
         counts.clear()
         find_crossover("bb84", "psi+", "ad", 0.3, 0.9, tol)
         assert counts["parameter_value"] == 2
-        steps.add(counts["weights"] - 2)
+        steps.add(counts["weight"] - 2)
     assert len(steps) == 3 and min(steps) > 0
 
 

@@ -11,7 +11,7 @@ from decoynoise.channels import (
     check_family,
     parameter_grid,
     parameter_range,
-    weights,
+    weight,
 )
 from decoynoise.linalg import (
     ATOL,
@@ -214,9 +214,8 @@ def test_transfer_basis_shape_and_family():
         # integer matrices, as nested tuples, so that no one can change them
         assert np.array(basis).shape == (count, 4, 4) and np.array(basis).dtype.kind == "i"
         assert isinstance(basis, tuple) and all(isinstance(row, tuple) for matrix in basis for row in matrix)
-        w = weights(family, parameter_grid(family, [0.0, 0.3, 1.0]), np)
-        assert len(w) == 2 and w[0].shape == (3,)
-        assert (w[1] is None) == (count == 2)
+        w = weight(family, parameter_grid(family, [0.0, 0.3, 1.0]), np)
+        assert w.dtype == np.float64 and w.shape == (3,)
     assert list(TRANSFER_BASIS) == list(FAMILIES)
     with pytest.raises(ValueError, match="unknown noise family"):
         parameter_grid(KrausChannel, [0.5])
@@ -242,8 +241,13 @@ def test_transfer_basis_reproduces_the_transfer_matrix(family, frac):
     # R_ij = Tr(P_i E(P_j)) / 2
     expected = np.array([[np.trace(pi @ sum(e @ pj @ e.conj().T for e in ops)) / 2 for pj in paulis] for pi in paulis])
     assert np.abs(expected.imag).max() <= 1e-15
-    basis, (w1, w2) = np.array(TRANSFER_BASIS[family]), weights(family, parameter_grid(family, [p]), np)
-    transfer = basis[0] + w1[0] * basis[1] + (0.0 if w2 is None else w2[0] * basis[2])
+    # the second weight, written here: eta (ad), sin phi (cd) or sin 2t (cr), in the relation the compile reduces by
+    w1 = weight(family, parameter_grid(family, [p]), np)[0]
+    w2 = {"ad": p, "cd": np.sin(p), "cr": np.sin(2 * p)}.get(family)
+    if w2 is not None:
+        assert abs((w2 if family == "ad" else w2 * w2) - (1.0 - w1 * w1)) <= 1e-15
+    basis = np.array(TRANSFER_BASIS[family])
+    transfer = basis[0] + w1 * basis[1] + (0.0 if w2 is None else w2 * basis[2])
     assert np.abs(transfer - expected.real).max() <= 1e-15
 
 

@@ -684,6 +684,8 @@ _MC_FLAGS = ["--method", "mc", "--trials", "1000", "--seed", "7"]
         ("recommend_ad_0.35_golden.csv", ["recommend", "--noise=ad", "--eta=0.35", "--include-w"]),
         ("eve_wrong_pair_psi+_23_golden.csv", ["eve-sim", "--attack", "wrong-pair"]),
         ("eve_wrong_pair_psi+_12_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--eve-pair", "12"]),
+        # cos 2t of an angle whose 2t overflows: the decoherence-free phi- and psi+ read exactly 1.0
+        ("recommend_cr_1e308_golden.csv", ["recommend", "--noise", "cr", "--theta", "1e308"]),
     ],
 )
 def test_command_matches_golden_file(capsys, golden, argv):
@@ -691,6 +693,15 @@ def test_command_matches_golden_file(capsys, golden, argv):
     assert run(argv) == 0
     expected = pathlib.Path(__file__).parent / "data" / golden
     assert capsys.readouterr().out == expected.read_text()
+
+
+def test_a_vanishing_fidelity_prints_its_closed_form(capsys):
+    # at eta = 1 - 2^-52, phi+ under ad is (1 - eta)^2 = 2^-104 and W is 1 - eta = 2^-52
+    argv = ["sweep", "--noise", "ad", "--schemes", "phi+,w", "--from", "0.999999999999999", "--to", "1", "--grid", "5"]
+    assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "phi+,ad,0.9999999999999998,4.930380657631324e-32,4.930380657631324e-32,0.0" in rows
+    assert "w,ad,0.9999999999999998,2.220446049250313e-16,," in rows
 
 
 # Prints numpy's AVX-512 dispatch targets that this CPU has and that are not
@@ -745,22 +756,24 @@ def test_output_is_the_same_with_numpys_avx512_targets_disabled():
     assert not moved, f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)} moves the output of {moved}"
 
 
+# each command line with its one-line error
 @pytest.mark.parametrize(
     "args",
     [
-        ["recommend", "--noise", "cd", "--phi", "inf"],
-        ["recommend", "--noise", "cr", "--theta", "nan"],
-        ["sweep", "--noise", "cd", "--from=-inf", "--to", "1"],
+        (["recommend", "--noise", "cd", "--phi", "inf"], "noise angle must be finite, got inf"),
+        (["recommend", "--noise", "cr", "--theta", "nan"], "noise angle must be finite, got nan"),
+        (["sweep", "--noise", "cd", "--from=-inf", "--to", "1"], "sweep needs finite start < end, got [-inf, 1.0]"),
         # finite ends whose difference is not: linspace would warn and give NaN
-        ["sweep", "--noise", "cd", "--from=-1e308", "--to=1e308"],
+        (["sweep", "--noise", "cd", "--from=-1e308", "--to=1e308"],
+         "sweep range [-1e+308, 1e+308] is wider than the largest float"),
     ],
 )
 def test_non_finite_parameters_fail_cleanly(args):
-    proc = run_module(args, capture_output=True, text=True)
+    argv, message = args
+    proc = run_module(argv, capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
-    assert "Warning" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 _WITHOUT_NUMPY = [

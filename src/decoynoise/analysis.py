@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .channels import point_weight, weight
+from .channels import parameter_value, point_weight, weight
 from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report
 
 # Fidelities closer than this are reported as a tie; well above simulation
@@ -29,10 +29,9 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
     """
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
-    if not (start < end and math.isfinite(start) and math.isfinite(end)):
-        raise ValueError(f"sweep needs finite start < end, got [{start}, {end}]")
-    if not math.isfinite(end - start):  # or linspace overflows into NaN
-        raise ValueError(f"sweep range [{start}, {end}] is wider than the largest float")
+    start, end = parameter_value(family, start), parameter_value(family, end)
+    if not start < end:
+        raise ValueError(f"sweep needs start < end, got [{start}, {end}]")
     import numpy as np
     grid = np.linspace(start, end, points)
     return grid, [(scheme, *cell) for scheme, cell in zip(schemes, grid_report(schemes, family, grid))]
@@ -61,9 +60,6 @@ def find_crossover(
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    # so that no midpoint overflows
-    if not max(abs(lo), abs(hi)) < 2.0**1023:
-        raise ValueError(f"need |lo|, |hi| < 2**1023, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 

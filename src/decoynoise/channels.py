@@ -3,8 +3,9 @@
 Every channel acts qubit by qubit: amplitude damping and phase damping apply
 one set of Kraus operators to each travel qubit independently, collective
 dephasing and collective rotation one and the same unitary to all qubits
-traveling simultaneously. The angle parameters may be any finite real (they
-drift with time); eta is a decoherence probability and must lie in [0, 1].
+traveling simultaneously. The angle parameters may be any real below
+ANGLE_BOUND = 2**1023 in magnitude (they drift with time), so that twice an
+angle is a float; eta is a decoherence probability and must lie in [0, 1].
 
 A noise family is its tag, one of FAMILIES ('ad', 'pd', 'cd', 'cr'), and a
 noise setting is a (family, value) pair; FAMILIES maps each tag to the name
@@ -31,6 +32,9 @@ if TYPE_CHECKING:  # numpy is imported where a grid needs it
 # of its one parameter, which is also its CLI flag.
 FAMILIES = {"ad": "eta", "pd": "eta", "cd": "phi", "cr": "theta"}
 
+# Every angle lies below this in magnitude, so twice it does not overflow.
+ANGLE_BOUND = math.ldexp(1.0, 1023)
+
 
 def check_family(family: str) -> str:
     """The tag itself, if it names a noise family; ValueError otherwise."""
@@ -45,15 +49,17 @@ def parameter_range(family: str) -> tuple[float, float]:
     return (0.0, 1.0) if FAMILIES[check_family(family)] == "eta" else (0.0, 2.0 * math.pi)
 
 
+def _valid(rate: bool, p):
+    """Whether p, a float or an array, lies in [0, 1] (a rate) or below ANGLE_BOUND in magnitude (an angle); NaN does neither."""
+    return (0.0 <= p) & (p <= 1.0) if rate else abs(p) < ANGLE_BOUND
+
+
 def parameter_value(family: str, value: float) -> float:
-    """One parameter of a noise family as a float; a rate outside [0, 1] or a non-finite angle is rejected."""
-    value = float(value)
-    if FAMILIES[check_family(family)] == "eta":
-        # written so that NaN, which fails every comparison, is rejected too
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"decoherence rate must lie in [0, 1], got {value}")
-    elif not math.isfinite(value):
-        raise ValueError(f"noise angle must be finite, got {value}")
+    """One parameter of a noise family as a float; a rate outside [0, 1] or an angle outside (-2**1023, 2**1023) is rejected."""
+    value, rate = float(value), FAMILIES[check_family(family)] == "eta"
+    if not _valid(rate, value):
+        raise ValueError(f"decoherence rate must lie in [0, 1], got {value}" if rate
+                         else f"noise angle must be finite and below 2**1023 in magnitude, got {value}")
     return value
 
 
@@ -61,7 +67,7 @@ def parameter_grid(family: str, grid) -> np.ndarray:
     """A noise family's parameters as a flat float array, each checked as by parameter_value."""
     import numpy as np
     p = np.asarray(grid, dtype=float).reshape(-1)
-    valid = (0.0 <= p) & (p <= 1.0) if FAMILIES[check_family(family)] == "eta" else np.isfinite(p)
+    valid = _valid(FAMILIES[check_family(family)] == "eta", p)
     if not valid.all():
         parameter_value(family, p[~valid][0])  # raises for the first value outside
     return p
@@ -87,7 +93,8 @@ TRANSFER_BASIS: dict[str, tuple[tuple[tuple[int, ...], ...], ...]] = {
 def weight(family: str, p, xp):
     """w1 of a family's TRANSFER_BASIS at a checked parameter p: a float with xp = math, an array with xp = numpy.
 
-    It is sqrt(1-eta) (ad), 1-eta (pd), cos phi (cd) or cos 2t (cr).
+    It is sqrt(1-eta) (ad), 1-eta (pd), cos phi (cd) or cos 2t (cr), the
+    cosine of the float 2t, which the angle domain keeps finite.
     """
     if family == "ad":
         return xp.sqrt(1.0 - p)
@@ -95,9 +102,7 @@ def weight(family: str, p, xp):
         return 1.0 - p
     if family == "cd":
         return xp.cos(p)
-    # cos 2t from t, which stays finite where 2t would overflow
-    cos, sin = xp.cos(p), xp.sin(p)
-    return (cos - sin) * (cos + sin)
+    return xp.cos(2.0 * p)
 
 
 def point_weight(family: str, value: float) -> float:

@@ -180,9 +180,7 @@ def closed_form(scheme: str, family: str, x: np.ndarray) -> np.ndarray | None:
         case ("phi+" | "phi-", "cd") | ("psi+" | "phi-", "cr"):
             return np.ones_like(x)
         case "psi-" | "phi+", "cr":
-            # 2t overflows from |t| = 2**1023 on; there cos 2t = (cos t - sin t)(cos t + sin t)
-            small, cos, sin = np.abs(x) < math.ldexp(1.0, 1023), np.cos(x), np.sin(x)
-            return np.square(np.square(np.where(small, np.cos(2.0 * np.where(small, x, 0.0)), (cos - sin) * (cos + sin))))
+            return np.square(np.square(np.cos(2.0 * x)))
         case "cluster", "ad":
             x2 = x * x
             return (4.0 - 8.0 * x + 6.0 * x2 - 2.0 * (x2 * x) + x2 * x2) / 4.0

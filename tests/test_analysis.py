@@ -341,13 +341,15 @@ def test_crossover_with_zero_tol_stops_at_neighbouring_floats():
     assert tiny == root
 
 
-def test_crossover_rejects_brackets_whose_midpoints_could_overflow():
-    # 0.5 and 1.02e308 bracket a crossing, but halving [7.7e307, 1.02e308]
-    # would overflow to inf
-    with pytest.raises(ValueError, match=r"2\*\*1023"):
-        find_crossover("psi-", "cluster", "cr", 0.5, 1.02e308)
-    with pytest.raises(ValueError, match=r"2\*\*1023"):
-        find_crossover("psi-", "cluster", "cr", 0.5, math.inf)
+def test_crossover_takes_ends_in_the_angle_domain_alone():
+    # every angle lies below 2**1023 in magnitude, so no midpoint of two ends overflows
+    for lo, hi in ((0.5, 1.02e308), (0.5, math.inf), (-(2.0**1023), 0.5)):
+        with pytest.raises(ValueError, match=r"^noise angle must be finite and below 2\*\*1023 in magnitude"):
+            find_crossover("psi-", "cluster", "cr", lo, hi)
+    largest = math.nextafter(2.0**1023, 0.0)
+    root = find_crossover("psi-", "cluster", "cr", 0.5, largest)
+    assert 0.5 < root < largest
+    assert math.isfinite(scheme_fidelity("psi-", "cr", root))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])

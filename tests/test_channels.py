@@ -1,11 +1,15 @@
 """Noise channel constructors, completeness, and channel application."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoynoise.channels import (
+    ANGLE_BOUND,
     FAMILIES,
     TRANSFER_BASIS,
     check_family,
@@ -188,6 +192,15 @@ def test_parameter_validation_and_ranges():
         parameter_grid("pd", -0.2)
     assert parameter_grid("ad", 0.3).tolist() == [0.3]
     assert parameter_grid("cr", [[1.1], [-40]]).tolist() == [1.1, -40.0]
+    # every angle lies below 2**1023 in magnitude, so that twice it is a float
+    largest = math.nextafter(2.0**1023, 0.0)
+    assert ANGLE_BOUND == 2.0**1023 and 2.0 * largest == np.finfo(float).max
+    assert parameter_grid("cd", [-largest, largest]).tolist() == [-largest, largest]
+    angle = r"^noise angle must be finite and below 2\*\*1023 in magnitude, got "
+    with pytest.raises(ValueError, match=angle + r"8.98846567431158e\+307$"):
+        parameter_grid("cr", [1.0, 2.0**1023, -np.inf])  # the first value outside, in grid order
+    with pytest.raises(ValueError, match=angle + r"-1e\+308$"):
+        parameter_grid("cd", [largest, -1e308])
     assert parameter_range("pd") == (0.0, 1.0)
     lo, hi = parameter_range("cd")
     assert lo == 0.0 and hi == pytest.approx(2 * np.pi)
@@ -198,10 +211,10 @@ def test_parameter_validation_and_ranges():
 _ORACLE = {"ad": kraus_ad, "pd": kraus_pd, "cd": unitary_cd, "cr": unitary_cr}
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.0**1023, -1e308])
 def test_non_finite_parameters_are_rejected(bad):
     for family in FAMILIES:
-        problem = r"\[0, 1\]" if family in ("ad", "pd") else "finite"
+        problem = r"\[0, 1\]" if family in ("ad", "pd") else r"finite and below 2\*\*1023"
         with pytest.raises(ValueError, match=problem):
             _ORACLE[family](bad)
         with pytest.raises(ValueError, match=problem):
@@ -219,6 +232,50 @@ def test_transfer_basis_shape_and_family():
     assert list(TRANSFER_BASIS) == list(FAMILIES)
     with pytest.raises(ValueError, match="unknown noise family"):
         parameter_grid(KrausChannel, [0.5])
+
+
+# pi to 70 significant digits, for the reference cosines below
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816")
+
+
+def _exact_weight(family, p):
+    """The transfer weight at the float p in 70-digit decimals: sqrt(1-p), 1-p, cos p or cos 2p."""
+    with localcontext() as ctx:
+        ctx.prec = 70
+        p = Decimal(p)  # exactly the float
+        if family == "ad":
+            return (1 - p).sqrt()
+        if family == "pd":
+            return 1 - p
+        x = p if family == "cd" else 2 * p
+        x -= 2 * _PI * (x / (2 * _PI)).to_integral_value()  # now |x| <= pi
+        total, term, n = Decimal(0), Decimal(1), 0
+        while abs(term) > Decimal("1e-75"):
+            total += term
+            n += 2
+            term *= -x * x / (n * (n - 1))
+        return total
+
+
+def _weight_draws(family):
+    """Rates in [0, 1], or angles in [-20, 20] and within 1e-3 of pi/4 and 3 pi/4, where cos 2t is near 0."""
+    rng = np.random.default_rng(33)
+    if FAMILIES[family] == "eta":
+        return np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
+    near = [c + rng.uniform(-1e-3, 1e-3, 300) for c in (np.pi / 4, 3 * np.pi / 4)]
+    return np.concatenate([rng.uniform(-20.0, 20.0, 300), *near])
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_transfer_weight_is_within_one_ulp_of_its_exact_value(family):
+    params = _weight_draws(family)
+    arrays = weight(family, params, np).tolist()
+    off = []
+    for p, from_numpy in zip(params.tolist(), arrays):
+        exact = _exact_weight(family, p)
+        ulp = Decimal(math.ulp(float(exact)))
+        off += [(p, w, float(exact)) for w in (weight(family, p, math), from_numpy) if abs(Decimal(w) - exact) > ulp]
+    assert not off, f"{len(off)} weights more than 1 ulp from exact, the first (p, weight, exact): {off[0]}"
 
 
 def _channel_written_here(family, p):

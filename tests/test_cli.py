@@ -30,6 +30,7 @@ fidelity_mod = importlib.import_module("decoynoise.fidelity")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+DATA = ROOT / "tests" / "data"
 
 
 def _child_env(*paths):
@@ -155,19 +156,6 @@ def test_sweep_formats_each_float_by_its_bits():
         ["w", "ad", repr(above), repr(above), "", ""],
     ]
     assert text == _reference_sweep_csv(grid, "ad", results)
-
-
-def test_sweep_at_rotation_angles_where_2_theta_overflows():
-    # 2 theta overflows from theta = 2**1023 on; the closed forms of psi- and
-    # phi+ must stay finite there, with no numpy warning on stderr
-    argv = ["sweep", "--noise", "cr", "--schemes", "psi-,phi+", "--from", "1e308", "--to", "1.7e308", "--grid", "3"]
-    proc = run_module(argv, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "Warning" not in proc.stderr and "nan" not in proc.stdout
-    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["psi-"] * 3 + ["phi+"] * 3
-    for row in rows:
-        assert float(row[5]) < REGRESSION_TOL, row
 
 
 def test_sweep_w_state_has_empty_closed_form_fields(capsys):
@@ -636,63 +624,57 @@ _SWEEP_GOLDENS = [
 ]
 
 
-@pytest.mark.parametrize("golden,args", _SWEEP_GOLDENS)
-def test_sweep_matches_golden_file(tmp_path, golden, args):
-    # regenerate with `decoynoise sweep ... --grid 5 --out tests/data/<name>`
-    # when a change to the arithmetic moves the last float digits, and list
-    # each moved value in CHANGES.md. The closed forms take powers as repeated
-    # products, so numpy's SIMD dispatch on another CPU moves none of them:
-    # test_output_is_the_same_with_numpys_avx512_targets_disabled checks it
-    out = tmp_path / "sweep.csv"
-    assert run(["sweep", *args, "--grid", "5", "--out", str(out)]) == 0
-    expected = pathlib.Path(__file__).parent / "data" / golden
-    assert out.read_bytes() == expected.read_bytes()
-
-
 _TWO_PI = "6.283185307179586"
 _MC_FLAGS = ["--method", "mc", "--trials", "1000", "--seed", "7"]
+_COMMAND_GOLDENS = [
+    *(
+        (f"recommend_{noise}_{value}_golden.csv", ["recommend", "--noise", noise, f"--{flag}", value, "--include-w"])
+        for noise, flag, values in (
+            ("ad", "eta", ("0.0", "0.35", "1.0")),
+            ("pd", "eta", ("0.0", "0.35", "1.0")),
+            ("cd", "phi", ("0.0", "1.1", _TWO_PI)),
+            ("cr", "theta", ("0.0", "1.1", _TWO_PI)),
+        )
+        for value in values
+    ),
+    # acceptance criterion 6, and psi- against bb84 at cos^2 t = 1/3
+    ("crossover_ad_golden.csv", ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"]),
+    ("crossover_cr_golden.csv", ["crossover", "--a", "psi-", "--b", "bb84", "--noise", "cr", "--lo", "0.1", "--hi", "1.4"]),
+    ("verify_table_golden.csv", ["verify-table", "--grid", "21"]),
+    ("eve_intercept_golden.csv", ["eve-sim", "--attack", "intercept"]),
+    *(
+        (f"eve_wrong_pair_{bell}_{pair}_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--bell", bell, "--eve-pair", pair])
+        for bell in ("psi+", "psi-", "phi+", "phi-")
+        for pair in ("12", "23")
+    ),
+    *(
+        (f"eve_{attack.replace('-', '_')}_mc_golden.csv", ["eve-sim", "--attack", attack, *_MC_FLAGS])
+        for attack in ("intercept", "wrong-pair")
+    ),
+    # "--flag=value", read by argparse, and the wrong-pair defaults, psi+ and 23
+    ("recommend_ad_0.35_golden.csv", ["recommend", "--noise=ad", "--eta=0.35", "--include-w"]),
+    ("eve_wrong_pair_psi+_23_golden.csv", ["eve-sim", "--attack", "wrong-pair"]),
+    ("eve_wrong_pair_psi+_12_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--eve-pair", "12"]),
+]
 
 
-@pytest.mark.parametrize(
-    "golden,argv",
-    [
-        *(
-            (f"recommend_{noise}_{value}_golden.csv", ["recommend", "--noise", noise, f"--{flag}", value, "--include-w"])
-            for noise, flag, values in (
-                ("ad", "eta", ("0.0", "0.35", "1.0")),
-                ("pd", "eta", ("0.0", "0.35", "1.0")),
-                ("cd", "phi", ("0.0", "1.1", _TWO_PI)),
-                ("cr", "theta", ("0.0", "1.1", _TWO_PI)),
-            )
-            for value in values
-        ),
-        # acceptance criterion 6, and psi- against bb84 at cos^2 t = 1/3
-        ("crossover_ad_golden.csv", ["crossover", "--a", "bb84", "--b", "psi+", "--noise", "ad", "--lo", "0.3", "--hi", "0.9"]),
-        ("crossover_cr_golden.csv", ["crossover", "--a", "psi-", "--b", "bb84", "--noise", "cr", "--lo", "0.1", "--hi", "1.4"]),
-        ("verify_table_golden.csv", ["verify-table", "--grid", "21"]),
-        ("eve_intercept_golden.csv", ["eve-sim", "--attack", "intercept"]),
-        *(
-            (f"eve_wrong_pair_{bell}_{pair}_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--bell", bell, "--eve-pair", pair])
-            for bell in ("psi+", "psi-", "phi+", "phi-")
-            for pair in ("12", "23")
-        ),
-        *(
-            (f"eve_{attack.replace('-', '_')}_mc_golden.csv", ["eve-sim", "--attack", attack, *_MC_FLAGS])
-            for attack in ("intercept", "wrong-pair")
-        ),
-        # "--flag=value", read by argparse, and the wrong-pair defaults, psi+ and 23
-        ("recommend_ad_0.35_golden.csv", ["recommend", "--noise=ad", "--eta=0.35", "--include-w"]),
-        ("eve_wrong_pair_psi+_23_golden.csv", ["eve-sim", "--attack", "wrong-pair"]),
-        ("eve_wrong_pair_psi+_12_golden.csv", ["eve-sim", "--attack", "wrong-pair", "--eve-pair", "12"]),
-        # cos 2t of an angle whose 2t overflows: the decoherence-free phi- and psi+ read exactly 1.0
-        ("recommend_cr_1e308_golden.csv", ["recommend", "--noise", "cr", "--theta", "1e308"]),
-    ],
-)
+# When a change to the arithmetic moves the last float digits, rewrite every
+# golden file named in _SWEEP_GOLDENS and _COMMAND_GOLDENS from its command line
+# with `PYTHONPATH=src python tests/test_cli.py`, and list each moved value in
+# CHANGES.md. The closed forms take powers as repeated products, so numpy's SIMD
+# dispatch on another CPU moves none of them:
+# test_output_is_the_same_with_numpys_avx512_targets_disabled checks it
+@pytest.mark.parametrize("golden,args", _SWEEP_GOLDENS)
+def test_sweep_matches_golden_file(tmp_path, golden, args):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *args, "--grid", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden,argv", _COMMAND_GOLDENS)
 def test_command_matches_golden_file(capsys, golden, argv):
-    # regenerate with `decoynoise <argv> --out tests/data/<name>`, as for the sweeps
     assert run(argv) == 0
-    expected = pathlib.Path(__file__).parent / "data" / golden
-    assert capsys.readouterr().out == expected.read_text()
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 def test_a_vanishing_fidelity_prints_its_closed_form(capsys):
@@ -756,16 +738,22 @@ def test_output_is_the_same_with_numpys_avx512_targets_disabled():
     assert not moved, f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)} moves the output of {moved}"
 
 
-# each command line with its one-line error
+# each command line with its one-line error; every angle lies below 2**1023 in magnitude
+_ANGLE_DOMAIN = "noise angle must be finite and below 2**1023 in magnitude, got"
+_LARGEST_ANGLE = "8.988465674311579e+307"  # the float just below 2**1023
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        (["recommend", "--noise", "cd", "--phi", "inf"], "noise angle must be finite, got inf"),
-        (["recommend", "--noise", "cr", "--theta", "nan"], "noise angle must be finite, got nan"),
-        (["sweep", "--noise", "cd", "--from=-inf", "--to", "1"], "sweep needs finite start < end, got [-inf, 1.0]"),
-        # finite ends whose difference is not: linspace would warn and give NaN
-        (["sweep", "--noise", "cd", "--from=-1e308", "--to=1e308"],
-         "sweep range [-1e+308, 1e+308] is wider than the largest float"),
+        (["recommend", "--noise", "cd", "--phi", "inf"], f"{_ANGLE_DOMAIN} inf"),
+        (["recommend", "--noise", "cr", "--theta", "nan"], f"{_ANGLE_DOMAIN} nan"),
+        (["sweep", "--noise", "cd", "--from=-inf", "--to", "1"], f"{_ANGLE_DOMAIN} -inf"),
+        (["sweep", "--noise", "cd", "--from=-1e308", "--to=1e308"], f"{_ANGLE_DOMAIN} -1e+308"),
+        (["recommend", "--noise", "cr", "--theta", "1e308"], f"{_ANGLE_DOMAIN} 1e+308"),
+        (["recommend", "--noise", "cd", "--phi", "-1e308"], f"{_ANGLE_DOMAIN} -1e+308"),
+        (["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "0.5", "--hi", "1.02e308"],
+         f"{_ANGLE_DOMAIN} 1.02e+308"),
     ],
 )
 def test_non_finite_parameters_fail_cleanly(args):
@@ -774,6 +762,21 @@ def test_non_finite_parameters_fail_cleanly(args):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["recommend", "--noise", noise, f"--{flag}", _LARGEST_ANGLE] for noise, flag in (("cd", "phi"), ("cr", "theta"))),
+        *(["sweep", "--noise", noise, f"--from=-{_LARGEST_ANGLE}", f"--to={_LARGEST_ANGLE}"] for noise in ("cd", "cr")),
+        ["crossover", "--a", "bb84", "--b", "psi-", "--noise", "cd", "--lo", "3.0", "--hi", _LARGEST_ANGLE],
+        ["crossover", "--a", "psi-", "--b", "cluster", "--noise", "cr", "--lo", "0.5", "--hi", _LARGEST_ANGLE],
+    ],
+)
+def test_the_largest_angle_gives_a_result_with_no_warning(argv):
+    proc = run_module(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "nan" not in proc.stdout and "inf" not in proc.stdout
 
 
 _WITHOUT_NUMPY = [
@@ -1251,13 +1254,18 @@ def test_help_and_usage_errors_in_a_fresh_process_are_argparses(argv):
 
 
 def test_the_readme_quickstart_runs():
-    # the python block under "## Library quickstart", run as it stands
+    # the python block under "## Library quickstart", run as it stands; each
+    # print(...) line's output is the comment line after it
     _, heading, section = (ROOT / "README.md").read_text().partition("## Library quickstart")
     _, fence, block = section.partition("```python\n")
     code = block.split("```", 1)[0]
     assert heading and fence and code.strip(), "no python code under ## Library quickstart"
+    lines = code.splitlines()
+    said = [after for line, after in zip(lines, [*lines[1:], ""]) if line.startswith("print(")]
+    assert said and all(after.startswith("# ") for after in said), said
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [after[2:] for after in said]
 
 
 def test_the_figure_script_writes_one_sweep_per_curve_file(tmp_path):
@@ -1272,3 +1280,10 @@ def test_the_figure_script_writes_one_sweep_per_curve_file(tmp_path):
         schemes = flags[flags.index("--schemes") + 1].split(",")
         assert lines[0] == ",".join(SWEEP_HEADER), name
         assert len(lines) == 1 + 21 * len(schemes), name
+
+
+if __name__ == "__main__":
+    sweeps = [(golden, ["sweep", *args, "--grid", "5"]) for golden, args in _SWEEP_GOLDENS]
+    for golden, argv in sweeps + _COMMAND_GOLDENS:
+        if run([*argv, "--out", str(DATA / golden)]) != 0:
+            sys.exit(f"cannot rewrite {golden}")

@@ -292,16 +292,6 @@ def test_grid_report_allows_rounding_within_atol_of_the_unit_interval(monkeypatc
     assert simulated is edges
 
 
-def test_cr_closed_form_keeps_cos_2t_bits_until_2t_overflows():
-    below = np.array([0.0, 0.7, -3.0, 1e300, np.nextafter(2.0**1023, 0.0), -np.nextafter(2.0**1023, 0.0)])
-    huge = np.array([2.0**1023, 1e308, -1.7e308, np.finfo(float).max])
-    for scheme in ("psi-", "phi+"):
-        closed = closed_form(scheme, "cr", parameter_grid("cr", below))
-        assert closed.tobytes() == np.square(np.square(np.cos(2.0 * below))).tobytes()
-        closed = closed_form(scheme, "cr", parameter_grid("cr", huge))
-        assert np.all(np.abs(closed - grid_report((scheme,), "cr", huge)[0][0]) < 1e-15), closed
-
-
 def test_closed_form_takes_every_power_as_repeated_products():
     # numpy's ** on an array may run a SIMD pow whose last bit differs between
     # CPUs; an IEEE product rounds the same at every SIMD width

@@ -1,15 +1,16 @@
-"""Parameter sweeps, crossover finding and per-channel scheme ranking.
+"""Parameter sweeps and their CSV, crossover finding and per-channel scheme ranking.
 
 Crossovers and rankings go through the simulated fidelity alone, so schemes
 without a closed-form expression, like the W state, take part on equal
 footing; a sweep returns each scheme's closed forms beside its simulation,
-None for the W state. A scheme is its label and a noise family its tag; a
-noise setting is a (family, value) pair. A ranking is the list of (rank,
-scheme, fidelity) rows that the CLI prints.
+None for the W state, and sweep_csv formats them. A scheme is its label and a
+noise family its tag; a noise setting is a (family, value) pair. A ranking is
+the list of (rank, scheme, fidelity) rows that the CLI prints.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .channels import parameter_value, point_weight, weight
@@ -18,6 +19,13 @@ from .fidelity import TABLE_SCHEMES, compile_fidelity, grid_report
 # Fidelities closer than this are reported as a tie; well above simulation
 # noise (~1e-15) and well below any genuine fidelity gap between schemes.
 TIE_TOL = 1e-9
+
+# Sweep rows formatted per block, so that only one block's Python floats and
+# strings are held at a time; at this size the largest sweeps peak at the sizes
+# that cli's size-cap comment gives.
+CSV_ROWS = 2**14
+
+SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
 
 
 def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, points: int) -> tuple:
@@ -37,14 +45,60 @@ def sweep(schemes: tuple[str, ...], family: str, start: float, end: float, point
     return grid, [(scheme, *cell) for scheme, cell in zip(schemes, grid_report(schemes, family, grid))]
 
 
-def find_crossover(
-    a: str,
-    b: str,
-    family: str,
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-) -> float:
+def _blocks(grid, results):
+    """A sweep's results as blocks: lists of (result, row slice) of at most CSV_ROWS rows.
+
+    A block holds whole results while they fit; a result longer than that is
+    cut into pieces of CSV_ROWS rows. Rows keep their order.
+    """
+    block, size = [], 0
+    for result in results:
+        for start in range(0, len(grid), CSV_ROWS):
+            rows = min(CSV_ROWS, len(grid) - start)
+            if size + rows > CSV_ROWS:
+                yield block
+                block, size = [], 0
+            block.append((result, slice(start, start + rows)))
+            size += rows
+    if block:
+        yield block
+
+
+def sweep_csv(grid, family, results):
+    """A sweep's CSV as str chunks, one per (scheme, row slice) piece of a block of at most CSV_ROWS rows.
+
+    Pieces of equal simulated array, rows and closed-form bits (psi+ and psi-
+    under ad, not W) share one row body, formatted once, in which each
+    distinct float, told apart by its bits (0.0 from -0.0), is repr-ed once.
+    """
+    import numpy as np
+    yield ",".join(SWEEP_HEADER) + "\n"
+    for block in _blocks(grid, results):
+        keys, pieces = [], {}
+        for (_, simulated, closed_form), rows in block:
+            # results holds every array while its block is formatted, so an id names one
+            key = (id(simulated), rows.start, None if closed_form is None else closed_form[rows].tobytes())
+            if key not in pieces:
+                pieces[key] = [grid[rows], simulated[rows]]
+                if closed_form is not None:
+                    pieces[key] += [closed_form[rows], abs(simulated[rows] - closed_form[rows])]
+            keys.append(key)
+        values = np.concatenate([column for columns in pieces.values() for column in columns])
+        distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+        text = iter(np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[index].tolist())
+        bodies = {}
+        for key, columns in pieces.items():
+            fields = [list(itertools.islice(text, len(column))) for column in columns]
+            bodies[key] = list(map(",".join, zip(*fields, *[itertools.repeat("")] * (4 - len(columns)))))
+        # while a chunk is written, the block holds no strings but the bodies still to be written
+        del text, values, distinct, index, fields
+        last = {key: n for n, key in enumerate(keys)}
+        for n, (key, ((scheme, _, _), _)) in enumerate(zip(keys, block)):
+            lead = f"{scheme},{family},"
+            yield lead + ("\n" + lead).join(bodies.pop(key) if last[key] == n else bodies[key]) + "\n"
+
+
+def find_crossover(a: str, b: str, family: str, lo: float, hi: float, tol: float = 1e-9) -> float:
     """Bisect for the parameter where the fidelities of a and b cross.
 
     Requires a sign change of F_a - F_b over [lo, hi]; both fidelity curves

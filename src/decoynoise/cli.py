@@ -12,12 +12,11 @@ same tables, which also writes all help and every usage error.
 Importing this module imports only channels and states. Each command imports
 the module it runs when it runs (fidelity for verify-table, analysis for
 sweep, recommend and crossover, eavesdrop for eve-sim) and calls through that
-module object.
+module object. analysis.sweep_csv, not this module, formats a sweep's CSV.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import stat
 import sys
@@ -40,8 +39,8 @@ DESCRIPTION = (
 # Largest accepted sizes, so that a command peaks at about 100 MB instead of
 # failing with a MemoryError. A sweep keeps a few floats per value, and one
 # simulated array per distinct polynomial: one scheme under pd at --grid 10**6
-# peaks at 90 MB, seven schemes at 142857 at 58 MB under pd (3 distinct arrays)
-# and 63 MB under ad (5), to stdout or --out alike. verify-table keeps one
+# peaks at 90 MB, seven schemes at 142857 at 49 MB under pd (3 distinct arrays)
+# and 55 MB under ad (5), to stdout or --out alike. verify-table keeps one
 # family's weight array, at most 4 distinct simulated arrays and 6 closed forms
 # at a time, 44 MB at --grid 10**5. Intercept-resend Monte Carlo holds 2 bytes per
 # trial, 54 MB at 10**7 trials; wrong-pair peaks at 35 MB.
@@ -49,13 +48,6 @@ MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7
 DEFAULT_TRIALS = 10**6
-
-# Sweep rows formatted per block, so that only one block's Python floats and
-# strings are held at a time. A block holds all its strings and its joined
-# lines at once; at this size the largest sweeps peak at the sizes given above.
-CSV_ROWS = 2**14
-
-SWEEP_HEADER = ["scheme", "noise", "parameter", "fidelity_sim", "fidelity_closed", "abs_err"]
 
 
 class CliError(Exception):
@@ -242,52 +234,6 @@ def _cmd_verify_table(args):
     return 2 if worst >= REGRESSION_TOL else 0, _lines(rows)
 
 
-def _blocks(grid, results):
-    """A sweep's results as blocks: lists of (result, row slice) of at most CSV_ROWS rows.
-
-    A block holds whole results while they fit; a result longer than that is
-    cut into pieces of CSV_ROWS rows. Rows keep their order.
-    """
-    block, size = [], 0
-    for result in results:
-        for start in range(0, len(grid), CSV_ROWS):
-            rows = min(CSV_ROWS, len(grid) - start)
-            if size + rows > CSV_ROWS:
-                yield block
-                block, size = [], 0
-            block.append((result, slice(start, start + rows)))
-            size += rows
-    if block:
-        yield block
-
-
-def _sweep_blocks(grid, family, results):
-    """The sweep's CSV, formatted one block of at most CSV_ROWS rows at a time.
-
-    Each distinct float of a block is repr-ed once: the schemes share one grid,
-    many of their fidelities tie and abs_err takes few values. Floats are told
-    apart by their bits, so 0.0 and -0.0 each keep their own repr. Each
-    (scheme, row slice) piece of a block is one chunk, its lines joined in C.
-    """
-    import numpy as np
-    yield from _lines([SWEEP_HEADER])
-    for block in _blocks(grid, results):
-        pieces = []
-        for (_, simulated, closed_form), rows in block:
-            columns = [grid[rows], simulated[rows]]
-            if closed_form is not None:
-                columns += [closed_form[rows], abs(columns[1] - closed_form[rows])]
-            pieces.append(columns)
-        values = np.concatenate([column for columns in pieces for column in columns])
-        distinct, index = np.unique(values.view(np.int64), return_inverse=True)
-        text = iter(np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[index].tolist())
-        for ((scheme, _, _), _), columns in zip(block, pieces):
-            fields = [list(itertools.islice(text, len(column))) for column in columns]
-            fields += [itertools.repeat("")] * (4 - len(columns))
-            lead = f"{scheme},{family},"
-            yield lead + ("\n" + lead).join(map(",".join, zip(*fields))) + "\n"
-
-
 def _cmd_sweep(args):
     if args.grid < 2:
         raise CliError("grid must be >= 2")
@@ -299,7 +245,7 @@ def _cmd_sweep(args):
     end = hi if args.end is None else args.end
     from . import analysis
     grid, results = analysis.sweep(schemes, args.noise, start, end, args.grid)
-    return 0, _sweep_blocks(grid, args.noise, results)
+    return 0, analysis.sweep_csv(grid, args.noise, results)
 
 
 def _cmd_recommend(args):

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from decoynoise import analysis, cli
 from decoynoise.channels import FAMILIES, parameter_range
-from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, SWEEP_HEADER, run
+from decoynoise.analysis import SWEEP_HEADER
+from decoynoise.cli import MAX_SWEEP_VALUES, MAX_TABLE_GRID, MAX_TRIALS, REGRESSION_TOL, run
 from decoynoise.fidelity import grid_report
 
 fidelity_mod = importlib.import_module("decoynoise.fidelity")
@@ -118,20 +119,20 @@ def _reference_sweep_csv(grid, family, results):
 @settings(max_examples=25, deadline=None)
 @given(
     noise=st.sampled_from(sorted(FAMILIES)),
-    labels=st.lists(st.sampled_from(["bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w"]),
-                    min_size=1, max_size=7, unique=True),
+    labels=st.lists(st.sampled_from(["bb84", "psi+", "psi-", "phi+", "phi-", "cluster", "w"]), min_size=1, max_size=7),
     grid=st.integers(2, 9),
 )
 def test_sweep_rows_do_not_depend_on_the_write_block(noise, labels, grid):
+    # a repeated label, like schemes of equal polynomial, shares its simulated array
     points, results = analysis.sweep(tuple(labels), noise, *parameter_range(noise), grid)
     expected = _reference_sweep_csv(points, noise, results)
     assert len(expected.splitlines()) == 1 + len(labels) * grid
     # 1 and 2 rows cut every report, w's too, into one- and two-row pieces,
     # 3 split a report of more than 3 points, 7 hold one whole report of up to
     # 7, 14 two, and the default all of them
-    for block in (1, 2, 3, 7, 14, cli.CSV_ROWS):
+    for block in (1, 2, 3, 7, 14, analysis.CSV_ROWS):
         out = io.StringIO()
-        with mock.patch.object(cli, "CSV_ROWS", block), contextlib.redirect_stdout(out):
+        with mock.patch.object(analysis, "CSV_ROWS", block), contextlib.redirect_stdout(out):
             assert run(["sweep", "--noise", noise, "--schemes", ",".join(labels), "--grid", str(grid)]) == 0
         assert out.getvalue() == expected, block
 
@@ -144,7 +145,7 @@ def test_sweep_formats_each_float_by_its_bits():
         ("psi+", np.array([-0.0, 0.0, above, 0.5]), np.array([0.0, -0.0, 0.5, 0.5])),
         ("w", np.array([0.0, -0.0, 0.5, above]), None),
     ]
-    text = "".join(cli._sweep_blocks(grid, "ad", results))
+    text = "".join(analysis.sweep_csv(grid, "ad", results))
     assert [line.split(",") for line in text.splitlines()[1:]] == [
         ["psi+", "ad", "0.0", "-0.0", "0.0", "0.0"],
         ["psi+", "ad", "-0.0", "0.0", "-0.0", "0.0"],
@@ -156,6 +157,35 @@ def test_sweep_formats_each_float_by_its_bits():
         ["w", "ad", repr(above), repr(above), "", ""],
     ]
     assert text == _reference_sweep_csv(grid, "ad", results)
+
+
+def test_schemes_sharing_a_simulated_array_print_their_own_closed_forms():
+    # the closed forms differ by one ulp at one point, so the two pieces share no row body
+    grid = np.linspace(0.0, 1.0, 5)
+    simulated = np.array([1.0, 0.75, 0.5, 0.25, 0.0])
+    closed_form = simulated.copy()
+    nudged = closed_form.copy()
+    above = float(np.nextafter(0.5, 1.0))
+    nudged[2] = above
+    results = [("psi+", simulated, closed_form), ("psi-", simulated, nudged), ("phi+", simulated, closed_form)]
+    text = "".join(analysis.sweep_csv(grid, "ad", results))
+    lines = text.splitlines()[1:]
+    assert lines[2] == "psi+,ad,0.5,0.5,0.5,0.0"
+    assert lines[7] == f"psi-,ad,0.5,0.5,{above!r},{above - 0.5!r}"
+    assert lines[12] == "phi+,ad,0.5,0.5,0.5,0.0"
+    assert [line.split(",", 1)[1] for line in lines[:5]] == [line.split(",", 1)[1] for line in lines[10:]]
+    assert text == _reference_sweep_csv(grid, "ad", results)
+
+
+def test_w_shares_phi_simulation_under_cd_but_keeps_empty_closed_forms():
+    grid, results = analysis.sweep(("phi+", "w", "phi-"), "cd", 0.0, 2.0, 7)
+    (_, phi_plus, phi_closed), (_, w, w_closed), (_, phi_minus, _) = results
+    assert phi_plus is w is phi_minus and w_closed is None and phi_closed is not None
+    text = "".join(analysis.sweep_csv(grid, "cd", results))
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [row[4:] for row in rows if row[0] == "w"] == [["", ""]] * 7
+    assert all(row[4] == "1.0" and row[5] == "0.0" for row in rows if row[0] != "w")
+    assert text == _reference_sweep_csv(grid, "cd", results)
 
 
 def test_sweep_w_state_has_empty_closed_form_fields(capsys):
@@ -556,7 +586,7 @@ def test_oversized_grid_and_trials_are_rejected_before_any_work(args, message, c
 # Each command at its size cap, and the peak RSS in MB that it must stay under:
 # 80 above intercept-resend's 2 bytes per trial (54 MB), 60 above verify-table's
 # one family at a time (44 MB; 89 MB holding all 24 cells), and the "about 100 MB"
-# of cli's size comment for the two largest sweep shapes (90 and 58 MB).
+# of cli's size comment for the two largest sweep shapes (90 and 49 MB).
 _CAP_PEAKS = [
     (["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", str(MAX_TRIALS), "--seed", "3"], 80),
     (["verify-table", "--grid", str(MAX_TABLE_GRID)], 60),

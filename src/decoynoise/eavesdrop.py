@@ -23,12 +23,13 @@ Each attack is one path from its probabilities to one AttackOutcome, the
 named tuple (detection_probability, outcome_distribution) with a fresh dict
 of floats on every call. The exact method reads the probabilities. Monte
 Carlo, which only exercises the statistical pathway, replaces them by counts
-over trials; it needs an explicit seed, is bit-reproducible for a fixed seed
-and alone imports numpy. The receiver's wrong-pair joint is built once per
-process for each of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair,
-eve_outcome), in plain integer arithmetic, as a flat tuple of 16 floats in
-_PAIRS order. A zero-probability eve_outcome raises on every call, as
-exceptions are not memoised.
+over trials; it needs an explicit seed and alone imports numpy. It counts
+contiguous parts of the seeded PCG64 stream at once, one per usable CPU up to
+_MC_PARTS, so it is bit-reproducible for a fixed seed on any number of CPUs.
+The receiver's wrong-pair joint is built once per process for each of the at
+most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome), in plain integer
+arithmetic, as a flat tuple of 16 floats in _PAIRS order. A zero-probability
+eve_outcome raises on every call, as exceptions are not memoised.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import os
 
 from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, INT_STATES, SINGLE_LABELS
 
@@ -61,6 +63,10 @@ _VALID_EVE_PAIRS = ((1, 2), (2, 3))
 # 64-bit outputs or uniforms per Monte Carlo block: 512 KB of them.
 _MC_BLOCK = 1 << 16
 
+# At most this many Monte Carlo parts at once, each on its own CPU: each holds a block of temporaries,
+# about 0.6 MB, and 2 parts is the most whose speed has been measured.
+_MC_PARTS = 2
+
 
 AttackOutcome = collections.namedtuple("AttackOutcome", ["detection_probability", "outcome_distribution"])
 AttackOutcome.__doc__ = """Detection probability plus the full measurement-outcome distribution, a dict of floats."""
@@ -79,6 +85,50 @@ def _sampled(method: str, trials: int | None, seed: int | None) -> bool:
     if seed < 0:
         raise ValueError(f"monte-carlo seed must be non-negative, got {seed}")
     return True
+
+
+def _in_parts(trials: int, seed: int, *phases):
+    """Runs part(bits, start, stop) on equal contiguous parts [start, stop) of range(trials) and sums the results.
+
+    One part per usable CPU, at most _MC_PARTS, each of at least _MC_BLOCK trials. The phases, (offset, part)
+    pairs, run in turn, and the sum of the last is returned; bits is the part's seeded PCG64 at output offset +
+    start. The first part runs here, each other on a thread of its own; errors are raised once all have finished.
+    """
+    import numpy as np
+    parts = min(_MC_PARTS, trials // _MC_BLOCK)
+    if parts > 1:
+        parts = min(parts, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if parts <= 1:  # one generator, read here from phase to phase, as building one costs 9 us
+        bits, at = np.random.PCG64(seed), 0
+        for offset, part in phases:
+            if offset != at:
+                bits.advance(offset - at)
+            at, result = offset + trials, part(bits, 0, trials)
+        return result
+    import threading
+    cuts = [trials * k // parts for k in range(parts + 1)]
+    for offset, part in phases:
+        results = [None] * parts
+
+        def run(k, bits):
+            try:
+                results[k] = part(bits, cuts[k], cuts[k + 1])
+            except BaseException as error:  # raised below, once every part has finished
+                results[k] = error
+
+        bits = [np.random.PCG64(seed) for _ in range(parts)]  # built here, so that no thread imports numpy.random
+        for k in range(parts):
+            if offset + cuts[k]:
+                bits[k].advance(offset + cuts[k])
+        threads = [threading.Thread(target=run, args=(k, bits[k])) for k in range(1, parts)]
+        for thread in threads:
+            thread.start()
+        run(0, bits[0])
+        for thread in threads:
+            thread.join()
+        for error in (result for result in results if isinstance(result, BaseException)):
+            raise error
+    return sum(results[1:], results[0])
 
 
 def intercept_resend_bb84(
@@ -102,23 +152,29 @@ def intercept_resend_bb84(
     disagree, total = _DISAGREEMENT
     if _sampled(method, trials, seed):
         import numpy as np
-        bits, top = np.random.PCG64(seed), np.empty(2 * trials, dtype=bool)  # default_rng(seed)'s bit generator
-        blocks = [(start, min(start + _MC_BLOCK, trials)) for start in range(0, trials, _MC_BLOCK)]
+        top = np.empty(2 * trials, dtype=bool)
+
         # rng.integers(0, 4), then rng.integers(0, 2), as int32 take the top bits of 2 * trials 32-bit
         # draws (Lemire's method never rejects on a power-of-two range): the halves of the first trials
         # outputs, low half first. Bit 31 of half j is the sent label's basis (sent >> 1, in SINGLE_LABELS
         # order), and bit 31 of half trials + j is Eve's basis.
-        for start, stop in blocks:  # one expression, so a block's outputs are freed before the next are drawn
-            np.greater_equal(bits.random_raw(stop - start).astype("<u8", copy=False).view("<u4"), 1 << 31,
-                             out=top[2 * start : 2 * stop])
-        bits.advance(trials)  # Eve's uniforms, one output each
-        # Every Born probability between the four labels is 0, 1/2 or 1: in the sent label's basis Eve
-        # finds that label and the receiver agrees; in the other, whatever Eve found, the receiver
-        # disagrees exactly when its uniform (output >> 11) / 2**53 is >= 1/2, that is when bit 63 is set.
-        disagree, total = 0, trials
-        for start, stop in blocks:
-            wrong = top[start:stop] != top[trials + start : trials + stop]
-            disagree += int(np.count_nonzero(wrong & (bits.random_raw(stop - start) >= 1 << 63)))
+        def bases(bits, start, stop):  # one expression per block, so its outputs are freed before the next are drawn
+            for first, last in itertools.pairwise([*range(start, stop, _MC_BLOCK), stop]):
+                np.greater_equal(bits.random_raw(last - first).astype("<u8", copy=False).view("<u4"), 1 << 31,
+                                 out=top[2 * first : 2 * last])
+
+        # Eve's uniforms take the next trials outputs, one each. Every Born probability between the four
+        # labels is 0, 1/2 or 1: in the sent label's basis Eve finds that label and the receiver agrees;
+        # in the other, whatever Eve found, the receiver disagrees exactly when its uniform
+        # (output >> 11) / 2**53 is >= 1/2, that is when bit 63 of output 2 * trials + j is set.
+        def disagreements(bits, start, stop):
+            disagree = 0
+            for first, last in itertools.pairwise([*range(start, stop, _MC_BLOCK), stop]):
+                wrong = top[first:last] != top[trials + first : trials + last]
+                disagree += int(np.count_nonzero(wrong & (bits.random_raw(last - first) >= 1 << 63)))
+            return disagree
+
+        disagree, total = _in_parts(trials, seed, (0, bases), (2 * trials, disagreements)), trials
     return AttackOutcome(disagree / total, {"agree": (total - disagree) / total, "disagree": disagree / total})
 
 
@@ -185,23 +241,30 @@ def wrong_pair_bell_attack(
     probs = _attack_joint(bell, eve_pair, eve_outcome)
     if sampled:
         import numpy as np
-        rng = np.random.default_rng(seed)
         flat = np.array(probs)
         # Inverse-CDF sampling on the uniforms and CDF of Generator.choice(16, p=...),
         # counted per outcome instead of drawn one by one: outcome k is drawn by
         # the uniforms u with cdf[k-1] <= u < cdf[k], and cdf[15] is exactly 1,
         # which no uniform reaches. Zero-probability outcomes repeat an edge,
-        # which is counted once. The uniforms are drawn and counted in blocks
-        # that stay in cache; consecutive blocks are the stream of one draw.
+        # which is counted once. Every uniform is at or above an edge at 0.0, so
+        # only edges in (0, 1) are compared: with one certain outcome, none, and
+        # nothing is drawn. The uniforms, default_rng(seed)'s, go in blocks.
         cdf = (flat / flat.sum()).cumsum()
         cdf /= cdf[-1]
         edges, edge_of = np.unique(cdf, return_inverse=True)
-        at_or_above = np.zeros(len(edges), dtype=np.int64)
-        buffer = np.empty(min(trials, _MC_BLOCK))
-        for start in range(0, trials, _MC_BLOCK):
-            uniforms = rng.random(out=buffer[: trials - start])
-            for k, edge in enumerate(edges[:-1]):
-                at_or_above[k] += np.count_nonzero(uniforms >= edge)
+        drawn = range(int(edges[0] == 0.0), len(edges) - 1)  # the indices of the edges in (0, 1)
+
+        def count(bits, start, stop):
+            rng, buffer = np.random.Generator(bits), np.empty(min(trials, _MC_BLOCK))
+            at_or_above = np.zeros(len(edges), dtype=np.int64)
+            for first in range(start, stop, _MC_BLOCK):
+                uniforms = rng.random(out=buffer[: stop - first])
+                for k in drawn:
+                    at_or_above[k] += np.count_nonzero(uniforms >= edges[k])
+            return at_or_above
+
+        at_or_above = _in_parts(trials, seed, (0, count)) if drawn else np.zeros(len(edges), dtype=np.int64)
+        at_or_above[: drawn.start] = trials
         counts = -np.diff(at_or_above[edge_of], prepend=trials)
         probs = (counts / trials).tolist()
     prep = BELL_LABELS.index(bell)

@@ -594,23 +594,46 @@ _CAP_PEAKS = [
     (["sweep", "--noise", "pd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w", "--grid", str(MAX_SWEEP_VALUES // 7)], 100),
 ]
 
-# Runs `python -m decoynoise` as the one child of a fresh parent, then prints the
-# child's peak RSS: RUSAGE_CHILDREN's ru_maxrss is the largest among the parent's
-# ended children.
+# Runs `python <args>` as the one child of a fresh parent, then prints the child's
+# peak RSS: RUSAGE_CHILDREN's ru_maxrss is the largest among the parent's ended
+# children.
 _REPORT_PEAK = (
     "import resource, subprocess, sys\n"
-    "subprocess.run([sys.executable, '-m', 'decoynoise', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
+    "subprocess.run([sys.executable, *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
     "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
 )
+
+# `python -m decoynoise` in a process that reports 64 usable CPUs, on which a
+# Monte Carlo count would run in as many parts as it may
+_ON_64_CPUS = (
+    "import os, runpy\n"
+    "os.sched_getaffinity = lambda pid: set(range(64))\n"
+    "runpy.run_module('decoynoise', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _peak_mb(*args):
+    """The peak RSS in MB of `python *args` in a child process that imports this checkout's src/."""
+    proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK, *args], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 @pytest.mark.parametrize("argv,limit_mb", _CAP_PEAKS)
 def test_a_command_at_its_size_cap_peaks_under_its_memory_limit(argv, limit_mb):
-    proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK, *argv], env=_child_env(), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / 1024
+    peak_mb = _peak_mb("-m", "decoynoise", *argv)
     assert peak_mb <= limit_mb, f"{' '.join(argv)} peaked at {peak_mb:.1f} MB, above {limit_mb} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_monte_carlo_at_its_size_cap_on_64_cpus_peaks_under_its_memory_limit():
+    # each part holds its own block of temporaries, so the parts at once are capped whatever the CPUs; on a
+    # host with few real CPUs the parts' blocks are seldom all live at once, and the cap itself is checked
+    # by test_eavesdrop's test_the_parts_at_once_are_capped_whatever_the_cpus
+    argv, limit_mb = _CAP_PEAKS[0]
+    peak_mb = _peak_mb("-c", _ON_64_CPUS, *argv)
+    assert peak_mb <= limit_mb, f"{' '.join(argv)} on 64 CPUs peaked at {peak_mb:.1f} MB, above {limit_mb} MB"
 
 
 def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys):
@@ -1225,6 +1248,29 @@ def test_a_command_imports_only_the_modules_it_runs(argv, runs):
     assert out.startswith(",".join(_HEADERS[argv[0]]) + "\n")
     package = {name for name in imports if name.startswith("decoynoise.")}
     assert package == {f"decoynoise.{name}" for name in {"channels", "cli", "states", *runs}}
+
+
+# Monte Carlo at 10**6 trials, which counts in parts at once on up to 2 usable CPUs
+_PARALLEL_MC = [["eve-sim", "--attack", attack, "--method", "mc", "--trials", "1000000", "--seed", "5"]
+                for attack in ("wrong-pair", "intercept")]
+
+
+@pytest.mark.parametrize("argv", _PARALLEL_MC)
+def test_monte_carlo_in_parts_imports_no_executor_or_logging(argv):
+    code, out, err, imports = _fresh_imports(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(",".join(_HEADERS[argv[0]]) + "\n")
+    assert not imports & {"concurrent.futures", "logging"}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity (Linux)")
+@pytest.mark.parametrize("argv", _PARALLEL_MC)
+def test_monte_carlo_prints_the_same_bytes_on_one_cpu(argv):
+    # the child alone is pinned to one of the CPUs this process may use
+    every = run_module(argv, capture_output=True)
+    one = run_module(argv, capture_output=True, preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
+    assert (every.returncode, every.stderr, one.returncode, one.stderr) == (0, b"", 0, b"")
+    assert one.stdout == every.stdout
 
 
 # Each name the package exports, by the submodule that defines it

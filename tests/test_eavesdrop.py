@@ -6,6 +6,9 @@ construction from the implementation's integer sums over the 16 basis states.
 """
 
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -273,6 +276,22 @@ def test_wrong_pair_mc_counts_match_generator_choice(bell, eve_pair):
                 assert mc.detection_probability == 1.0 - counts[prep] / trials
 
 
+def test_a_certain_outcome_draws_no_uniform(monkeypatch):
+    # on the correct pair one outcome has probability 1, so every count is known without a draw
+    ran = _record_parts(monkeypatch)
+
+    def no_generator(*args):
+        raise AssertionError("a generator was built")
+
+    for name in ("default_rng", "Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, no_generator)
+    for bell in BELL_LABELS:
+        for eve_outcome in (None, bell):
+            mc = wrong_pair_bell_attack(bell, (1, 2), "mc", 10**6 + 1, 5, eve_outcome)
+            assert mc == wrong_pair_bell_attack(bell, (1, 2), eve_outcome=eve_outcome)
+    assert ran == []
+
+
 def test_wrong_pair_rejects_bad_input():
     for eve_pair in [(1, 3), (1.9, 2.2), (2.7, 3.5), 23, "23", (2, 3, 4)]:
         with pytest.raises(ValueError, match="eve_pair must be one of"):
@@ -356,3 +375,114 @@ def test_argument_errors_come_before_any_work(monkeypatch):
             wrong_pair_bell_attack("psi+", (2, 3), method, trials, seed)
         with pytest.raises(ValueError, match=message):
             intercept_resend_bb84(method, trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo in contiguous parts of the seeded stream, one per usable CPU up to a cap
+# ---------------------------------------------------------------------------
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _record_parts(monkeypatch, replace=None):
+    """Record (phase, start, stop, thread) for every part that runs; replace, if given, runs in place of each part."""
+    ran, in_parts = [], eavesdrop._in_parts
+
+    def recording(trials, seed, *phases):
+        def recorded(phase, part):
+            def run(bits, start, stop):
+                ran.append((phase, start, stop, threading.current_thread()))  # held, so never reused
+                return (replace or part)(bits, start, stop)
+            return run
+        return in_parts(trials, seed, *[(offset, recorded(n, part)) for n, (offset, part) in enumerate(phases)])
+
+    monkeypatch.setattr(eavesdrop, "_in_parts", recording)
+    return ran
+
+
+def _within(seconds, *calls):
+    """Each call's result, or the exception it raised, each run in its own thread; fails if one runs too long."""
+    results = [None] * len(calls)
+
+    def run(k):
+        try:
+            results[k] = calls[k]()
+        except BaseException as error:  # handed back to the test, which asserts on it
+            results[k] = error
+
+    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + seconds
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread in threads), f"a call ran past {seconds} s"
+    return results
+
+
+def _choice_distribution(bell, eve_pair, trials, seed):
+    """The wrong-pair distribution of Generator.choice drawing each trial, the sampler's reference."""
+    flat = np.array(list(wrong_pair_bell_attack(bell, eve_pair).outcome_distribution.values()))
+    counts = np.bincount(np.random.default_rng(seed).choice(16, size=trials, p=flat / flat.sum()), minlength=16)
+    return list(counts / trials)
+
+
+# 2 * 2**16 + 1 trials make at most 2 parts; 5 * 2**16 - 1 at most 4 and 5 * 2**16 + 1 at most 5, whose
+# cuts fall inside blocks; with odd counts Eve's bases start mid-output and the receiver's outputs are out
+# of line with the labels'
+@pytest.mark.parametrize("trials", [2 * 2**16 + 1, 5 * 2**16 - 1, 5 * 2**16 + 1, 10**6 + 1])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_monte_carlo_counts_are_the_same_on_any_number_of_cpus(monkeypatch, cpus, trials):
+    monkeypatch.setattr(eavesdrop, "_MC_PARTS", 5)  # above the CPUs, so that they bound the parts
+    _use_cpus(monkeypatch, cpus)
+    ran = _record_parts(monkeypatch)
+    parts = max(1, min(cpus, trials // 2**16))
+    cuts = [(trials * k // parts, trials * (k + 1) // parts) for k in range(parts)]
+
+    def assert_ran(phases):
+        for phase in range(phases):
+            assert sorted((start, stop) for n, start, stop, _ in ran if n == phase) == cuts
+            assert len({thread for n, *_, thread in ran if n == phase}) == parts
+        assert {n for n, *_ in ran} == set(range(phases))
+        ran.clear()
+
+    assert intercept_resend_bb84("mc", trials, 3) == born_table_intercept_resend(trials, 3)
+    assert_ran(2)
+    mc = wrong_pair_bell_attack("phi-", (2, 3), "mc", trials, 3)
+    assert list(mc.outcome_distribution.values()) == _choice_distribution("phi-", (2, 3), trials, 3)
+    assert_ran(1)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 64])
+def test_the_parts_at_once_are_capped_whatever_the_cpus(monkeypatch, cpus):
+    _use_cpus(monkeypatch, cpus)
+    ran = _record_parts(monkeypatch)
+    trials = 10**6 + 1
+    assert intercept_resend_bb84("mc", trials, 3) == born_table_intercept_resend(trials, 3)
+    parts = min(cpus, eavesdrop._MC_PARTS)
+    cuts = [trials * k // parts for k in range(parts + 1)]
+    assert sorted((n, start, stop) for n, start, stop, _ in ran) == [(n, *cut) for n in (0, 1) for cut in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("failing", ["the caller's part", "another thread's part"])
+def test_an_error_in_one_part_is_raised_once_every_part_has_finished(monkeypatch, failing):
+    trials = 2 * 2**16
+    expected = _choice_distribution("psi-", (2, 3), trials, 1)
+    _use_cpus(monkeypatch, 2)
+    finished = []
+
+    def part(bits, start, stop):
+        if (start == 0) == (failing == "the caller's part"):
+            raise RuntimeError(f"the part from {start} failed")
+        time.sleep(0.2)
+        finished.append(start)
+
+    with monkeypatch.context() as patch:
+        _record_parts(patch, replace=part)
+        [error] = _within(30, lambda: wrong_pair_bell_attack("psi-", (2, 3), "mc", trials, 1))
+        assert isinstance(error, RuntimeError) and "failed" in str(error)
+        assert finished == [trials // 2 if failing == "the caller's part" else 0]
+    # the next call counts as if nothing had failed
+    [mc] = _within(30, lambda: wrong_pair_bell_attack("psi-", (2, 3), "mc", trials, 1))
+    assert list(mc.outcome_distribution.values()) == expected

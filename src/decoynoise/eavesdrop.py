@@ -23,13 +23,13 @@ Each attack is one path from its probabilities to one AttackOutcome, the
 named tuple (detection_probability, outcome_distribution) with a fresh dict
 of floats on every call. The exact method reads the probabilities. Monte
 Carlo, which only exercises the statistical pathway, replaces them by counts
-over trials; it needs an explicit seed and alone imports numpy. It counts
-contiguous parts of the seeded PCG64 stream at once, one per usable CPU up to
-_MC_PARTS, so it is bit-reproducible for a fixed seed on any number of CPUs.
-The receiver's wrong-pair joint is built once per process for each of the at
-most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome), in plain integer
-arithmetic, as a flat tuple of 16 floats in _PAIRS order. A zero-probability
-eve_outcome raises on every call, as exceptions are not memoised.
+over trials; it needs integer trials and seed and alone imports numpy. It
+counts contiguous parts of the seeded PCG64 stream at once, one per usable
+CPU up to _MC_PARTS, so it is bit-reproducible for a fixed seed on any number
+of CPUs. The receiver's wrong-pair joint is built once per process for each
+of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome) as a flat
+tuple of 16 floats in _PAIRS order. A zero-probability eve_outcome raises on
+every call, as exceptions are not memoised.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import operator
 import os
 
 from .states import BELL_LABELS, INT_BELLS, INT_SINGLES, INT_STATES, SINGLE_LABELS
@@ -72,58 +73,54 @@ AttackOutcome = collections.namedtuple("AttackOutcome", ["detection_probability"
 AttackOutcome.__doc__ = """Detection probability plus the full measurement-outcome distribution, a dict of floats."""
 
 
-def _sampled(method: str, trials: int | None, seed: int | None) -> bool:
-    """Whether method is Monte Carlo ("mc") rather than "exact"; Monte Carlo needs trials >= 1 and a seed >= 0."""
+def _sampled(method: str, trials: int | None, seed: int | None) -> tuple[int, int] | tuple[None, None]:
+    """(trials >= 1, seed >= 0) as ints for method "mc", or (None, None) for "exact"; no bool counts as an integer."""
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
     if method == "exact":
-        return False
-    if trials is None or trials < 1:
-        raise ValueError("monte-carlo method needs a positive trial count")
-    if seed is None:
-        raise ValueError("monte-carlo method needs an explicit seed")
-    if seed < 0:
+        return None, None
+    count, start = (operator.index(value) if hasattr(type(value), "__index__") and type(value) is not bool else None
+                    for value in (trials, seed))
+    if count is None or count < 1:
+        raise ValueError(f"monte-carlo method needs a positive trial count as an integer, got {trials!r}")
+    if start is None:
+        raise ValueError(f"monte-carlo method needs an explicit seed as an integer, got {seed!r}")
+    if start < 0:
         raise ValueError(f"monte-carlo seed must be non-negative, got {seed}")
-    return True
+    return count, start
 
 
 def _in_parts(trials: int, seed: int, *phases):
     """Runs part(bits, start, stop) on equal contiguous parts [start, stop) of range(trials) and sums the results.
 
-    One part per usable CPU, at most _MC_PARTS, each of at least _MC_BLOCK trials. The phases, (offset, part)
-    pairs, run in turn, and the sum of the last is returned; bits is the part's seeded PCG64 at output offset +
-    start. The first part runs here, each other on a thread of its own; errors are raised once all have finished.
+    One part per usable CPU, at most _MC_PARTS, each of at least _MC_BLOCK trials. The (offset, part) phases run
+    in turn, and the last one's sum is returned. bits is the part's PCG64(seed), built here once and advanced to
+    output offset + start. Part 0 runs here, each other on its own thread; errors are raised once all have ended.
     """
     import numpy as np
-    parts = min(_MC_PARTS, trials // _MC_BLOCK)
+    parts = max(1, min(_MC_PARTS, trials // _MC_BLOCK))
     if parts > 1:
+        import threading
         parts = min(parts, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if parts <= 1:  # one generator, read here from phase to phase, as building one costs 9 us
-        bits, at = np.random.PCG64(seed), 0
-        for offset, part in phases:
-            if offset != at:
-                bits.advance(offset - at)
-            at, result = offset + trials, part(bits, 0, trials)
-        return result
-    import threading
     cuts = [trials * k // parts for k in range(parts + 1)]
+    bits, read = [np.random.PCG64(seed) for _ in range(parts)], [0] * parts  # read: the outputs each has drawn
+
+    def run(k):  # the current phase's part k
+        try:
+            results[k] = part(bits[k], cuts[k], cuts[k + 1])
+        except BaseException as error:  # raised below, once every part has finished
+            results[k] = error
+
     for offset, part in phases:
         results = [None] * parts
-
-        def run(k, bits):
-            try:
-                results[k] = part(bits, cuts[k], cuts[k + 1])
-            except BaseException as error:  # raised below, once every part has finished
-                results[k] = error
-
-        bits = [np.random.PCG64(seed) for _ in range(parts)]  # built here, so that no thread imports numpy.random
         for k in range(parts):
-            if offset + cuts[k]:
-                bits[k].advance(offset + cuts[k])
-        threads = [threading.Thread(target=run, args=(k, bits[k])) for k in range(1, parts)]
+            if offset + cuts[k] != read[k]:
+                bits[k].advance(offset + cuts[k] - read[k])
+            read[k] = offset + cuts[k + 1]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(1, parts)]
         for thread in threads:
             thread.start()
-        run(0, bits[0])
+        run(0)
         for thread in threads:
             thread.join()
         for error in (result for result in results if isinstance(result, BaseException)):
@@ -150,7 +147,8 @@ def intercept_resend_bb84(
     blocks. At its peak a run holds 2 bytes per trial, 54 MB at 10**7 trials.
     """
     disagree, total = _DISAGREEMENT
-    if _sampled(method, trials, seed):
+    trials, seed = _sampled(method, trials, seed)
+    if trials:
         import numpy as np
         top = np.empty(2 * trials, dtype=bool)
 
@@ -235,37 +233,28 @@ def wrong_pair_bell_attack(
         eve_pair = _VALID_EVE_PAIRS[_VALID_EVE_PAIRS.index(tuple(eve_pair))]
     except (TypeError, ValueError):
         raise ValueError(f"eve_pair must be one of {_VALID_EVE_PAIRS} (1-indexed), got {eve_pair!r}") from None
-    sampled = _sampled(method, trials, seed)
+    trials, seed = _sampled(method, trials, seed)
     if eve_outcome is not None and eve_outcome not in BELL_LABELS:
         raise ValueError(f"unknown Bell label {eve_outcome!r}")
     probs = _attack_joint(bell, eve_pair, eve_outcome)
-    if sampled:
+    if trials:
         import numpy as np
-        flat = np.array(probs)
-        # Inverse-CDF sampling on the uniforms and CDF of Generator.choice(16, p=...),
-        # counted per outcome instead of drawn one by one: outcome k is drawn by
-        # the uniforms u with cdf[k-1] <= u < cdf[k], and cdf[15] is exactly 1,
-        # which no uniform reaches. Zero-probability outcomes repeat an edge,
-        # which is counted once. Every uniform is at or above an edge at 0.0, so
-        # only edges in (0, 1) are compared: with one certain outcome, none, and
-        # nothing is drawn. The uniforms, default_rng(seed)'s, go in blocks.
-        cdf = (flat / flat.sum()).cumsum()
-        cdf /= cdf[-1]
-        edges, edge_of = np.unique(cdf, return_inverse=True)
-        drawn = range(int(edges[0] == 0.0), len(edges) - 1)  # the indices of the edges in (0, 1)
+        # default_rng(seed)'s uniforms against the CDF of Generator.choice(16, p=probs), which draws outcome k
+        # for a uniform u with cdf[k-1] <= u < cdf[k]; each outcome's draws are counted, not made. The probabilities
+        # are in 64ths, so their float sums are exact, equal choice's normalised cumsum and end at 1.0, which no
+        # uniform reaches. Each edge inside (0, 1) is counted once a block; with one certain outcome there is none.
+        cdf = [0.0, *itertools.accumulate(probs)]
+        edges = set(cdf) - {0.0, 1.0}
 
         def count(bits, start, stop):
-            rng, buffer = np.random.Generator(bits), np.empty(min(trials, _MC_BLOCK))
-            at_or_above = np.zeros(len(edges), dtype=np.int64)
+            rng, buffer, reached = np.random.Generator(bits), np.empty(min(trials, _MC_BLOCK)), collections.Counter()
             for first in range(start, stop, _MC_BLOCK):
                 uniforms = rng.random(out=buffer[: stop - first])
-                for k in drawn:
-                    at_or_above[k] += np.count_nonzero(uniforms >= edges[k])
-            return at_or_above
+                reached.update({edge: int(np.count_nonzero(uniforms >= edge)) for edge in edges})
+            return reached  # the uniforms at or above each edge
 
-        at_or_above = _in_parts(trials, seed, (0, count)) if drawn else np.zeros(len(edges), dtype=np.int64)
-        at_or_above[: drawn.start] = trials
-        counts = -np.diff(at_or_above[edge_of], prepend=trials)
-        probs = (counts / trials).tolist()
+        reached = _in_parts(trials, seed, (0, count)) if edges else collections.Counter()
+        reached[0.0] = trials  # every uniform is at or above 0.0
+        probs = [(reached[low] - reached[high]) / trials for low, high in itertools.pairwise(cdf)]
     prep = BELL_LABELS.index(bell)
     return AttackOutcome(1.0 - probs[5 * prep], dict(zip(_PAIRS, probs)))

@@ -5,6 +5,8 @@ explicit 16x16 projectors and permutation matrices, a deliberately different
 construction from the implementation's integer sums over the 16 basis states.
 """
 
+import functools
+import itertools
 import math
 import os
 import threading
@@ -369,12 +371,26 @@ def test_argument_errors_come_before_any_work(monkeypatch):
         raise AssertionError("the joint was built before the arguments were checked")
 
     monkeypatch.setattr(eavesdrop, "_attack_joint", no_joint)
+    # an integer is what operator.index accepts, other than a bool
+    not_integers = [("mc", trials, 1, "trial count as an integer") for trials in (True, 10.0, "10")]
+    not_integers += [("mc", 10, seed, "seed as an integer") for seed in (True, 1.0, "1")]
     for method, trials, seed, message in [("both", 10, 1, "unknown method"), ("mc", None, 1, "trial count"),
-                                          ("mc", 10, None, "explicit seed"), ("mc", 10, -1, "non-negative")]:
+                                          ("mc", 10, None, "explicit seed"), ("mc", 10, -1, "non-negative"),
+                                          *not_integers]:
         with pytest.raises(ValueError, match=message):
             wrong_pair_bell_attack("psi+", (2, 3), method, trials, seed)
         with pytest.raises(ValueError, match=message):
             intercept_resend_bb84(method, trials, seed)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+def test_monte_carlo_takes_numpy_integers_as_ints(integer):
+    for attack in (intercept_resend_bb84, functools.partial(wrong_pair_bell_attack, "psi+", (2, 3))):
+        for trials in (1000, 2 * 2**16 + 1):
+            outcome = attack("mc", integer(trials), integer(5))
+            assert outcome == attack("mc", trials, 5)
+            assert all(type(value) is float for value in (outcome.detection_probability,
+                                                          *outcome.outcome_distribution.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +502,35 @@ def test_an_error_in_one_part_is_raised_once_every_part_has_finished(monkeypatch
     # the next call counts as if nothing had failed
     [mc] = _within(30, lambda: wrong_pair_bell_attack("psi-", (2, 3), "mc", trials, 1))
     assert list(mc.outcome_distribution.values()) == expected
+
+
+def test_each_part_builds_its_generator_once_per_call(monkeypatch):
+    # on 2 usable CPUs, 2 * 2**16 + 1 trials make two parts whose cut is odd, and 1000 trials one part
+    cases = [(trials, parts, born_table_intercept_resend(trials, 3), _choice_distribution("phi-", (2, 3), trials, 3))
+             for trials, parts in [(2 * 2**16 + 1, 2), (1000, 1)]]
+    _use_cpus(monkeypatch, 2)
+    built, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
+    for trials, parts, intercept, choice in cases:
+        assert intercept_resend_bb84("mc", trials, 3) == intercept
+        assert built == [3] * parts  # one generator per part, read by both of intercept-resend's phases
+        mc = wrong_pair_bell_attack("phi-", (2, 3), "mc", trials, 3)
+        assert list(mc.outcome_distribution.values()) == choice
+        assert built == [3] * (2 * parts)
+        built.clear()
+
+
+@pytest.mark.parametrize("eve_outcome", (None,) + BELL_LABELS)
+@pytest.mark.parametrize("eve_pair", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("bell", BELL_LABELS)
+def test_the_joint_float_sums_are_exact_and_equal_choice_normalised_cumsum(bell, eve_pair, eve_outcome):
+    # the premise of the wrong-pair sampler's CDF edges, summed in plain floats
+    try:
+        joint = eavesdrop._attack_joint(bell, eve_pair, eve_outcome)
+    except ValueError:
+        return  # a zero-probability Eve outcome
+    sums = list(itertools.accumulate(joint))
+    assert [Fraction(total) for total in sums] == list(itertools.accumulate(map(Fraction, joint)))
+    assert sums[-1] == 1.0
+    cdf = np.cumsum(joint)
+    assert sums == (cdf / cdf[-1]).tolist()

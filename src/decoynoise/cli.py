@@ -11,8 +11,11 @@ same tables, which also writes all help and every usage error.
 
 Importing this module imports only channels and states. Each command imports
 the module it runs when it runs (fidelity for verify-table, analysis for
-sweep, recommend and crossover, eavesdrop for eve-sim) and calls through that
-module object. analysis.sweep_csv, not this module, formats a sweep's CSV.
+sweep, recommend and crossover, eavesdrop for eve-sim) as "import
+decoynoise.<module> as <module>", which stays in C once the module is loaded
+("from . import" calls a Python frame of importlib each time), and calls
+through that module object. The other commands write their CSV lines as
+f-strings, each float the repr of a Python float; sweep's come from sweep_csv.
 """
 
 from __future__ import annotations
@@ -52,22 +55,6 @@ DEFAULT_TRIALS = 10**6
 
 class CliError(Exception):
     """Bad command-line usage."""
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _lines(rows) -> list[str]:
-    """Each row as one line of comma-joined fields.
-
-    Every field is a str that needs no CSV quoting: a fixed header or kind
-    name, a scheme label, a noise family tag (one of --noise's choices), a
-    Bell or outcome label, a repr of a float, or empty. None holds a comma, a
-    quote or a line break, and no row is one empty field, so a row's line is
-    its fields joined by commas, the same bytes csv.writer would write for it.
-    """
-    return [",".join(row) + "\n" for row in rows]
 
 
 # Each command's help line and its flags, in the order help lists them. A
@@ -159,25 +146,40 @@ def build_parser():
     return parser
 
 
-def _read(options, args):
-    """What argparse would store for args, by dest, from a command's option table alone; None for argparse to parse.
+def _table(options):
+    """_read's table: each flag's (dest, converter or None for store_true, choices), absent values, required flags."""
+    flags, absent = {}, {}
+    for flag, option in options.items():
+        dest, store_true = option.get("dest", flag[2:].replace("-", "_")), option.get("action") == "store_true"
+        flags[flag] = dest, None if store_true else option.get("type", str), option.get("choices")
+        absent[dest] = False if store_true else option.get("default")
+    return flags, absent, frozenset(flag for flag, option in options.items() if option.get("required"))
 
-    Each token must be an exact flag of options, given at most once, and a
+
+_TABLES = {command: _table(options) for command, (_, options) in _OPTIONS.items()}
+
+
+def _read(command, args):
+    """What argparse would store for args, by dest, from the command's _TABLES entry alone; None for argparse to parse.
+
+    Each token must be an exact flag of the command, given at most once, and a
     flag that takes a value must be followed by one that does not start with
     "-" or is a negative number as the parser's "-\\.?\\d" matches it. Each
     value is converted by its type and must be one of its choices, and every
     required flag must be given; a flag that is not gets its default. Any
-    other form, or a value that fails its type or choices, goes to argparse,
-    which alone writes help and usage errors.
+    other form, or a value that fails its type or choices, goes to argparse.
     """
-    given = {}
+    flags, absent, required = _TABLES[command]
+    read, given = dict(absent), set()
     tokens = iter(args)
     for token in tokens:
-        option = options.get(token)
-        if option is None or token in given:  # argparse keeps a repeated flag's last value
+        entry = flags.get(token)
+        if entry is None or token in given:  # argparse keeps a repeated flag's last value
             return None
-        if option.get("action") == "store_true":  # a flag with no value, such as --include-w
-            given[token] = True
+        given.add(token)
+        dest, convert, choices = entry
+        if convert is None:  # a flag with no value, such as --include-w
+            read[dest] = True
             continue
         value = next(tokens, None)
         # isdecimal() is Unicode Nd, as \d is: "²".isdigit() is True, but \d does not match "²"
@@ -185,19 +187,13 @@ def _read(options, args):
                 and not (value[1:2].isdecimal() or value[1:2] == "." and value[2:3].isdecimal()):
             return None
         try:
-            value = option.get("type", str)(value)
+            value = convert(value)
         except ValueError:
             return None
-        if "choices" in option and value not in option["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[token] = value
-    read = {}
-    for flag, option in options.items():
-        if option.get("required") and flag not in given:
-            return None
-        default = False if option.get("action") == "store_true" else option.get("default")
-        read[option.get("dest", flag[2:].replace("-", "_"))] = given.get(flag, default)
-    return read
+        read[dest] = value
+    return read if required <= given else None
 
 
 def _parse_schemes(text: str):
@@ -207,9 +203,12 @@ def _parse_schemes(text: str):
     return tuple(check_scheme(label) for label in labels)
 
 
+_NOISE_FLAGS = tuple(dict.fromkeys(FAMILIES.values()))
+
+
 def _noise_value(args) -> float:
     wanted = FAMILIES[args.noise]
-    for flag in dict.fromkeys(FAMILIES.values()):
+    for flag in _NOISE_FLAGS:
         if flag != wanted and getattr(args, flag) is not None:
             raise CliError(f"--{flag} does not apply to noise {args.noise}")
     value = getattr(args, wanted)
@@ -223,15 +222,15 @@ def _cmd_verify_table(args):
         raise CliError("grid must be >= 2")
     if args.grid > MAX_TABLE_GRID:
         raise CliError(f"grid must be <= {MAX_TABLE_GRID}")
-    from . import fidelity
+    import decoynoise.fidelity as fidelity
     cells = fidelity.verify_table(args.grid)
     scheme, family, worst, at = max(cells, key=lambda cell: cell[2])
     print(
-        f"{len(cells)} cells checked, worst deviation {worst:.3e} at {scheme} {family} {FAMILIES[family]}={_fmt(at)}",
+        f"{len(cells)} cells checked, worst deviation {worst:.3e} at {scheme} {family} {FAMILIES[family]}={at!r}",
         file=sys.stderr,
     )
-    rows = [["scheme", "noise", "max_abs_deviation"], *([s, f, _fmt(d)] for s, f, d, _ in cells)]
-    return 2 if worst >= REGRESSION_TOL else 0, _lines(rows)
+    lines = ["scheme,noise,max_abs_deviation\n", *(f"{s},{f},{d!r}\n" for s, f, d, _ in cells)]
+    return 2 if worst >= REGRESSION_TOL else 0, lines
 
 
 def _cmd_sweep(args):
@@ -243,33 +242,30 @@ def _cmd_sweep(args):
     lo, hi = parameter_range(args.noise)
     start = lo if args.start is None else args.start
     end = hi if args.end is None else args.end
-    from . import analysis
+    import decoynoise.analysis as analysis
     grid, results = analysis.sweep(schemes, args.noise, start, end, args.grid)
     return 0, analysis.sweep_csv(grid, args.noise, results)
 
 
 def _cmd_recommend(args):
-    from . import analysis
+    import decoynoise.analysis as analysis
     ranking = analysis.recommend(args.noise, _noise_value(args), SCHEMES if args.include_w else None)
-    return 0, _lines([["rank", "scheme", "fidelity"], *([str(r), s, _fmt(f)] for r, s, f in ranking)])
+    return 0, ["rank,scheme,fidelity\n", *(f"{r},{s},{f!r}\n" for r, s, f in ranking)]
 
 
 def _cmd_crossover(args):
     a, b = check_scheme(args.a), check_scheme(args.b)
-    from . import analysis
+    import decoynoise.analysis as analysis
     root = analysis.find_crossover(a, b, args.noise, args.lo, args.hi)
-    return 0, _lines([["scheme_a", "scheme_b", "noise", "crossover"], [a, b, args.noise, _fmt(root)]])
+    return 0, ["scheme_a,scheme_b,noise,crossover\n", f"{a},{b},{args.noise},{root!r}\n"]
 
 
 def _cmd_eve_sim(args):
-    for flag, scope, applies in (
-        ("bell", f"attack {args.attack}", args.attack == "wrong-pair"),
-        ("eve-pair", f"attack {args.attack}", args.attack == "wrong-pair"),
-        ("trials", f"method {args.method}", args.method == "mc"),
-        ("seed", f"method {args.method}", args.method == "mc"),
-    ):
-        if not applies and getattr(args, flag.replace("-", "_")) is not None:
-            raise CliError(f"--{flag} does not apply to {scope}")
+    for scope, applies, dests in (("attack", args.attack == "wrong-pair", ("bell", "eve_pair")),
+                                  ("method", args.method == "mc", ("trials", "seed"))):
+        for dest in () if applies else dests:
+            if getattr(args, dest) is not None:
+                raise CliError(f"--{dest.replace('_', '-')} does not apply to {scope} {getattr(args, scope)}")
     trials = args.trials
     if args.method == "mc":
         if args.seed is None:
@@ -277,7 +273,7 @@ def _cmd_eve_sim(args):
         trials = DEFAULT_TRIALS if trials is None else trials
         if trials > MAX_TRIALS:
             raise CliError(f"trials must be <= {MAX_TRIALS}")
-    from . import eavesdrop
+    import decoynoise.eavesdrop as eavesdrop
     # keywords, which a caller wrapping the attacks can read by name
     if args.attack == "intercept":
         outcome = eavesdrop.intercept_resend_bb84(method=args.method, trials=trials, seed=args.seed)
@@ -285,14 +281,18 @@ def _cmd_eve_sim(args):
         pair = (1, 2) if args.eve_pair == "12" else (2, 3)
         outcome = eavesdrop.wrong_pair_bell_attack(args.bell or "psi+", pair, method=args.method, trials=trials,
                                                    seed=args.seed)
-    rows = [["kind", "label", "value"], ["summary", "detection_probability", _fmt(outcome.detection_probability)]]
-    rows += (["outcome", label, _fmt(prob)] for label, prob in outcome.outcome_distribution.items())
-    return 0, _lines(rows)
+    return 0, ["kind,label,value\n", f"summary,detection_probability,{outcome.detection_probability!r}\n",
+               *(f"outcome,{label},{prob!r}\n" for label, prob in outcome.outcome_distribution.items())]
 
 
 # Each command does all its work and every check that can fail, then returns
 # its exit code (0 or 2) and its CSV as str chunks, each ending in a line
-# break, which only format computed values; run alone writes them.
+# break, which only format computed values; run alone writes them. Every field
+# is a str that needs no CSV quoting: a fixed header or kind name, a scheme
+# label, a noise family tag (one of --noise's choices), a Bell or outcome
+# label, a repr of a float, or empty. None holds a comma, a quote or a line
+# break, and no row is one empty field, so a row's line is its fields joined
+# by commas, the same bytes csv.writer would write for it.
 _COMMANDS = {
     "verify-table": _cmd_verify_table,
     "sweep": _cmd_sweep,
@@ -309,7 +309,7 @@ def _parse(argv: list[str]):
     whole parser parses any line that _read declines, with help and errors.
     """
     if argv and argv[0] in _OPTIONS:
-        read = _read(_OPTIONS[argv[0]][1], argv[1:])
+        read = _read(argv[0], argv[1:])
         if read is not None:
             return SimpleNamespace(command=argv[0], **read)
     return build_parser().parse_args(argv)

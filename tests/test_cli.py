@@ -1014,6 +1014,9 @@ _PARTS = {
 # Commands that argparse reads as written, in either spacing; and those with an odd form as well
 _ARGV = {command: _command(command, *parts) for command, parts in _PARTS.items()}
 _ODD_ARGV = {command: _command(command, *parts, odd=True) for command, parts in _PARTS.items()}
+# The columns of every command whose fields are floats
+_FLOAT_COLUMNS = {"fidelity", "crossover", "value", "max_abs_deviation", "parameter", "fidelity_sim",
+                  "fidelity_closed", "abs_err"}
 
 
 @pytest.mark.parametrize("command", sorted(_ARGV))
@@ -1036,6 +1039,10 @@ def test_any_argv_ends_in_csv_or_a_one_line_error(command, data):
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == _HEADERS[command]
         assert all(len(row) == len(rows[0]) for row in rows)
+        # a float field is the repr of a Python float, which a numpy scalar's repr is not: np.float64(0.5)
+        for n, name in enumerate(rows[0]):
+            if name in _FLOAT_COLUMNS:
+                assert all(row[n] == repr(float(row[n])) for row in rows[1:] if row[n]), name
         # the hand-joined lines are what csv.writer writes for the parsed rows
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)
@@ -1074,6 +1081,7 @@ def test_a_command_parses_as_the_nested_parse_does(command, data):
 # One argv of each form the benchmark's workloads send, as they write it
 _CANONICAL = [
     ["verify-table", "--grid", "11"],
+    ["sweep", "--noise", "pd"],  # no workload sends it: every other flag at its default
     ["sweep", "--noise", "ad", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster", "--grid", "16",
      "--from", "0.125", "--to", "0.75"],
     ["sweep", "--noise", "cr", "--schemes", "psi+,psi-,phi+,phi-,cluster,w", "--grid", "560",
@@ -1190,6 +1198,18 @@ _PLAIN_COMMANDS = [
     ["recommend", "--noise", "cr", "--theta", "0.7", "--include-w"],
     ["eve-sim", "--attack", "wrong-pair"],
 ]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_COMMANDS)
+def test_a_warm_command_imports_its_module_without_a_python_frame(argv):
+    # "from . import name" calls importlib's _handle_fromlist, a Python function, even when the
+    # module is loaded; "import decoynoise.name as name" then stays in C and calls it never
+    handle_fromlist = importlib._bootstrap._handle_fromlist
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0  # loads the module that the command runs
+        with mock.patch.object(importlib._bootstrap, "_handle_fromlist", side_effect=handle_fromlist) as spy:
+            assert run(argv) == 0
+    assert spy.call_count == 0
 
 
 # Runs `python -m decoynoise` and then writes, as the last line of stderr, every module that

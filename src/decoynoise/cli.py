@@ -45,8 +45,8 @@ DESCRIPTION = (
 # peaks at 90 MB, seven schemes at 142857 at 49 MB under pd (3 distinct arrays)
 # and 55 MB under ad (5), to stdout or --out alike. verify-table keeps one
 # family's weight array, at most 4 distinct simulated arrays and 6 closed forms
-# at a time, 44 MB at --grid 10**5. Intercept-resend Monte Carlo holds 2 bytes per
-# trial, 54 MB at 10**7 trials; wrong-pair peaks at 35 MB.
+# at a time, 44 MB at --grid 10**5. Monte Carlo reads its trials in blocks, so both
+# attacks peak at about 35 MB at 10**7 trials; MAX_TRIALS bounds their run time.
 MAX_TABLE_GRID = 10**5
 MAX_SWEEP_VALUES = 10**6
 MAX_TRIALS = 10**7

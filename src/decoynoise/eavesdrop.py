@@ -26,10 +26,12 @@ Carlo, which only exercises the statistical pathway, replaces them by counts
 over trials; it needs integer trials and seed and alone imports numpy. It
 counts contiguous parts of the seeded PCG64 stream at once, one per usable
 CPU up to _MC_PARTS, so it is bit-reproducible for a fixed seed on any number
-of CPUs. The receiver's wrong-pair joint is built once per process for each
-of the at most 4 x 2 x 5 = 40 keys (bell, eve_pair, eve_outcome) as a flat
-tuple of 16 floats in _PAIRS order. A zero-probability eve_outcome raises on
-every call, as exceptions are not memoised.
+of CPUs. Each part counts its trials in one pass, block by block, from its
+own generator, so no array grows with the trials. The receiver's wrong-pair
+joint is built once per process for each of the at most 4 x 2 x 5 = 40 keys
+(bell, eve_pair, eve_outcome) as a flat tuple of 16 floats in _PAIRS order. A
+zero-probability eve_outcome raises on every call, as exceptions are not
+memoised.
 """
 
 from __future__ import annotations
@@ -90,12 +92,12 @@ def _sampled(method: str, trials: int | None, seed: int | None) -> tuple[int, in
     return count, start
 
 
-def _in_parts(trials: int, seed: int, *phases):
+def _in_parts(trials: int, seed: int, part):
     """Runs part(bits, start, stop) on equal contiguous parts [start, stop) of range(trials) and sums the results.
 
-    One part per usable CPU, at most _MC_PARTS, each of at least _MC_BLOCK trials. The (offset, part) phases run
-    in turn, and the last one's sum is returned. bits is the part's PCG64(seed), built here once and advanced to
-    output offset + start. Part 0 runs here, each other on its own thread; errors are raised once all have ended.
+    One part per usable CPU, at most _MC_PARTS, each of at least _MC_BLOCK trials. bits is the part's own
+    PCG64(seed), built here (numpy imports numpy.random lazily, so not in a thread) and advanced by the part to
+    the outputs it reads. Part 0 runs here, each other on its own thread; errors are raised once all have ended.
     """
     import numpy as np
     parts = max(1, min(_MC_PARTS, trials // _MC_BLOCK))
@@ -103,28 +105,22 @@ def _in_parts(trials: int, seed: int, *phases):
         import threading
         parts = min(parts, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     cuts = [trials * k // parts for k in range(parts + 1)]
-    bits, read = [np.random.PCG64(seed) for _ in range(parts)], [0] * parts  # read: the outputs each has drawn
+    bits, results = [np.random.PCG64(seed) for _ in range(parts)], [None] * parts
 
-    def run(k):  # the current phase's part k
+    def run(k):
         try:
             results[k] = part(bits[k], cuts[k], cuts[k + 1])
         except BaseException as error:  # raised below, once every part has finished
             results[k] = error
 
-    for offset, part in phases:
-        results = [None] * parts
-        for k in range(parts):
-            if offset + cuts[k] != read[k]:
-                bits[k].advance(offset + cuts[k] - read[k])
-            read[k] = offset + cuts[k + 1]
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(1, parts)]
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-        for error in (result for result in results if isinstance(result, BaseException)):
-            raise error
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for error in (result for result in results if isinstance(result, BaseException)):
+        raise error
     return sum(results[1:], results[0])
 
 
@@ -143,36 +139,44 @@ def intercept_resend_bb84(
 
     Monte Carlo keeps the random stream of drawing, for every trial, the sent
     label, Eve's basis, Eve's outcome uniform and the receiver's uniform, and
-    counts from the bit generator's raw 64-bit outputs, read in order in
-    blocks. At its peak a run holds 2 bytes per trial, 54 MB at 10**7 trials.
+    counts from the bit generator's raw 64-bit outputs in blocks of trials.
+    Each block reads its three stretches of the stream in one pass, so its
+    memory does not grow with the trial count.
     """
     disagree, total = _DISAGREEMENT
     trials, seed = _sampled(method, trials, seed)
     if trials:
         import numpy as np
-        top = np.empty(2 * trials, dtype=bool)
 
-        # rng.integers(0, 4), then rng.integers(0, 2), as int32 take the top bits of 2 * trials 32-bit
-        # draws (Lemire's method never rejects on a power-of-two range): the halves of the first trials
-        # outputs, low half first. Bit 31 of half j is the sent label's basis (sent >> 1, in SINGLE_LABELS
-        # order), and bit 31 of half trials + j is Eve's basis.
-        def bases(bits, start, stop):  # one expression per block, so its outputs are freed before the next are drawn
-            for first, last in itertools.pairwise([*range(start, stop, _MC_BLOCK), stop]):
-                np.greater_equal(bits.random_raw(last - first).astype("<u8", copy=False).view("<u4"), 1 << 31,
-                                 out=top[2 * first : 2 * last])
-
-        # Eve's uniforms take the next trials outputs, one each. Every Born probability between the four
-        # labels is 0, 1/2 or 1: in the sent label's basis Eve finds that label and the receiver agrees;
-        # in the other, whatever Eve found, the receiver disagrees exactly when its uniform
-        # (output >> 11) / 2**53 is >= 1/2, that is when bit 63 of output 2 * trials + j is set.
         def disagreements(bits, start, stop):
+            at = 0  # the output bits gives next
+
+            def read(output, count):  # PCG64 advances modulo its period 2**128, so a step back is the remainder
+                nonlocal at
+                if output != at:
+                    bits.advance((output - at) % 2**128)
+                at = output + count
+                return bits.random_raw(count)
+
+            # rng.integers(0, 4), then rng.integers(0, 2), as int32 take the top bits of 2 * trials 32-bit
+            # draws (Lemire's method never rejects on a power-of-two range): the halves of the first trials
+            # outputs, low half first. Bit 31 of half j is the sent label's basis (sent >> 1, in SINGLE_LABELS
+            # order), and bit 31 of half trials + j is Eve's basis.
+            def bases(first, last):  # bit 31 of halves [first, last)
+                halves = read(first // 2, (last + 1) // 2 - first // 2).astype("<u8", copy=False).view("<u4")
+                return halves[first % 2 : first % 2 + last - first] >= 1 << 31
+
+            # Eve's uniforms take the next trials outputs, one each. Every Born probability between the four
+            # labels is 0, 1/2 or 1: in the sent label's basis Eve finds that label and the receiver agrees;
+            # in the other, whatever Eve found, the receiver disagrees exactly when its uniform
+            # (output >> 11) / 2**53 is >= 1/2, that is when bit 63 of output 2 * trials + j is set.
             disagree = 0
             for first, last in itertools.pairwise([*range(start, stop, _MC_BLOCK), stop]):
-                wrong = top[first:last] != top[trials + first : trials + last]
-                disagree += int(np.count_nonzero(wrong & (bits.random_raw(last - first) >= 1 << 63)))
+                wrong = bases(first, last) != bases(trials + first, trials + last)
+                disagree += int(np.count_nonzero(wrong & (read(2 * trials + first, last - first) >= 1 << 63)))
             return disagree
 
-        disagree, total = _in_parts(trials, seed, (0, bases), (2 * trials, disagreements)), trials
+        disagree, total = _in_parts(trials, seed, disagreements), trials
     return AttackOutcome(disagree / total, {"agree": (total - disagree) / total, "disagree": disagree / total})
 
 
@@ -247,13 +251,14 @@ def wrong_pair_bell_attack(
         edges = set(cdf) - {0.0, 1.0}
 
         def count(bits, start, stop):
-            rng, buffer, reached = np.random.Generator(bits), np.empty(min(trials, _MC_BLOCK)), collections.Counter()
+            rng, buffer = np.random.Generator(bits.advance(start)), np.empty(min(trials, _MC_BLOCK))
+            reached = collections.Counter()
             for first in range(start, stop, _MC_BLOCK):
                 uniforms = rng.random(out=buffer[: stop - first])
                 reached.update({edge: int(np.count_nonzero(uniforms >= edge)) for edge in edges})
             return reached  # the uniforms at or above each edge
 
-        reached = _in_parts(trials, seed, (0, count)) if edges else collections.Counter()
+        reached = _in_parts(trials, seed, count) if edges else collections.Counter()
         reached[0.0] = trials  # every uniform is at or above 0.0
         probs = [(reached[low] - reached[high]) / trials for low, high in itertools.pairwise(cdf)]
     prep = BELL_LABELS.index(bell)

@@ -584,11 +584,13 @@ def test_oversized_grid_and_trials_are_rejected_before_any_work(args, message, c
 
 
 # Each command at its size cap, and the peak RSS in MB that it must stay under:
-# 80 above intercept-resend's 2 bytes per trial (54 MB), 60 above verify-table's
-# one family at a time (44 MB; 89 MB holding all 24 cells), and the "about 100 MB"
-# of cli's size comment for the two largest sweep shapes (90 and 49 MB).
+# 45 above either Monte Carlo attack, which reads its trials in blocks (35 MB each),
+# 60 above verify-table's one family at a time (44 MB; 89 MB holding all 24 cells),
+# and the "about 100 MB" of cli's size comment for the two largest sweep shapes (90
+# and 49 MB).
 _CAP_PEAKS = [
-    (["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", str(MAX_TRIALS), "--seed", "3"], 80),
+    (["eve-sim", "--attack", "intercept", "--method", "mc", "--trials", str(MAX_TRIALS), "--seed", "3"], 45),
+    (["eve-sim", "--attack", "wrong-pair", "--method", "mc", "--trials", str(MAX_TRIALS), "--seed", "3"], 45),
     (["verify-table", "--grid", str(MAX_TABLE_GRID)], 60),
     (["sweep", "--noise", "pd", "--schemes", "cluster", "--grid", str(MAX_SWEEP_VALUES)], 100),
     (["sweep", "--noise", "pd", "--schemes", "bb84,psi+,psi-,phi+,phi-,cluster,w", "--grid", str(MAX_SWEEP_VALUES // 7)], 100),

@@ -402,16 +402,14 @@ def _use_cpus(monkeypatch, cpus):
 
 
 def _record_parts(monkeypatch, replace=None):
-    """Record (phase, start, stop, thread) for every part that runs; replace, if given, runs in place of each part."""
+    """Record (start, stop, thread) for every part that runs; replace, if given, runs in place of each part."""
     ran, in_parts = [], eavesdrop._in_parts
 
-    def recording(trials, seed, *phases):
-        def recorded(phase, part):
-            def run(bits, start, stop):
-                ran.append((phase, start, stop, threading.current_thread()))  # held, so never reused
-                return (replace or part)(bits, start, stop)
-            return run
-        return in_parts(trials, seed, *[(offset, recorded(n, part)) for n, (offset, part) in enumerate(phases)])
+    def recording(trials, seed, part):
+        def run(bits, start, stop):
+            ran.append((start, stop, threading.current_thread()))  # held, so never reused
+            return (replace or part)(bits, start, stop)
+        return in_parts(trials, seed, run)
 
     monkeypatch.setattr(eavesdrop, "_in_parts", recording)
     return ran
@@ -444,10 +442,10 @@ def _choice_distribution(bell, eve_pair, trials, seed):
     return list(counts / trials)
 
 
-# 2 * 2**16 + 1 trials make at most 2 parts; 5 * 2**16 - 1 at most 4 and 5 * 2**16 + 1 at most 5, whose
-# cuts fall inside blocks; with odd counts Eve's bases start mid-output and the receiver's outputs are out
-# of line with the labels'
-@pytest.mark.parametrize("trials", [2 * 2**16 + 1, 5 * 2**16 - 1, 5 * 2**16 + 1, 10**6 + 1])
+# 2 * 2**16 + 1 and + 3 trials make at most 2 parts, cut at 2**16 and at 2**16 + 1; 5 * 2**16 - 1 at most 4
+# and 5 * 2**16 + 1 at most 5, whose cuts fall inside blocks; with odd counts Eve's bases start mid-output,
+# with odd cuts a part's sent bases too, and the receiver's outputs are out of line with the labels'
+@pytest.mark.parametrize("trials", [2 * 2**16 + 1, 2 * 2**16 + 3, 5 * 2**16 - 1, 5 * 2**16 + 1, 10**6 + 1])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
 def test_monte_carlo_counts_are_the_same_on_any_number_of_cpus(monkeypatch, cpus, trials):
     monkeypatch.setattr(eavesdrop, "_MC_PARTS", 5)  # above the CPUs, so that they bound the parts
@@ -456,18 +454,16 @@ def test_monte_carlo_counts_are_the_same_on_any_number_of_cpus(monkeypatch, cpus
     parts = max(1, min(cpus, trials // 2**16))
     cuts = [(trials * k // parts, trials * (k + 1) // parts) for k in range(parts)]
 
-    def assert_ran(phases):
-        for phase in range(phases):
-            assert sorted((start, stop) for n, start, stop, _ in ran if n == phase) == cuts
-            assert len({thread for n, *_, thread in ran if n == phase}) == parts
-        assert {n for n, *_ in ran} == set(range(phases))
+    def assert_ran():
+        assert sorted((start, stop) for start, stop, _ in ran) == cuts
+        assert len({thread for *_, thread in ran}) == parts
         ran.clear()
 
     assert intercept_resend_bb84("mc", trials, 3) == born_table_intercept_resend(trials, 3)
-    assert_ran(2)
+    assert_ran()
     mc = wrong_pair_bell_attack("phi-", (2, 3), "mc", trials, 3)
     assert list(mc.outcome_distribution.values()) == _choice_distribution("phi-", (2, 3), trials, 3)
-    assert_ran(1)
+    assert_ran()
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 64])
@@ -478,7 +474,7 @@ def test_the_parts_at_once_are_capped_whatever_the_cpus(monkeypatch, cpus):
     assert intercept_resend_bb84("mc", trials, 3) == born_table_intercept_resend(trials, 3)
     parts = min(cpus, eavesdrop._MC_PARTS)
     cuts = [trials * k // parts for k in range(parts + 1)]
-    assert sorted((n, start, stop) for n, start, stop, _ in ran) == [(n, *cut) for n in (0, 1) for cut in zip(cuts, cuts[1:])]
+    assert sorted((start, stop) for start, stop, _ in ran) == list(zip(cuts, cuts[1:]))
 
 
 @pytest.mark.parametrize("failing", ["the caller's part", "another thread's part"])
@@ -505,7 +501,8 @@ def test_an_error_in_one_part_is_raised_once_every_part_has_finished(monkeypatch
 
 
 def test_each_part_builds_its_generator_once_per_call(monkeypatch):
-    # on 2 usable CPUs, 2 * 2**16 + 1 trials make two parts whose cut is odd, and 1000 trials one part
+    # on 2 usable CPUs, 2 * 2**16 + 1 trials make two parts cut at 2**16, where part 1's Eve bases start
+    # mid-output, and 1000 trials one part
     cases = [(trials, parts, born_table_intercept_resend(trials, 3), _choice_distribution("phi-", (2, 3), trials, 3))
              for trials, parts in [(2 * 2**16 + 1, 2), (1000, 1)]]
     _use_cpus(monkeypatch, 2)
@@ -513,11 +510,22 @@ def test_each_part_builds_its_generator_once_per_call(monkeypatch):
     monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
     for trials, parts, intercept, choice in cases:
         assert intercept_resend_bb84("mc", trials, 3) == intercept
-        assert built == [3] * parts  # one generator per part, read by both of intercept-resend's phases
+        assert built == [3] * parts  # one generator per part, which reads all three of intercept-resend's stretches
         mc = wrong_pair_bell_attack("phi-", (2, 3), "mc", trials, 3)
         assert list(mc.outcome_distribution.values()) == choice
         assert built == [3] * (2 * parts)
         built.clear()
+
+
+def test_intercept_resend_in_two_parts_starts_one_thread(monkeypatch):
+    # each part counts its trials in one pass, so one thread runs beside the caller's part for the whole call
+    trials = 2 * 2**16 + 1
+    expected = born_table_intercept_resend(trials, 3)
+    _use_cpus(monkeypatch, 2)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    assert intercept_resend_bb84("mc", trials, 3) == expected
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize("eve_outcome", (None,) + BELL_LABELS)
